@@ -53,12 +53,16 @@ public:
     return Rows[static_cast<size_t>(Stage)][static_cast<size_t>(Cycle)] != 0;
   }
 
-  /// Column offsets at which \p Stage is busy, ascending.
-  std::vector<int> busyColumns(int Stage) const;
+  /// Column offsets at which \p Stage is busy, ascending (computed once,
+  /// when the table is built).
+  const std::vector<int> &busyColumns(int Stage) const {
+    return Busy[static_cast<size_t>(Stage)];
+  }
 
   /// The paper's modulo-scheduling precondition: at period \p T no stage of
   /// a *single* operation may occupy two columns congruent mod T (otherwise
   /// the op collides with itself and T must be skipped — Fig. 2(b)).
+  /// Allocation-free, like the two conflict tests below.
   bool satisfiesModuloConstraint(int T) const;
 
   /// True when two operations issued on the *same* physical unit at pattern
@@ -75,6 +79,8 @@ public:
 
 private:
   std::vector<std::vector<std::uint8_t>> Rows;
+  /// Busy column offsets per stage, ascending.
+  std::vector<std::vector<int>> Busy;
 };
 
 /// Multi-function pipelines (paper Section 7 extension): two operations of

@@ -75,12 +75,12 @@ enum class CmpKind { LE, GE, EQ };
 /// Integrality class of a variable.
 enum class VarKind { Continuous, Integer, Binary };
 
-/// A model variable: bounds, integrality, and a debug name.
+/// A model variable: bounds and integrality.  Variables are named by their
+/// VarId alone.
 struct ModelVar {
   double Lb;
   double Ub;
   VarKind Kind;
-  std::string Name;
   /// True when some constraint already implies Var <= Ub in the LP
   /// relaxation (e.g. a[t][i] <= 1 follows from sum_t a[t][i] = 1), letting
   /// the simplex skip the explicit upper-bound row.
@@ -104,12 +104,10 @@ public:
   static constexpr double Inf = std::numeric_limits<double>::infinity();
 
   /// Adds a variable and returns its id.
-  VarId addVar(double Lb, double Ub, VarKind Kind, std::string Name);
+  VarId addVar(double Lb, double Ub, VarKind Kind);
 
   /// Adds a binary {0,1} variable.
-  VarId addBinary(std::string Name) {
-    return addVar(0.0, 1.0, VarKind::Binary, std::move(Name));
-  }
+  VarId addBinary() { return addVar(0.0, 1.0, VarKind::Binary); }
 
   /// Marks \p Var's upper bound row as implied by other constraints.
   void setUbRowRedundant(VarId Var) {

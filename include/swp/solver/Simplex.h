@@ -38,7 +38,7 @@
 #include "swp/support/Cancellation.h"
 
 #include <cstdint>
-#include <utility>
+#include <span>
 #include <vector>
 
 namespace swp {
@@ -125,13 +125,30 @@ public:
   void setRefactorInterval(int K) { RefactorInterval = K < 1 ? 1 : K; }
 
 private:
+  /// One nonzero of a matrix column or of an eta.
+  struct Entry {
+    int Row;
+    double Val;
+  };
+  /// One product-form eta: the identity with column Row replaced by Pivot
+  /// at Row and the off-pivot entries EtaPool[Begin, End).
   struct Eta {
     int Row;
     double Pivot;
-    std::vector<std::pair<int, double>> Other;
+    int Begin;
+    int End;
   };
 
   int numCols() const { return NumStruct + NumRows; }
+  std::span<const Entry> column(int C) const {
+    return {ColEntries.data() + ColStart[static_cast<size_t>(C)],
+            ColEntries.data() + ColStart[static_cast<size_t>(C) + 1]};
+  }
+  std::span<const Entry> etaEntries(const Eta &E) const {
+    return {EtaPool.data() + E.Begin, EtaPool.data() + E.End};
+  }
+  void clearEtas();
+  void pushDenseEta(int Row, const std::vector<double> &Dense);
   bool isLogical(int C) const { return C >= NumStruct; }
   double nonbasicValue(int C) const;
   LpBasisStatus boundStatus(int C) const;
@@ -161,8 +178,11 @@ private:
   PresolveInfo Pre;
   int NumStruct = 0;
   int NumRows = 0;
-  /// Column-major sparse matrix over kept rows; logicals are unit columns.
-  std::vector<std::vector<std::pair<int, double>>> Cols;
+  /// Column-major (CSC) sparse matrix over kept rows: column C's entries
+  /// are ColEntries[ColStart[C], ColStart[C + 1]), ascending by row;
+  /// logicals are unit columns.
+  std::vector<int> ColStart;
+  std::vector<Entry> ColEntries;
   std::vector<double> Rhs;
   std::vector<CmpKind> RowCmp;
   std::vector<double> Cost; // Objective coefficient per column.
@@ -171,7 +191,10 @@ private:
   // Basis state, persisted across solve() calls.
   std::vector<LpBasisStatus> St; // Per column.
   std::vector<int> Basis;        // Basic column per row.
+  /// The eta file: headers in application order over one entry pool,
+  /// cleared (capacity kept) at every refactorization.
   std::vector<Eta> Etas;
+  std::vector<Entry> EtaPool;
   /// Etas [0, BaseEtas) are the factorization itself; only updates appended
   /// beyond it count against RefactorInterval.
   int BaseEtas = 0;

@@ -4,7 +4,6 @@
 
 #include "swp/core/CircularArcs.h"
 #include "swp/core/Registers.h"
-#include "swp/support/Format.h"
 
 #include <algorithm>
 #include <cassert>
@@ -72,13 +71,12 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
              (Opts.BreakRotation ? 1 : 0);
   for (int I = 0; I < N; ++I) {
     for (int Slot = 0; Slot < T; ++Slot) {
-      VarId V = M.addBinary(strFormat("a[%d][%d]", Slot, I));
+      VarId V = M.addBinary();
       // a[t][i] <= 1 is implied by the assignment equality below.
       M.setUbRowRedundant(V);
       Vars.A[static_cast<size_t>(Slot)][static_cast<size_t>(I)] = V;
     }
-    VarId KVar = M.addVar(0.0, static_cast<double>(KMax), VarKind::Integer,
-                          strFormat("k[%d]", I));
+    VarId KVar = M.addVar(0.0, static_cast<double>(KMax), VarKind::Integer);
     // Branch on the a[t][i] assignment windows (priority 0) before the
     // stage counts: once every op's slot is fixed the k[i] are pinned by
     // the dependence rows, so branching on a fractional k[i] first only
@@ -96,7 +94,7 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
       const int Count = Machine.type(G.node(I).OpClass).Count;
       LinExpr Sum;
       for (int U = 0; U < Count; ++U) {
-        VarId V = M.addBinary(strFormat("x[%d][%d]", I, U));
+        VarId V = M.addBinary();
         M.setBranchPriority(V, 2);
         Vars.Inst[static_cast<size_t>(I)].push_back(V);
         if (Count == 1)
@@ -165,8 +163,7 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
     }
     for (size_t EIx = 0; EIx < G.edges().size(); ++EIx) {
       const DdgEdge &E = G.edges()[EIx];
-      VarId B = M.addVar(1.0, static_cast<double>(BMax), VarKind::Integer,
-                         strFormat("b[%zu]", EIx));
+      VarId B = M.addVar(1.0, static_cast<double>(BMax), VarKind::Integer);
       M.setBranchPriority(B, 4);
       Vars.Buffers.push_back(B);
       LinExpr Row;
@@ -272,7 +269,7 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
         for (int BIx = AIx + 1; BIx < NumOps; ++BIx) {
           int OpI = Ops[static_cast<size_t>(AIx)];
           int OpJ = Ops[static_cast<size_t>(BIx)];
-          VarId O = M.addBinary(strFormat("o[%d][%d]", OpI, OpJ));
+          VarId O = M.addBinary();
           M.setBranchPriority(O, 3);
           Vars.Pairs.push_back({OpI, OpJ, O, -1});
           std::vector<bool> ConflictDelta = ConflictDeltaFor(OpI, OpJ);
@@ -314,14 +311,13 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
       // Symmetry breaking: colors are interchangeable, so the Ix-th op of
       // the type can canonically be restricted to colors 1..Ix+1.
       double Ub = std::min(RCount, static_cast<double>(Ix + 1));
-      VarId C = M.addVar(1.0, Ub, VarKind::Integer, strFormat("c[%d]", Op));
+      VarId C = M.addVar(1.0, Ub, VarKind::Integer);
       M.setBranchPriority(C, 2);
       Vars.Color[static_cast<size_t>(Op)] = C;
     }
     VarId CMax = -1;
     if (UseColoringObjective) {
-      CMax = M.addVar(1.0, RCount, VarKind::Continuous,
-                      strFormat("cmax[%d]", R));
+      CMax = M.addVar(1.0, RCount, VarKind::Continuous);
       Vars.CMax[static_cast<size_t>(R)] = CMax;
       for (int Op : Ops) {
         LinExpr E;
@@ -334,8 +330,8 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
       for (int BIx = AIx + 1; BIx < NumOps; ++BIx) {
         int OpI = Ops[static_cast<size_t>(AIx)];
         int OpJ = Ops[static_cast<size_t>(BIx)];
-        VarId O = M.addBinary(strFormat("o[%d][%d]", OpI, OpJ));
-        VarId W = M.addBinary(strFormat("w[%d][%d]", OpI, OpJ));
+        VarId O = M.addBinary();
+        VarId W = M.addBinary();
         M.setBranchPriority(O, 3);
         M.setBranchPriority(W, 3);
         Vars.Pairs.push_back({OpI, OpJ, O, W});
@@ -461,8 +457,7 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
               break;
             continue;
           }
-          VarId Y = M.addBinary(
-              strFormat("y[%zu][%d][%d]", EIx, GU, C));
+          VarId Y = M.addBinary();
           M.setBranchPriority(Y, 3);
           Vars.Route.push_back({static_cast<int>(EIx), GU, C, Y});
           std::vector<int> Cols =

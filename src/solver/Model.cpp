@@ -2,6 +2,8 @@
 
 #include "swp/solver/Model.h"
 
+#include "swp/support/Format.h"
+
 #include <algorithm>
 #include <cmath>
 
@@ -17,32 +19,32 @@ LinExpr &LinExpr::addScaled(const LinExpr &Other, double Scale) {
 void LinExpr::normalize() {
   std::sort(Terms.begin(), Terms.end(),
             [](const LinTerm &A, const LinTerm &B) { return A.Var < B.Var; });
-  std::vector<LinTerm> Merged;
-  Merged.reserve(Terms.size());
-  for (const LinTerm &T : Terms) {
-    if (!Merged.empty() && Merged.back().Var == T.Var) {
-      Merged.back().Coef += T.Coef;
-      continue;
-    }
-    Merged.push_back(T);
+  // Merge runs of one variable in place, then drop zero coefficients.
+  size_t Out = 0;
+  for (size_t I = 0; I < Terms.size(); ++I) {
+    if (Out > 0 && Terms[Out - 1].Var == Terms[I].Var)
+      Terms[Out - 1].Coef += Terms[I].Coef;
+    else
+      Terms[Out++] = Terms[I];
   }
-  Merged.erase(std::remove_if(Merged.begin(), Merged.end(),
-                              [](const LinTerm &T) { return T.Coef == 0.0; }),
-               Merged.end());
-  Terms = std::move(Merged);
+  Terms.resize(Out);
+  Terms.erase(std::remove_if(Terms.begin(), Terms.end(),
+                             [](const LinTerm &T) { return T.Coef == 0.0; }),
+              Terms.end());
 }
 
-VarId MilpModel::addVar(double Lb, double Ub, VarKind Kind, std::string Name) {
+VarId MilpModel::addVar(double Lb, double Ub, VarKind Kind) {
+  const VarId Id = static_cast<VarId>(Vars.size());
   // Record structural errors instead of aborting: the solver checks
   // valid() and reports a typed error, keeping malformed inputs inside
   // the failure domain.
   if (!(Lb <= Ub) && BuildError.empty())
-    BuildError = "variable '" + Name + "' has empty domain";
+    BuildError = strFormat("variable %d has empty domain", Id);
   else if ((std::isnan(Lb) || std::isnan(Ub) || std::isinf(Lb)) &&
            BuildError.empty())
-    BuildError = "variable '" + Name + "' has a non-finite bound";
-  Vars.push_back({Lb, Ub, Kind, std::move(Name), false, 0});
-  return static_cast<VarId>(Vars.size()) - 1;
+    BuildError = strFormat("variable %d has a non-finite bound", Id);
+  Vars.push_back({Lb, Ub, Kind, false, 0});
+  return Id;
 }
 
 void MilpModel::addConstraint(LinExpr Expr, CmpKind Cmp, double Rhs) {

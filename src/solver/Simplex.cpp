@@ -53,30 +53,38 @@ SparseLp::SparseLp(const MilpModel &M) : Model(&M), Pre(presolveModel(M)) {
   if (Pre.Infeasible)
     return; // solve() answers Infeasible without touching the matrix.
 
-  // Compact kept rows and scatter their terms into sparse columns.  Terms
-  // are normalized (sorted, merged) at addConstraint time, so a row-major
-  // sweep appends each column's entries already sorted by row.
-  std::vector<int> RowOf(sz(M.numConstraints()), -1);
+  // Compact kept rows and scatter their terms into CSC columns: count per
+  // column, then fill in a row-major sweep.  Terms are normalized (sorted,
+  // merged) at addConstraint time, so the sweep appends each column's
+  // entries already sorted by row.
+  ColStart.assign(sz(NumStruct) + 1, 0);
   for (int R = 0; R < M.numConstraints(); ++R) {
     if (Pre.DropRow[sz(R)])
       continue;
-    RowOf[sz(R)] = NumRows++;
+    ++NumRows;
+    for (const LinTerm &T : M.constraints()[sz(R)].Expr.terms())
+      ++ColStart[sz(T.Var) + 1];
   }
-  Cols.assign(sz(NumStruct + NumRows), {});
+  // Each logical column holds one entry: the unit coefficient of its row.
+  ColStart.resize(sz(numCols()) + 1, 1);
+  for (int C = 0; C < numCols(); ++C)
+    ColStart[sz(C) + 1] += ColStart[sz(C)];
+  ColEntries.resize(sz(ColStart.back()));
+  std::vector<int> Fill(ColStart.begin(), ColStart.end() - 1);
   Rhs.assign(sz(NumRows), 0.0);
   RowCmp.assign(sz(NumRows), CmpKind::LE);
+  int K = 0;
   for (int R = 0; R < M.numConstraints(); ++R) {
-    int K = RowOf[sz(R)];
-    if (K < 0)
+    if (Pre.DropRow[sz(R)])
       continue;
     const ModelConstraint &C = M.constraints()[sz(R)];
     Rhs[sz(K)] = C.Rhs;
     RowCmp[sz(K)] = C.Cmp;
     for (const LinTerm &T : C.Expr.terms())
-      Cols[sz(T.Var)].push_back({K, T.Coef});
+      ColEntries[sz(Fill[sz(T.Var)]++)] = {K, T.Coef};
+    ColEntries[sz(Fill[sz(NumStruct + K)]++)] = {K, 1.0};
+    ++K;
   }
-  for (int K = 0; K < NumRows; ++K)
-    Cols[sz(NumStruct + K)].push_back({K, 1.0});
 
   Cost.assign(sz(numCols()), 0.0);
   for (const LinTerm &T : M.objective().terms())
@@ -93,13 +101,18 @@ SparseLp::SparseLp(const MilpModel &M) : Model(&M), Pre(presolveModel(M)) {
 // Basis linear algebra
 //===----------------------------------------------------------------------===//
 
+// Entry order is part of the numerics: ftran applies the etas first to
+// last, btran last to first, each eta's entries are visited in the order
+// they were appended, and a column's in ascending row order.  Any other
+// order forms the floating-point sums differently and can change pivots.
+
 void SparseLp::ftran(std::vector<double> &V) const {
   for (const Eta &E : Etas) {
     double T = V[sz(E.Row)] / E.Pivot;
     V[sz(E.Row)] = T;
     if (T == 0.0)
       continue;
-    for (const auto &[R, A] : E.Other)
+    for (const auto &[R, A] : etaEntries(E))
       V[sz(R)] -= A * T;
   }
 }
@@ -107,7 +120,7 @@ void SparseLp::ftran(std::vector<double> &V) const {
 void SparseLp::btran(std::vector<double> &V) const {
   for (auto It = Etas.rbegin(); It != Etas.rend(); ++It) {
     double S = V[sz(It->Row)];
-    for (const auto &[R, A] : It->Other)
+    for (const auto &[R, A] : etaEntries(*It))
       S -= A * V[sz(R)];
     V[sz(It->Row)] = S / It->Pivot;
   }
@@ -115,15 +128,31 @@ void SparseLp::btran(std::vector<double> &V) const {
 
 void SparseLp::loadColumn(int C, std::vector<double> &Dense) const {
   std::fill(Dense.begin(), Dense.end(), 0.0);
-  for (const auto &[R, A] : Cols[sz(C)])
+  for (const auto &[R, A] : column(C))
     Dense[sz(R)] = A;
 }
 
 double SparseLp::colDot(int C, const std::vector<double> &RowVec) const {
   double S = 0.0;
-  for (const auto &[R, A] : Cols[sz(C)])
+  for (const auto &[R, A] : column(C))
     S += A * RowVec[sz(R)];
   return S;
+}
+
+void SparseLp::clearEtas() {
+  Etas.clear();
+  EtaPool.clear();
+}
+
+/// Appends the eta pivoting at \p Row on \p Dense (an ftran'd column); its
+/// off-pivot entries are Dense's entries above 1e-12 in magnitude.
+void SparseLp::pushDenseEta(int Row, const std::vector<double> &Dense) {
+  const int Begin = static_cast<int>(EtaPool.size());
+  for (int R = 0; R < NumRows; ++R)
+    if (R != Row && std::abs(Dense[sz(R)]) > 1e-12)
+      EtaPool.push_back({R, Dense[sz(R)]});
+  Etas.push_back({Row, Dense[sz(Row)], Begin,
+                  static_cast<int>(EtaPool.size())});
 }
 
 LpBasisStatus SparseLp::boundStatus(int C) const {
@@ -144,7 +173,7 @@ void SparseLp::coldBasis() {
   Basis.resize(sz(NumRows));
   for (int K = 0; K < NumRows; ++K)
     Basis[sz(K)] = NumStruct + K;
-  Etas.clear();
+  clearEtas();
   BaseEtas = 0;
   HaveBasis = true;
   NeedRefactor = false;
@@ -157,7 +186,7 @@ bool SparseLp::factorize() {
   if (FaultInjector::instance().shouldFire(FaultSite::LpRefactor))
     return false;
   ++Stats.Refactorizations;
-  Etas.clear();
+  clearEtas();
 
   std::vector<char> RowDone(sz(NumRows), 0);
   std::vector<int> NewBasis(sz(NumRows), -1);
@@ -181,13 +210,7 @@ bool SparseLp::factorize() {
     }
     if (BestRow < 0)
       return false;
-    Eta E;
-    E.Row = BestRow;
-    E.Pivot = WorkY[sz(BestRow)];
-    for (int R = 0; R < NumRows; ++R)
-      if (R != BestRow && std::abs(WorkY[sz(R)]) > 1e-12)
-        E.Other.push_back({R, WorkY[sz(R)]});
-    Etas.push_back(std::move(E));
+    pushDenseEta(BestRow, WorkY);
     RowDone[sz(BestRow)] = 1;
     NewBasis[sz(BestRow)] = C;
     ++Assigned;
@@ -225,7 +248,7 @@ bool SparseLp::factorize() {
     std::vector<std::vector<int>> RowCands(sz(NumRows));
     std::vector<char> Used(sz(numCols()), 0);
     for (int C : Cands)
-      for (const auto &[R, A] : Cols[sz(C)])
+      for (const auto &[R, A] : column(C))
         if (std::abs(A) > 1e-12) {
           ++RowCount[sz(R)];
           ++ColCount[sz(C)];
@@ -233,7 +256,7 @@ bool SparseLp::factorize() {
         }
 
     auto EntryAt = [this](int C, int R) {
-      for (const auto &[Row, A] : Cols[sz(C)])
+      for (const auto &[Row, A] : column(C))
         if (Row == R)
           return A;
       return 0.0;
@@ -249,22 +272,22 @@ bool SparseLp::factorize() {
       for (int C2 : RowCands[sz(R)])
         if (!Used[sz(C2)] && --ColCount[sz(C2)] == 1)
           ColStack.push_back(C2);
-      for (const auto &[R2, A2] : Cols[sz(C)])
+      for (const auto &[R2, A2] : column(C))
         if (std::abs(A2) > 1e-12 && !RowDone[sz(R2)] &&
             --RowCount[sz(R2)] == 1)
           RowStack.push_back(R2);
     };
     auto ColumnEta = [&](int C, int R) {
-      Eta E;
-      E.Row = R;
-      E.Pivot = EntryAt(C, R);
-      for (const auto &[Row, A] : Cols[sz(C)])
+      const double Pivot = EntryAt(C, R);
+      const int Begin = static_cast<int>(EtaPool.size());
+      for (const auto &[Row, A] : column(C))
         if (Row != R && std::abs(A) > 1e-12)
-          E.Other.push_back({Row, A});
+          EtaPool.push_back({Row, A});
+      const int End = static_cast<int>(EtaPool.size());
       // An identity eta (unit pivot, no off-pivot entries — every basic
       // logical in an untouched row) is a no-op in ftran/btran; skip it.
-      if (E.Pivot != 1.0 || !E.Other.empty())
-        Etas.push_back(std::move(E));
+      if (Pivot != 1.0 || End > Begin)
+        Etas.push_back({R, Pivot, Begin, End});
     };
 
     for (int R = 0; R < NumRows; ++R)
@@ -300,7 +323,7 @@ bool SparseLp::factorize() {
       if (Used[sz(C)] || ColCount[sz(C)] != 1)
         continue;
       int R = -1;
-      for (const auto &[Row, A] : Cols[sz(C)])
+      for (const auto &[Row, A] : column(C))
         if (!RowDone[sz(Row)] && std::abs(A) > 1e-12) {
           R = Row;
           break;
@@ -362,18 +385,17 @@ bool SparseLp::factorize() {
 }
 
 void SparseLp::computeXB() {
-  std::vector<double> V = Rhs;
+  XB = Rhs;
   for (int C = 0; C < numCols(); ++C) {
     if (St[sz(C)] == LpBasisStatus::Basic)
       continue;
     double X = nonbasicValue(C);
     if (X == 0.0)
       continue;
-    for (const auto &[R, A] : Cols[sz(C)])
-      V[sz(R)] -= A * X;
+    for (const auto &[R, A] : column(C))
+      XB[sz(R)] -= A * X;
   }
-  ftran(V);
-  XB = std::move(V);
+  ftran(XB);
 }
 
 void SparseLp::sanitizeStatuses() {
@@ -471,14 +493,7 @@ bool SparseLp::applyPivot(int Row, int EnterCol, double T, double EnterBase,
   St[sz(EnterCol)] = LpBasisStatus::Basic;
   Basis[sz(Row)] = EnterCol;
   XB[sz(Row)] = EnterBase + T;
-
-  Eta E;
-  E.Row = Row;
-  E.Pivot = Y[sz(Row)];
-  for (int R = 0; R < NumRows; ++R)
-    if (R != Row && std::abs(Y[sz(R)]) > 1e-12)
-      E.Other.push_back({R, Y[sz(R)]});
-  Etas.push_back(std::move(E));
+  pushDenseEta(Row, Y);
 
   if (static_cast<int>(Etas.size()) - BaseEtas >= RefactorInterval) {
     if (!factorize()) {
@@ -874,7 +889,7 @@ void SparseLp::seedBasis(const std::vector<LpBasisStatus> &StructuralHints) {
     St[sz(NumStruct + K)] = RowCmp[sz(K)] == CmpKind::GE
                                 ? LpBasisStatus::AtUpper
                                 : LpBasisStatus::AtLower;
-  Etas.clear();
+  clearEtas();
   BaseEtas = 0;
   Basis.assign(sz(NumRows), -1);
   HaveBasis = true;

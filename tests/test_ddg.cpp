@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
 
 using namespace swp;
 
@@ -62,6 +63,29 @@ TEST(Ddg, WellFormedAcceptsLoopCarriedCycles) {
 TEST(Ddg, WellFormedRejectsZeroDistanceCycles) {
   Ddg G = makeCycle(1, 1, 1, 0);
   EXPECT_FALSE(G.isWellFormed(1));
+}
+
+TEST(Ddg, WellFormedHandlesLongZeroDistanceChainsOnAThread) {
+  // A 200,000-node same-iteration chain is a legal loop body; closed into
+  // a cycle it is not.  Checked on a std::thread (a daemon connection
+  // thread's stack), which a recursive walk of the chain would overflow.
+  constexpr int Length = 200000;
+  Ddg Chain("chain");
+  for (int I = 0; I < Length; ++I)
+    Chain.addNode("n", 0, 1);
+  for (int I = 0; I + 1 < Length; ++I)
+    Chain.addEdge(I, I + 1, 0);
+  Ddg Cycle = Chain;
+  Cycle.addEdge(Length - 1, 0, 0);
+
+  bool ChainOk = false, CycleOk = true;
+  std::thread Worker([&] {
+    ChainOk = Chain.isWellFormed(1);
+    CycleOk = Cycle.isWellFormed(1);
+  });
+  Worker.join();
+  EXPECT_TRUE(ChainOk);
+  EXPECT_FALSE(CycleOk);
 }
 
 TEST(Ddg, WellFormedRejectsBadClass) {

@@ -3,9 +3,12 @@
 #include "swp/machine/Catalog.h"
 #include "swp/machine/MachineModel.h"
 #include "swp/machine/ReservationTable.h"
+#include "swp/support/Rng.h"
 #include "swp/workload/Kernels.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace swp;
 
@@ -251,4 +254,135 @@ TEST(ReservationTable, CrossTableConflictWithUnequalStageCounts) {
   EXPECT_TRUE(tablesConflictAtOffset(OneStage, ThreeStage, 1, 6));
   EXPECT_FALSE(tablesConflictAtOffset(OneStage, ThreeStage, 2, 6))
       << "stages 2-3 of the clean pipe do not exist on the 1-stage table";
+}
+
+namespace {
+
+/// Modulo reservation table of one unit at period T: Cells[S * T + Slot]
+/// marks stage S busy at pattern step Slot.
+struct ModuloGrid {
+  int T;
+  std::vector<int> Cells;
+  ModuloGrid(int Stages, int Period)
+      : T(Period), Cells(static_cast<size_t>(Stages * Period), 0) {}
+  int &at(int S, int Slot) { return Cells[static_cast<size_t>(S * T + Slot)]; }
+};
+
+/// Overlays \p Table issued at pattern step \p Offset onto \p Grid.
+void overlay(ModuloGrid &Grid, const ReservationTable &Table, int Offset) {
+  for (int S = 0; S < Table.numStages(); ++S)
+    for (int L = 0; L < Table.execTime(); ++L)
+      if (Table.busy(S, L))
+        ++Grid.at(S, (Offset + L) % Grid.T);
+}
+
+/// Brute-force satisfiesModuloConstraint: one op alone never fills a cell
+/// of the modulo reservation table twice.
+bool referenceModuloOk(const ReservationTable &Table, int T) {
+  ModuloGrid Grid(Table.numStages(), T);
+  overlay(Grid, Table, 0);
+  return std::all_of(Grid.Cells.begin(), Grid.Cells.end(),
+                     [](int C) { return C <= 1; });
+}
+
+/// Brute-force tablesConflictAtOffset: an op using \p A at step 0 and one
+/// using \p B at step \p Delta, overlaid on one unit's modulo reservation
+/// table, share a cell.
+bool referenceConflict(const ReservationTable &A, const ReservationTable &B,
+                       int Delta, int T) {
+  const int Stages = std::max(A.numStages(), B.numStages());
+  ModuloGrid GridA(Stages, T), GridB(Stages, T);
+  overlay(GridA, A, 0);
+  overlay(GridB, B, Delta);
+  for (size_t I = 0; I < GridA.Cells.size(); ++I)
+    if (GridA.Cells[I] > 0 && GridB.Cells[I] > 0)
+      return true;
+  return false;
+}
+
+/// Every table and variant of the catalog's ppc604, multi-function ppc604,
+/// clean VLIW and CGRA machines.
+std::vector<ReservationTable> catalogTables() {
+  std::vector<ReservationTable> Tables;
+  for (const MachineModel &M : {ppc604Like(), ppc604MultiFunction(),
+                                cleanVliw(), cgraGrid(2, 2)})
+    for (int R = 0; R < M.numTypes(); ++R)
+      for (int V = 0; V < M.type(R).numVariants(); ++V)
+        Tables.push_back(M.type(R).variant(V));
+  return Tables;
+}
+
+/// Seeded random tables of 1-4 stages and 1-\p MaxWidth columns.
+std::vector<ReservationTable> randomTables(std::uint64_t Seed, int Count,
+                                           int MaxWidth) {
+  Rng R(Seed);
+  std::vector<ReservationTable> Tables;
+  for (int K = 0; K < Count; ++K) {
+    const int Width = R.intIn(1, MaxWidth);
+    const double Density = 0.05 + 0.5 * R.unit();
+    std::vector<std::vector<std::uint8_t>> Rows(
+        static_cast<size_t>(R.intIn(1, 4)),
+        std::vector<std::uint8_t>(static_cast<size_t>(Width), 0));
+    for (auto &Row : Rows)
+      for (auto &Cell : Row)
+        Cell = R.chance(Density) ? 1 : 0;
+    Tables.emplace_back(std::move(Rows));
+  }
+  return Tables;
+}
+
+/// Checks the three conflict tests against the brute-force overlay for
+/// every pair of \p Tables, every period in \p Periods and every delta.
+void expectMatchesReference(const std::vector<ReservationTable> &Tables,
+                            const std::vector<int> &Periods) {
+  for (int T : Periods) {
+    for (size_t I = 0; I < Tables.size(); ++I) {
+      const ReservationTable &A = Tables[I];
+      ASSERT_EQ(A.satisfiesModuloConstraint(T), referenceModuloOk(A, T))
+          << "table " << I << " T=" << T << "\n" << A.render();
+      for (int Delta = 0; Delta < T; ++Delta)
+        ASSERT_EQ(A.conflictsAtOffset(Delta, T),
+                  referenceConflict(A, A, Delta, T))
+            << "table " << I << " T=" << T << " delta=" << Delta << "\n"
+            << A.render();
+      for (size_t J = 0; J < Tables.size(); ++J)
+        for (int Delta = 0; Delta < T; ++Delta)
+          ASSERT_EQ(tablesConflictAtOffset(A, Tables[J], Delta, T),
+                    referenceConflict(A, Tables[J], Delta, T))
+              << "tables " << I << "," << J << " T=" << T
+              << " delta=" << Delta << "\n"
+              << A.render() << Tables[J].render();
+    }
+  }
+}
+
+std::vector<int> periodsUpTo(int Max) {
+  std::vector<int> Periods;
+  for (int T = 1; T <= Max; ++T)
+    Periods.push_back(T);
+  return Periods;
+}
+
+} // namespace
+
+TEST(ReservationTable, CatalogConflictsMatchBruteForceOverlay) {
+  std::vector<ReservationTable> Tables = catalogTables();
+  ASSERT_EQ(Tables.size(), 17u);
+  expectMatchesReference(Tables, periodsUpTo(16));
+}
+
+TEST(ReservationTable, RandomConflictsMatchBruteForceOverlay) {
+  std::vector<ReservationTable> Tables = catalogTables();
+  for (const ReservationTable &Table : randomTables(19950618, 24, 10))
+    Tables.push_back(Table);
+  expectMatchesReference(Tables, periodsUpTo(16));
+}
+
+TEST(ReservationTable, LongPeriodConflictsMatchBruteForceOverlay) {
+  // Periods past one 64-bit word of residues, on tables both narrower and
+  // wider than the period.
+  std::vector<ReservationTable> Tables = randomTables(20260807, 8, 150);
+  for (const ReservationTable &Table : catalogTables())
+    Tables.push_back(Table);
+  expectMatchesReference(Tables, {31, 63, 64, 65, 97, 140});
 }

@@ -43,10 +43,10 @@ constexpr double Inf = MilpModel::Inf;
 // optimum.
 TEST(SparseSimplex, BealeCyclingExampleTerminatesAtOptimum) {
   MilpModel M;
-  VarId X1 = M.addVar(0, Inf, VarKind::Continuous, "x1");
-  VarId X2 = M.addVar(0, Inf, VarKind::Continuous, "x2");
-  VarId X3 = M.addVar(0, Inf, VarKind::Continuous, "x3");
-  VarId X4 = M.addVar(0, Inf, VarKind::Continuous, "x4");
+  VarId X1 = M.addVar(0, Inf, VarKind::Continuous);
+  VarId X2 = M.addVar(0, Inf, VarKind::Continuous);
+  VarId X3 = M.addVar(0, Inf, VarKind::Continuous);
+  VarId X4 = M.addVar(0, Inf, VarKind::Continuous);
   M.setObjective(
       LinExpr().add(X1, -0.75).add(X2, 150).add(X3, -0.02).add(X4, 6));
   M.addConstraint(
@@ -70,8 +70,8 @@ TEST(SparseSimplex, BealeCyclingExampleTerminatesAtOptimum) {
 // bounds must stay exact.
 TEST(SparseSimplex, MassivelyDegenerateVertexStaysExact) {
   MilpModel M;
-  VarId X = M.addVar(0, 10, VarKind::Continuous, "x");
-  VarId Y = M.addVar(0, 10, VarKind::Continuous, "y");
+  VarId X = M.addVar(0, 10, VarKind::Continuous);
+  VarId Y = M.addVar(0, 10, VarKind::Continuous);
   M.setObjective(LinExpr().add(X, -1).add(Y, -1));
   // Eight constraints all active at (4, 4).
   for (int I = 0; I < 8; ++I)
@@ -110,8 +110,8 @@ TEST(SparseSimplex, EmptyModelSolvesWithoutPivoting) {
 
 TEST(SparseSimplex, UnconstrainedVarsSolveAtBounds) {
   MilpModel M;
-  VarId X = M.addVar(2, 7, VarKind::Continuous, "x");
-  M.addVar(-3, 5, VarKind::Continuous, "y");
+  VarId X = M.addVar(2, 7, VarKind::Continuous);
+  M.addVar(-3, 5, VarKind::Continuous);
   M.setObjective(LinExpr().add(X, 1));
   SparseLp Lp(M);
   LpResult R = Lp.solve();
@@ -126,7 +126,7 @@ TEST(SparseSimplex, TriviallyInfeasibleModelAnswersFromPresolve) {
   // touching the basis.  structuralBasis() on a never-solved workspace
   // must stay well-defined (empty), not read from a null basis.
   MilpModel M;
-  VarId X = M.addVar(2, 5, VarKind::Continuous, "x");
+  VarId X = M.addVar(2, 5, VarKind::Continuous);
   M.addConstraint(LinExpr().add(X, 1), CmpKind::LE, 1);
   SparseLp Lp(M);
   EXPECT_TRUE(Lp.presolveInfeasible());
@@ -143,8 +143,8 @@ TEST(SparseSimplex, EmptyViolatedRowAnswersFromPresolve) {
   // the paper-model shape presolve must catch (dependence rows whose
   // window emptied out).
   MilpModel M;
-  VarId X = M.addVar(1, 1, VarKind::Continuous, "x");
-  VarId Y = M.addVar(2, 2, VarKind::Continuous, "y");
+  VarId X = M.addVar(1, 1, VarKind::Continuous);
+  VarId Y = M.addVar(2, 2, VarKind::Continuous);
   M.addConstraint(LinExpr().add(X, 1).add(Y, 1), CmpKind::LE, 2);
   SparseLp Lp(M);
   EXPECT_TRUE(Lp.presolveInfeasible());
@@ -164,7 +164,7 @@ TEST(SparseSimplex, RefactorizationPreservesAnswers) {
   std::vector<VarId> X;
   LinExpr Obj;
   for (int I = 0; I < N; ++I) {
-    X.push_back(M.addVar(0, 4, VarKind::Continuous, "x"));
+    X.push_back(M.addVar(0, 4, VarKind::Continuous));
     Obj.add(X.back(), -(1.0 + 0.3 * I));
   }
   M.setObjective(std::move(Obj));
@@ -203,8 +203,8 @@ TEST(SparseSimplex, RefactorizationPreservesAnswers) {
 
 TEST(SparseSimplex, WarmStartResumesAfterCancellation) {
   MilpModel M;
-  VarId X = M.addVar(0, Inf, VarKind::Continuous, "x");
-  VarId Y = M.addVar(0, Inf, VarKind::Continuous, "y");
+  VarId X = M.addVar(0, Inf, VarKind::Continuous);
+  VarId Y = M.addVar(0, Inf, VarKind::Continuous);
   M.setObjective(LinExpr().add(X, -1).add(Y, -2));
   M.addConstraint(LinExpr().add(X, 1).add(Y, 1), CmpKind::LE, 10);
   M.addConstraint(LinExpr().add(X, 3).add(Y, 1), CmpKind::LE, 15);
@@ -232,7 +232,7 @@ TEST(BranchAndBound, SearchResumesAfterCancelledRun) {
   std::vector<VarId> X;
   LinExpr Obj, Sum;
   for (int I = 0; I < 6; ++I) {
-    X.push_back(M.addVar(0, 1, VarKind::Binary, "b"));
+    X.push_back(M.addVar(0, 1, VarKind::Binary));
     Obj.add(X.back(), -(1.0 + 0.1 * I));
     Sum.add(X.back(), 2.0 + (I % 3));
   }
@@ -269,11 +269,11 @@ TEST(BranchAndBound, ConvexityGroupWithCoupledInteger) {
   std::vector<VarId> B;
   LinExpr One, Cover;
   for (int I = 0; I < 4; ++I) {
-    B.push_back(M.addVar(0, 1, VarKind::Binary, "b"));
+    B.push_back(M.addVar(0, 1, VarKind::Binary));
     One.add(B.back(), 1);
     Cover.add(B.back(), -C[I]);
   }
-  VarId Y = M.addVar(0, 5, VarKind::Integer, "y");
+  VarId Y = M.addVar(0, 5, VarKind::Integer);
   Cover.add(Y, 1);
   M.addConstraint(std::move(One), CmpKind::EQ, 1);
   M.addConstraint(std::move(Cover), CmpKind::GE, 0); // y >= chosen cost.
@@ -298,11 +298,11 @@ TEST(BranchAndBound, ConvexityGroupWithCoupledInteger) {
   std::vector<VarId> B2;
   LinExpr One2, Cover2;
   for (int I = 0; I < 4; ++I) {
-    B2.push_back(M2.addVar(0, 1, VarKind::Binary, "b"));
+    B2.push_back(M2.addVar(0, 1, VarKind::Binary));
     One2.add(B2.back(), 1);
     Cover2.add(B2.back(), -C[I]);
   }
-  VarId Y2 = M2.addVar(0, 0, VarKind::Integer, "y");
+  VarId Y2 = M2.addVar(0, 0, VarKind::Integer);
   Cover2.add(Y2, 1);
   M2.addConstraint(std::move(One2), CmpKind::EQ, 1);
   M2.addConstraint(std::move(Cover2), CmpKind::GE, 0);

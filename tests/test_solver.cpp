@@ -57,7 +57,7 @@ TEST(LinExpr, AddScaled) {
 
 TEST(Model, ConstantFoldsIntoRhs) {
   MilpModel M;
-  VarId X = M.addVar(0, 10, VarKind::Continuous, "x");
+  VarId X = M.addVar(0, 10, VarKind::Continuous);
   LinExpr E;
   E.add(X, 1.0).addConstant(5.0);
   M.addConstraint(std::move(E), CmpKind::LE, 8.0);
@@ -66,8 +66,8 @@ TEST(Model, ConstantFoldsIntoRhs) {
 
 TEST(Model, IsFeasibleChecksEverything) {
   MilpModel M;
-  VarId X = M.addVar(0, 4, VarKind::Integer, "x");
-  VarId Y = M.addVar(0, 4, VarKind::Continuous, "y");
+  VarId X = M.addVar(0, 4, VarKind::Integer);
+  VarId Y = M.addVar(0, 4, VarKind::Continuous);
   LinExpr E;
   E.add(X, 1.0).add(Y, 1.0);
   M.addConstraint(std::move(E), CmpKind::LE, 5.0);
@@ -78,11 +78,27 @@ TEST(Model, IsFeasibleChecksEverything) {
   EXPECT_FALSE(M.isFeasible({1.0}));       // Wrong arity.
 }
 
+TEST(Model, BuildErrorNamesTheVariableByIndex) {
+  MilpModel M;
+  (void)M.addBinary();
+  (void)M.addVar(3, 2, VarKind::Integer);
+  (void)M.addVar(-Inf, 0, VarKind::Continuous); // Only the first is kept.
+  ASSERT_FALSE(M.valid());
+  EXPECT_EQ(M.buildError(), "variable 1 has empty domain");
+  MilpResult R = solveMilp(M);
+  EXPECT_EQ(R.Status, MilpStatus::Error);
+  EXPECT_EQ(R.Error.code(), StatusCode::InvalidInput);
+
+  MilpModel Unbounded;
+  (void)Unbounded.addVar(-Inf, 0, VarKind::Continuous);
+  EXPECT_EQ(Unbounded.buildError(), "variable 0 has a non-finite bound");
+}
+
 TEST(Simplex, SolvesBasicLp) {
   // max x + y s.t. x + 2y <= 4, 3x + y <= 6  ==  min -x - y.
   MilpModel M;
-  VarId X = M.addVar(0, Inf, VarKind::Continuous, "x");
-  VarId Y = M.addVar(0, Inf, VarKind::Continuous, "y");
+  VarId X = M.addVar(0, Inf, VarKind::Continuous);
+  VarId Y = M.addVar(0, Inf, VarKind::Continuous);
   M.addConstraint(LinExpr().add(X, 1).add(Y, 2), CmpKind::LE, 4);
   M.addConstraint(LinExpr().add(X, 3).add(Y, 1), CmpKind::LE, 6);
   M.setObjective(LinExpr().add(X, -1).add(Y, -1));
@@ -97,7 +113,7 @@ TEST(Simplex, SolvesBasicLp) {
 TEST(Simplex, HonorsLowerBoundShift) {
   // min x s.t. x >= 3 via variable bound.
   MilpModel M;
-  VarId X = M.addVar(3, 10, VarKind::Continuous, "x");
+  VarId X = M.addVar(3, 10, VarKind::Continuous);
   M.setObjective(LinExpr().add(X, 1));
   LpResult R = solveLp(M);
   ASSERT_EQ(R.Status, LpStatus::Optimal);
@@ -106,7 +122,7 @@ TEST(Simplex, HonorsLowerBoundShift) {
 
 TEST(Simplex, HonorsUpperBound) {
   MilpModel M;
-  VarId X = M.addVar(0, 7, VarKind::Continuous, "x");
+  VarId X = M.addVar(0, 7, VarKind::Continuous);
   M.setObjective(LinExpr().add(X, -1)); // max x.
   LpResult R = solveLp(M);
   ASSERT_EQ(R.Status, LpStatus::Optimal);
@@ -115,7 +131,7 @@ TEST(Simplex, HonorsUpperBound) {
 
 TEST(Simplex, DetectsInfeasible) {
   MilpModel M;
-  VarId X = M.addVar(0, Inf, VarKind::Continuous, "x");
+  VarId X = M.addVar(0, Inf, VarKind::Continuous);
   M.addConstraint(LinExpr().add(X, 1), CmpKind::GE, 5);
   M.addConstraint(LinExpr().add(X, 1), CmpKind::LE, 3);
   EXPECT_EQ(solveLp(M).Status, LpStatus::Infeasible);
@@ -123,7 +139,7 @@ TEST(Simplex, DetectsInfeasible) {
 
 TEST(Simplex, DetectsUnbounded) {
   MilpModel M;
-  VarId X = M.addVar(0, Inf, VarKind::Continuous, "x");
+  VarId X = M.addVar(0, Inf, VarKind::Continuous);
   M.setObjective(LinExpr().add(X, -1)); // max x, no bound.
   EXPECT_EQ(solveLp(M).Status, LpStatus::Unbounded);
 }
@@ -131,8 +147,8 @@ TEST(Simplex, DetectsUnbounded) {
 TEST(Simplex, EqualityConstraints) {
   // min x + y s.t. x + y = 4, x - y = 2 -> x = 3, y = 1.
   MilpModel M;
-  VarId X = M.addVar(0, Inf, VarKind::Continuous, "x");
-  VarId Y = M.addVar(0, Inf, VarKind::Continuous, "y");
+  VarId X = M.addVar(0, Inf, VarKind::Continuous);
+  VarId Y = M.addVar(0, Inf, VarKind::Continuous);
   M.addConstraint(LinExpr().add(X, 1).add(Y, 1), CmpKind::EQ, 4);
   M.addConstraint(LinExpr().add(X, 1).add(Y, -1), CmpKind::EQ, 2);
   M.setObjective(LinExpr().add(X, 1).add(Y, 1));
@@ -145,8 +161,8 @@ TEST(Simplex, EqualityConstraints) {
 TEST(Simplex, RedundantEqualityRows) {
   // x + y = 2 twice: redundant artificial row must be deactivated cleanly.
   MilpModel M;
-  VarId X = M.addVar(0, Inf, VarKind::Continuous, "x");
-  VarId Y = M.addVar(0, Inf, VarKind::Continuous, "y");
+  VarId X = M.addVar(0, Inf, VarKind::Continuous);
+  VarId Y = M.addVar(0, Inf, VarKind::Continuous);
   M.addConstraint(LinExpr().add(X, 1).add(Y, 1), CmpKind::EQ, 2);
   M.addConstraint(LinExpr().add(X, 1).add(Y, 1), CmpKind::EQ, 2);
   M.setObjective(LinExpr().add(X, 1));
@@ -158,8 +174,8 @@ TEST(Simplex, RedundantEqualityRows) {
 
 TEST(Simplex, FixedVariablesFoldIntoRhs) {
   MilpModel M;
-  VarId X = M.addVar(0, 10, VarKind::Continuous, "x");
-  VarId Y = M.addVar(0, 10, VarKind::Continuous, "y");
+  VarId X = M.addVar(0, 10, VarKind::Continuous);
+  VarId Y = M.addVar(0, 10, VarKind::Continuous);
   M.addConstraint(LinExpr().add(X, 1).add(Y, 1), CmpKind::LE, 6);
   M.setObjective(LinExpr().add(Y, -1)); // max y.
   std::vector<double> Lb = {4.0, 0.0}, Ub = {4.0, 10.0}; // Fix x = 4.
@@ -171,14 +187,14 @@ TEST(Simplex, FixedVariablesFoldIntoRhs) {
 
 TEST(Simplex, ContradictoryBoundsInfeasible) {
   MilpModel M;
-  (void)M.addVar(0, 10, VarKind::Continuous, "x");
+  (void)M.addVar(0, 10, VarKind::Continuous);
   std::vector<double> Lb = {5.0}, Ub = {4.0};
   EXPECT_EQ(solveLp(M, Lb, Ub).Status, LpStatus::Infeasible);
 }
 
 TEST(Simplex, ObjectiveConstantTracked) {
   MilpModel M;
-  VarId X = M.addVar(2, 5, VarKind::Continuous, "x");
+  VarId X = M.addVar(2, 5, VarKind::Continuous);
   LinExpr Obj;
   Obj.add(X, 1.0).addConstant(10.0);
   M.setObjective(std::move(Obj));
@@ -190,9 +206,9 @@ TEST(Simplex, ObjectiveConstantTracked) {
 TEST(BranchAndBound, SolvesIntegerKnapsack) {
   // max 5a + 4b + 3c s.t. 2a + 3b + c <= 5, binaries -> a=1, b=1, obj 9.
   MilpModel M;
-  VarId A = M.addBinary("a");
-  VarId B = M.addBinary("b");
-  VarId C = M.addBinary("c");
+  VarId A = M.addBinary();
+  VarId B = M.addBinary();
+  VarId C = M.addBinary();
   M.addConstraint(LinExpr().add(A, 2).add(B, 3).add(C, 1), CmpKind::LE, 5);
   M.setObjective(LinExpr().add(A, -5).add(B, -4).add(C, -3));
   MilpResult R = solveMilp(M);
@@ -206,7 +222,7 @@ TEST(BranchAndBound, SolvesIntegerKnapsack) {
 TEST(BranchAndBound, FractionalLpRequiresBranching) {
   // min -x s.t. 2x <= 3, x integer in [0, 5]: LP gives 1.5, MILP 1.
   MilpModel M;
-  VarId X = M.addVar(0, 5, VarKind::Integer, "x");
+  VarId X = M.addVar(0, 5, VarKind::Integer);
   M.addConstraint(LinExpr().add(X, 2), CmpKind::LE, 3);
   M.setObjective(LinExpr().add(X, -1));
   MilpResult R = solveMilp(M);
@@ -217,7 +233,7 @@ TEST(BranchAndBound, FractionalLpRequiresBranching) {
 TEST(BranchAndBound, ProvesIntegerInfeasibility) {
   // 2x = 1 with x integer: LP feasible, MILP infeasible.
   MilpModel M;
-  VarId X = M.addVar(0, 5, VarKind::Integer, "x");
+  VarId X = M.addVar(0, 5, VarKind::Integer);
   M.addConstraint(LinExpr().add(X, 2), CmpKind::EQ, 1);
   MilpResult R = solveMilp(M);
   EXPECT_EQ(R.Status, MilpStatus::Infeasible);
@@ -226,7 +242,7 @@ TEST(BranchAndBound, ProvesIntegerInfeasibility) {
 
 TEST(BranchAndBound, StopAtFirstIncumbent) {
   MilpModel M;
-  VarId X = M.addVar(0, 10, VarKind::Integer, "x");
+  VarId X = M.addVar(0, 10, VarKind::Integer);
   M.addConstraint(LinExpr().add(X, 1), CmpKind::GE, 2);
   M.setObjective(LinExpr().add(X, 1));
   MilpOptions Opts;
@@ -240,8 +256,8 @@ TEST(BranchAndBound, NodeLimitReportsUnknownOrFeasible) {
   // max x1 + x2 s.t. 2x1 + 2x2 <= 3: the root LP is fractional (1.5), so
   // one node cannot finish the search.
   MilpModel M;
-  VarId X1 = M.addBinary("x1");
-  VarId X2 = M.addBinary("x2");
+  VarId X1 = M.addBinary();
+  VarId X2 = M.addBinary();
   M.addConstraint(LinExpr().add(X1, 2).add(X2, 2), CmpKind::LE, 3);
   M.setObjective(LinExpr().add(X1, -1).add(X2, -1));
   MilpOptions Opts;
@@ -255,8 +271,8 @@ namespace {
 /// A MILP whose root LP is fractional, so any limit fires before a proof.
 MilpModel fractionalRootModel() {
   MilpModel M;
-  VarId X1 = M.addBinary("x1");
-  VarId X2 = M.addBinary("x2");
+  VarId X1 = M.addBinary();
+  VarId X2 = M.addBinary();
   M.addConstraint(LinExpr().add(X1, 2).add(X2, 2), CmpKind::LE, 3);
   M.setObjective(LinExpr().add(X1, -1).add(X2, -1));
   return M;
@@ -301,7 +317,7 @@ TEST(BranchAndBound, StopReasonNoneOnCompletedProofs) {
   EXPECT_EQ(Solved.StopReason, SearchStop::None);
 
   MilpModel Infeasible;
-  VarId X = Infeasible.addVar(0, 5, VarKind::Integer, "x");
+  VarId X = Infeasible.addVar(0, 5, VarKind::Integer);
   Infeasible.addConstraint(LinExpr().add(X, 2), CmpKind::EQ, 1);
   MilpResult R = solveMilp(Infeasible);
   EXPECT_EQ(R.Status, MilpStatus::Infeasible);
@@ -318,8 +334,8 @@ TEST(BranchAndBound, SearchStopNames) {
 
 TEST(BranchAndBound, EmptyObjectiveFeasibility) {
   MilpModel M;
-  VarId X = M.addVar(0, 3, VarKind::Integer, "x");
-  VarId Y = M.addVar(0, 3, VarKind::Integer, "y");
+  VarId X = M.addVar(0, 3, VarKind::Integer);
+  VarId Y = M.addVar(0, 3, VarKind::Integer);
   M.addConstraint(LinExpr().add(X, 3).add(Y, 5), CmpKind::EQ, 11);
   MilpResult R = solveMilp(M);
   ASSERT_EQ(R.Status, MilpStatus::Optimal);
@@ -366,7 +382,7 @@ MilpModel randomMilp(std::uint64_t Seed) {
   MilpModel M;
   int NumVars = R.intIn(2, 5);
   for (int I = 0; I < NumVars; ++I)
-    M.addVar(0, R.intIn(1, 3), VarKind::Integer, "x" + std::to_string(I));
+    M.addVar(0, R.intIn(1, 3), VarKind::Integer);
   int NumCons = R.intIn(1, 5);
   for (int C = 0; C < NumCons; ++C) {
     LinExpr E;
@@ -433,8 +449,8 @@ INSTANTIATE_TEST_SUITE_P(RandomModels, LpPropertyTest,
 TEST(Simplex, DegenerateVerticesTerminate) {
   // Many redundant constraints through the origin: classic degeneracy.
   MilpModel M;
-  VarId X = M.addVar(0, Inf, VarKind::Continuous, "x");
-  VarId Y = M.addVar(0, Inf, VarKind::Continuous, "y");
+  VarId X = M.addVar(0, Inf, VarKind::Continuous);
+  VarId Y = M.addVar(0, Inf, VarKind::Continuous);
   for (int K = 1; K <= 6; ++K)
     M.addConstraint(LinExpr().add(X, K).add(Y, 1), CmpKind::GE, 0);
   M.addConstraint(LinExpr().add(X, 1).add(Y, 1), CmpKind::LE, 10);
@@ -446,7 +462,7 @@ TEST(Simplex, DegenerateVerticesTerminate) {
 
 TEST(Simplex, EmptyModelIsTriviallyOptimal) {
   MilpModel M;
-  (void)M.addVar(0, 5, VarKind::Continuous, "x");
+  (void)M.addVar(0, 5, VarKind::Continuous);
   LpResult R = solveLp(M);
   ASSERT_EQ(R.Status, LpStatus::Optimal);
   EXPECT_NEAR(R.X[0], 0.0, 1e-9);
@@ -455,7 +471,7 @@ TEST(Simplex, EmptyModelIsTriviallyOptimal) {
 TEST(Simplex, NegativeRhsRowsNormalize) {
   // -x <= -3  ==  x >= 3.
   MilpModel M;
-  VarId X = M.addVar(0, 10, VarKind::Continuous, "x");
+  VarId X = M.addVar(0, 10, VarKind::Continuous);
   M.addConstraint(LinExpr().add(X, -1), CmpKind::LE, -3);
   M.setObjective(LinExpr().add(X, 1));
   LpResult R = solveLp(M);
@@ -465,15 +481,15 @@ TEST(Simplex, NegativeRhsRowsNormalize) {
 
 TEST(Simplex, AllVariablesFixed) {
   MilpModel M;
-  VarId X = M.addVar(2, 2, VarKind::Continuous, "x");
-  VarId Y = M.addVar(3, 3, VarKind::Continuous, "y");
+  VarId X = M.addVar(2, 2, VarKind::Continuous);
+  VarId Y = M.addVar(3, 3, VarKind::Continuous);
   M.addConstraint(LinExpr().add(X, 1).add(Y, 1), CmpKind::EQ, 5);
   LpResult R = solveLp(M);
   ASSERT_EQ(R.Status, LpStatus::Optimal);
   EXPECT_NEAR(R.X[static_cast<size_t>(X)], 2.0, 1e-9);
   // And an inconsistent fixed system is infeasible.
   MilpModel M2;
-  VarId Z = M2.addVar(2, 2, VarKind::Continuous, "z");
+  VarId Z = M2.addVar(2, 2, VarKind::Continuous);
   M2.addConstraint(LinExpr().add(Z, 1), CmpKind::EQ, 7);
   EXPECT_EQ(solveLp(M2).Status, LpStatus::Infeasible);
 }
@@ -481,8 +497,8 @@ TEST(Simplex, AllVariablesFixed) {
 TEST(BranchAndBound, WarmStartBecomesIncumbent) {
   // max x + y s.t. 2x + 2y <= 3 over binaries: optimum 1.
   MilpModel M;
-  VarId X = M.addBinary("x");
-  VarId Y = M.addBinary("y");
+  VarId X = M.addBinary();
+  VarId Y = M.addBinary();
   M.addConstraint(LinExpr().add(X, 2).add(Y, 2), CmpKind::LE, 3);
   M.setObjective(LinExpr().add(X, -1).add(Y, -1));
   MilpOptions Opts;
@@ -495,7 +511,7 @@ TEST(BranchAndBound, WarmStartBecomesIncumbent) {
 
 TEST(BranchAndBound, InfeasibleWarmStartIgnored) {
   MilpModel M;
-  VarId X = M.addBinary("x");
+  VarId X = M.addBinary();
   M.addConstraint(LinExpr().add(X, 1), CmpKind::EQ, 1);
   MilpOptions Opts;
   Opts.WarmStart = {0.0}; // Violates the constraint.
@@ -509,8 +525,8 @@ TEST(BranchAndBound, BranchPriorityRespected) {
   // which we can only observe indirectly: the solve still reaches the
   // optimum regardless of priorities.
   MilpModel M;
-  VarId X = M.addBinary("x");
-  VarId Y = M.addBinary("y");
+  VarId X = M.addBinary();
+  VarId Y = M.addBinary();
   M.setBranchPriority(X, 5);
   M.setBranchPriority(Y, 0);
   M.addConstraint(LinExpr().add(X, 2).add(Y, 2), CmpKind::LE, 3);
@@ -524,8 +540,8 @@ TEST(BranchAndBound, GeneralIntegerBranching) {
   // min 3x + 4y s.t. 2x + 3y >= 11, ints in [0, 8]: optimum (x=4, y=1)
   // cost 16 or (1,3) cost 15: check 2*1+3*3=11 -> 15.
   MilpModel M;
-  VarId X = M.addVar(0, 8, VarKind::Integer, "x");
-  VarId Y = M.addVar(0, 8, VarKind::Integer, "y");
+  VarId X = M.addVar(0, 8, VarKind::Integer);
+  VarId Y = M.addVar(0, 8, VarKind::Integer);
   M.addConstraint(LinExpr().add(X, 2).add(Y, 3), CmpKind::GE, 11);
   M.setObjective(LinExpr().add(X, 3).add(Y, 4));
   MilpResult R = solveMilp(M);
@@ -536,8 +552,8 @@ TEST(BranchAndBound, GeneralIntegerBranching) {
 TEST(BranchAndBound, MixedIntegerContinuous) {
   // y continuous rides along with integer x.
   MilpModel M;
-  VarId X = M.addVar(0, 10, VarKind::Integer, "x");
-  VarId Y = M.addVar(0, 10, VarKind::Continuous, "y");
+  VarId X = M.addVar(0, 10, VarKind::Integer);
+  VarId Y = M.addVar(0, 10, VarKind::Continuous);
   M.addConstraint(LinExpr().add(X, 1).add(Y, 1), CmpKind::GE, 3.5);
   M.setObjective(LinExpr().add(X, 2).add(Y, 1));
   MilpResult R = solveMilp(M);
