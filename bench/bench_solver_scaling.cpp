@@ -5,9 +5,10 @@
 // T_lb, IMS, and the enumerative search, each against loop size N.
 //
 // With SWP_PERF_SMOKE set the binary runs the CI regression gate instead
-// of the google-benchmark suite: the rate-optimal ILP solves a pinned tiny
-// corpus under deterministic limits and the *counter* totals (simplex
-// pivots, B&B nodes, LP solves) are compared against the checked-in
+// of the google-benchmark suite: the rate-optimal ILP and the SAT engine
+// solve a pinned tiny corpus under deterministic limits and the *counter*
+// totals (simplex pivots, B&B nodes, LP solves; CDCL conflicts, decisions,
+// propagations, cycle blocks) are compared against the checked-in
 // reference (bench/perf_smoke_ref.json, override via SWP_PERF_REF).  Any
 // counter exceeding 3x its reference — or a drop in found/proven loops —
 // fails the gate.  Counters, not wall-clock, so a loaded CI runner cannot
@@ -30,6 +31,7 @@
 #include "swp/workload/Corpus.h"
 
 #include "swp/support/Format.h"
+#include "swp/support/Stopwatch.h"
 
 #include <benchmark/benchmark.h>
 
@@ -201,7 +203,8 @@ BENCHMARK(BM_VerifierThroughput)->Arg(8)->Arg(16);
 // CI perf-smoke gate (SWP_PERF_SMOKE)
 //===----------------------------------------------------------------------===//
 
-/// Deterministic effort totals of the ILP over the pinned smoke corpus.
+/// Deterministic effort totals of the ILP and the SAT engine over the
+/// pinned smoke corpus.
 struct SmokeTotals {
   long long Pivots = 0;
   long long Nodes = 0;
@@ -210,7 +213,46 @@ struct SmokeTotals {
   long long Found = 0;
   long long Proven = 0;
   double Seconds = 0.0; // Informational only — never gated.
+  long long SatConflicts = 0;
+  long long SatDecisions = 0;
+  long long SatPropagations = 0;
+  long long SatCycleBlocks = 0;
+  long long SatFound = 0;
+  long long SatProven = 0;
+  double SatSeconds = 0.0; // Informational only — never gated.
 };
+
+/// The SAT engine's rate-optimal sweep over \p G, as satScheduleLoop runs
+/// it, but driven through SatScheduler::solveAtT so that the solver's
+/// decision and propagation counters can be read around each attempt.
+void addSatSmokeLoop(const Ddg &G, const MachineModel &M,
+                     const SchedulerOptions &Opts, SmokeTotals &Tot) {
+  Stopwatch Watch;
+  const int TLb = std::max({1, recurrenceMii(G), M.resourceMii(G)});
+  SatScheduler Engine(G, M, Opts.Mapping);
+  bool AllBelowProven = true;
+  for (int T = TLb; T <= TLb + Opts.MaxTSlack; ++T) {
+    if (!M.moduloFeasible(G, T))
+      continue;
+    const SatStats Before = Engine.stats();
+    SatAttempt A = Engine.solveAtT(T, Opts.TimeLimitPerT, Opts.NodeLimitPerT);
+    const SatStats &After = Engine.stats();
+    Tot.SatConflicts += A.Conflicts;
+    Tot.SatDecisions += After.Decisions - Before.Decisions;
+    Tot.SatPropagations += After.Propagations - Before.Propagations;
+    Tot.SatCycleBlocks += A.CycleBlocks;
+    if (A.Status == MilpStatus::Optimal || A.Status == MilpStatus::Feasible) {
+      if (verifySchedule(G, M, A.Schedule).Ok) {
+        ++Tot.SatFound;
+        Tot.SatProven += AllBelowProven ? 1 : 0;
+      }
+      break;
+    }
+    if (A.Status != MilpStatus::Infeasible)
+      AllBelowProven = false;
+  }
+  Tot.SatSeconds += Watch.seconds();
+}
 
 SmokeTotals runSmokeCorpus() {
   MachineModel M = ppc604Like();
@@ -219,8 +261,9 @@ SmokeTotals runSmokeCorpus() {
   COpts.MaxNodes = 16;
   std::vector<Ddg> Corpus = generateCorpus(M, COpts);
 
-  // Only deterministic limits: a node budget bounds a runaway regression,
-  // a wall-clock limit would make the counters depend on machine speed.
+  // Only deterministic limits: a node (conflict) budget bounds a runaway
+  // regression, a wall-clock limit would make the counters depend on
+  // machine speed.
   SchedulerOptions Opts;
   Opts.TimeLimitPerT = 1e9;
   Opts.NodeLimitPerT = 5000;
@@ -237,6 +280,8 @@ SmokeTotals runSmokeCorpus() {
     T.Proven += R.ProvenRateOptimal ? 1 : 0;
     T.Seconds += R.TotalSeconds;
   }
+  for (const Ddg &G : Corpus)
+    addSatSmokeLoop(G, M, Opts, T);
   return T;
 }
 
@@ -244,9 +289,16 @@ std::string smokeJson(const SmokeTotals &T) {
   return strFormat("{\n  \"pivots\": %lld,\n  \"nodes\": %lld,\n"
                    "  \"solves\": %lld,\n  \"refactorizations\": %lld,\n"
                    "  \"found\": %lld,\n  \"proven\": %lld,\n"
-                   "  \"seconds\": %.3f\n}\n",
+                   "  \"seconds\": %.3f,\n"
+                   "  \"sat_conflicts\": %lld,\n  \"sat_decisions\": %lld,\n"
+                   "  \"sat_propagations\": %lld,\n"
+                   "  \"sat_cycle_blocks\": %lld,\n"
+                   "  \"sat_found\": %lld,\n  \"sat_proven\": %lld,\n"
+                   "  \"sat_seconds\": %.3f\n}\n",
                    T.Pivots, T.Nodes, T.Solves, T.Refactorizations, T.Found,
-                   T.Proven, T.Seconds);
+                   T.Proven, T.Seconds, T.SatConflicts, T.SatDecisions,
+                   T.SatPropagations, T.SatCycleBlocks, T.SatFound,
+                   T.SatProven, T.SatSeconds);
 }
 
 /// Pulls `"key": <integer>` out of the flat reference JSON; \returns -1
@@ -324,6 +376,12 @@ int perfSmoke(bool WriteRef) {
   GateCeiling("solves", Cur.Solves);
   GateFloor("found", Cur.Found);
   GateFloor("proven", Cur.Proven);
+  GateCeiling("sat_conflicts", Cur.SatConflicts);
+  GateCeiling("sat_decisions", Cur.SatDecisions);
+  GateCeiling("sat_propagations", Cur.SatPropagations);
+  GateCeiling("sat_cycle_blocks", Cur.SatCycleBlocks);
+  GateFloor("sat_found", Cur.SatFound);
+  GateFloor("sat_proven", Cur.SatProven);
   if (Failures) {
     std::fprintf(stderr, "perf-smoke: %d gate failure(s)\n", Failures);
     return 1;

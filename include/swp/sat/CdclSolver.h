@@ -14,9 +14,11 @@
 /// keep pruning the search at T+1.
 ///
 /// Literals are MiniSat-coded ints: variable v as 2*v (positive) or 2*v+1
-/// (negated).  Variables are created with newVar() and never removed; the
-/// clause database only grows (scheduling instances are small enough that
-/// clause-database reduction buys nothing).
+/// (negated).  Variables are created with newVar()/newVars() and never
+/// removed; the clause database only grows (scheduling instances are small
+/// enough that clause-database reduction buys nothing).  Clauses live in
+/// one literal pool and are named by index (DESIGN.md Section 10), so
+/// adding one allocates nothing once the pool has grown.
 ///
 /// The search cooperates with the rest of the failure domain: it polls a
 /// CancellationToken, honours wall-clock and conflict budgets, and polls
@@ -32,6 +34,8 @@
 #include "swp/support/Cancellation.h"
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 namespace swp {
@@ -69,11 +73,12 @@ enum class SatStop {
 
 /// Search budgets of one solve() call.
 struct SatLimits {
-  /// Wall-clock budget in seconds (polled every few hundred conflicts).
+  /// Wall-clock budget in seconds, checked when solve() is entered, every
+  /// 64th conflict since the last restart, and at each restart.
   double TimeLimitSec = 1e18;
   /// Conflict budget for this call.
   std::int64_t ConflictLimit = INT64_MAX;
-  /// Cooperative cancellation, polled alongside the time limit.
+  /// Cooperative cancellation, checked wherever the time limit is.
   CancellationToken Cancel;
 };
 
@@ -98,7 +103,12 @@ public:
   CdclSolver &operator=(const CdclSolver &) = delete;
 
   /// Creates a fresh variable; \returns its index.
-  int newVar();
+  int newVar() { return newVars(1); }
+
+  /// Creates \p Count fresh variables with consecutive indices; \returns
+  /// the first.  Same numbering and decision order as \p Count newVar()
+  /// calls.
+  int newVars(int Count);
 
   int numVars() const { return NumVars; }
   int numClauses() const { return NumProblemClauses; }
@@ -106,14 +116,24 @@ public:
   /// Adds a problem clause (empty clauses and level-0 conflicts make the
   /// instance globally unsat).  Duplicate and opposing literals are
   /// handled; \returns false when the database is already globally unsat.
-  bool addClause(const std::vector<SatLit> &Lits);
+  /// The literals are copied; \p Lits may be reused once this returns.
+  bool addClause(std::span<const SatLit> Lits);
+  bool addClause(std::initializer_list<SatLit> Lits) {
+    return addClause(std::span<const SatLit>(Lits.begin(), Lits.size()));
+  }
 
   /// True when no level-0 contradiction has been derived yet.
   bool ok() const { return Ok; }
 
   /// Solves under \p Assumptions (all assumed true for this call only).
-  SatStatus solve(const std::vector<SatLit> &Assumptions,
+  SatStatus solve(std::span<const SatLit> Assumptions,
                   const SatLimits &Limits = {});
+  SatStatus solve(std::initializer_list<SatLit> Assumptions,
+                  const SatLimits &Limits = {}) {
+    return solve(
+        std::span<const SatLit>(Assumptions.begin(), Assumptions.size()),
+        Limits);
+  }
 
   /// Model value of \p Var after a Sat answer.
   bool modelValue(int Var) const {

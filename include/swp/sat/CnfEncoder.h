@@ -94,8 +94,13 @@ private:
   void encodePeriod(int T, int SelVar);
   void buildColoringSkeleton();
   void buildInstanceSkeleton();
-  int overlapVar(int TypeOpI, int TypeOpJ, int NodeI, int NodeJ);
+  int overlapVar(int NodeI, int NodeJ);
   int modelUnit(int Node) const;
+
+  /// Variable a[Row][Node].
+  int aVar(int Row, int Node) const {
+    return ARowBase[static_cast<std::size_t>(Row)] + Node;
+  }
 
   const Ddg &G;
   const MachineModel &Machine;
@@ -104,8 +109,9 @@ private:
 
   int TDep = 0;
 
-  /// AVar[t][i]; grows row-wise with the largest encoded period.
-  std::vector<std::vector<int>> AVar;
+  /// First variable of each a-row (a[t][i] = ARowBase[t] + i); grows
+  /// row-wise with the largest encoded period.
+  std::vector<int> ARowBase;
   /// Selector variable per period (-1 = slice not built yet).
   std::vector<int> SelVar;
   /// One-hot color variables per node (empty when the node's type needed
@@ -134,10 +140,19 @@ private:
     int Unit; // Global unit of the producer.
     int Hops;
     int Var;
+    /// The route's ROUTE-cell columns are RouteCols[ColBegin, ColEnd).
+    int ColBegin;
+    int ColEnd;
   };
   std::vector<RouteVarIds> RouteVars;
+  std::vector<int> RouteCols;
 
   int NumCycleBlocks = 0;
+
+  /// Reused scratch: the literals of the variable-width clause or usage
+  /// row being built, and a period's per-offset collision flags.
+  std::vector<SatLit> ClauseBuf;
+  std::vector<char> ConflictAt;
 };
 
 } // namespace swp

@@ -32,17 +32,28 @@ double luby(double Y, int X) {
 } // namespace
 
 struct CdclSolver::Impl {
+  /// A clause is Size literals at Lits[Begin, Begin + Size) of the pool.
+  /// Propagation reorders them in place (the two watches sit in front).
   struct Clause {
-    bool Learnt = false;
-    std::vector<SatLit> Lits;
+    std::uint32_t Begin;
+    std::uint32_t Size;
+    bool Learnt;
   };
+  /// Index into Clauses; NoClause for "none" (decisions, level-0 units).
+  using ClauseRef = int;
+  static constexpr ClauseRef NoClause = -1;
+
+  std::vector<Clause> Clauses;
+  /// Literals of every clause, problem and learned, in creation order.  An
+  /// append may reallocate it, so no pointer into it outlives one.
+  std::vector<SatLit> Lits;
 
   /// 1 = true, -1 = false, 0 = unassigned (per variable).
   std::vector<std::int8_t> Assign;
   /// Decision level of each assigned variable.
   std::vector<int> Level;
-  /// Antecedent clause of each propagated variable (null for decisions).
-  std::vector<Clause *> Reason;
+  /// Antecedent clause of each propagated variable (NoClause for decisions).
+  std::vector<ClauseRef> Reason;
   /// Saved phase per variable (phase saving; seeded by setPolarity).
   std::vector<std::int8_t> Phase;
   /// VSIDS activity per variable.
@@ -52,9 +63,7 @@ struct CdclSolver::Impl {
 
   /// Watch[L] = clauses to inspect when literal L becomes true (they watch
   /// the negation of L).
-  std::vector<std::vector<Clause *>> Watches;
-
-  std::vector<Clause *> Clauses;
+  std::vector<std::vector<ClauseRef>> Watches;
 
   /// Assignment trail and per-level boundaries.
   std::vector<SatLit> Trail;
@@ -67,10 +76,13 @@ struct CdclSolver::Impl {
 
   /// Scratch for conflict analysis.
   std::vector<std::int8_t> Seen;
+  /// addClause's sorted, filtered copy of its input.
+  std::vector<SatLit> AddBuf;
+  /// The clause analyze() learns.
+  std::vector<SatLit> LearntBuf;
 
-  ~Impl() {
-    for (Clause *C : Clauses)
-      delete C;
+  SatLit *lits(ClauseRef C) {
+    return Lits.data() + Clauses[static_cast<std::size_t>(C)].Begin;
   }
 
   int decisionLevel() const { return static_cast<int>(TrailLim.size()); }
@@ -147,7 +159,7 @@ struct CdclSolver::Impl {
 
   // -- Trail --------------------------------------------------------------
 
-  void uncheckedEnqueue(SatLit L, Clause *From) {
+  void uncheckedEnqueue(SatLit L, ClauseRef From) {
     std::size_t V = static_cast<std::size_t>(litVar(L));
     Assign[V] = litNeg(L) ? -1 : 1;
     Level[V] = decisionLevel();
@@ -165,7 +177,7 @@ struct CdclSolver::Impl {
       std::size_t V = static_cast<std::size_t>(litVar(L));
       Phase[V] = Assign[V];
       Assign[V] = 0;
-      Reason[V] = nullptr;
+      Reason[V] = NoClause;
       heapInsert(static_cast<int>(V));
     }
     Trail.resize(Bound);
@@ -175,20 +187,28 @@ struct CdclSolver::Impl {
 
   // -- Propagation --------------------------------------------------------
 
-  void attach(Clause *C) {
-    Watches[static_cast<std::size_t>(litNot(C->Lits[0]))].push_back(C);
-    Watches[static_cast<std::size_t>(litNot(C->Lits[1]))].push_back(C);
+  /// Appends \p Src (at least two literals, none in the pool) as a new
+  /// clause watching its first two literals; \returns its reference.
+  ClauseRef store(const std::vector<SatLit> &Src, bool IsLearnt) {
+    const ClauseRef C = static_cast<ClauseRef>(Clauses.size());
+    Clauses.push_back({static_cast<std::uint32_t>(Lits.size()),
+                       static_cast<std::uint32_t>(Src.size()), IsLearnt});
+    Lits.insert(Lits.end(), Src.begin(), Src.end());
+    Watches[static_cast<std::size_t>(litNot(Src[0]))].push_back(C);
+    Watches[static_cast<std::size_t>(litNot(Src[1]))].push_back(C);
+    return C;
   }
 
-  Clause *propagate(std::int64_t &Propagations) {
+  ClauseRef propagate(std::int64_t &Propagations) {
     while (QHead < Trail.size()) {
       SatLit P = Trail[QHead++];
       ++Propagations;
-      std::vector<Clause *> &WL = Watches[static_cast<std::size_t>(P)];
+      std::vector<ClauseRef> &WL = Watches[static_cast<std::size_t>(P)];
       std::size_t I = 0, J = 0;
       while (I < WL.size()) {
-        Clause *C = WL[I++];
-        std::vector<SatLit> &Ls = C->Lits;
+        ClauseRef C = WL[I++];
+        SatLit *Ls = lits(C);
+        const std::size_t Size = Clauses[static_cast<std::size_t>(C)].Size;
         // Normalize: the literal falsified by P sits at position 1.
         if (Ls[0] == litNot(P))
           std::swap(Ls[0], Ls[1]);
@@ -197,7 +217,7 @@ struct CdclSolver::Impl {
           continue;
         }
         bool Rewatched = false;
-        for (std::size_t K = 2; K < Ls.size(); ++K) {
+        for (std::size_t K = 2; K < Size; ++K) {
           if (val(Ls[K]) != -1) {
             std::swap(Ls[1], Ls[K]);
             Watches[static_cast<std::size_t>(litNot(Ls[1]))].push_back(C);
@@ -219,20 +239,24 @@ struct CdclSolver::Impl {
       }
       WL.resize(J);
     }
-    return nullptr;
+    return NoClause;
   }
 
   // -- Conflict analysis (first UIP) --------------------------------------
 
-  void analyze(Clause *Confl, std::vector<SatLit> &Learnt, int &BtLevel) {
+  /// Fills LearntBuf with the first-UIP clause of conflict \p Confl.
+  void analyze(ClauseRef Confl, int &BtLevel) {
+    std::vector<SatLit> &Learnt = LearntBuf;
     Learnt.clear();
     Learnt.push_back(0); // Placeholder for the asserting literal.
     int Counter = 0;
     SatLit P = -1;
     std::size_t Idx = Trail.size();
     do {
-      for (std::size_t K = (P == -1 ? 0 : 1); K < Confl->Lits.size(); ++K) {
-        SatLit Q = Confl->Lits[K];
+      const SatLit *Ls = lits(Confl);
+      const std::size_t Size = Clauses[static_cast<std::size_t>(Confl)].Size;
+      for (std::size_t K = (P == -1 ? 0 : 1); K < Size; ++K) {
+        SatLit Q = Ls[K];
         std::size_t V = static_cast<std::size_t>(litVar(Q));
         if (Seen[V] || Level[V] == 0)
           continue;
@@ -289,63 +313,65 @@ CdclSolver::CdclSolver() : P(new Impl) {}
 
 CdclSolver::~CdclSolver() { delete P; }
 
-int CdclSolver::newVar() {
-  int V = NumVars++;
-  P->Assign.push_back(0);
-  P->Level.push_back(0);
-  P->Reason.push_back(nullptr);
-  P->Phase.push_back(-1); // Decide false first (sparse placements).
-  P->Activity.push_back(0.0);
-  P->Watches.emplace_back();
-  P->Watches.emplace_back();
-  P->HeapPos.push_back(-1);
-  P->Seen.push_back(0);
-  P->heapInsert(V);
-  Model.push_back(-1);
-  return V;
+int CdclSolver::newVars(int Count) {
+  const int First = NumVars;
+  NumVars += Count;
+  const std::size_t N = static_cast<std::size_t>(NumVars);
+  P->Assign.resize(N, 0);
+  P->Level.resize(N, 0);
+  P->Reason.resize(N, Impl::NoClause);
+  P->Phase.resize(N, -1); // Decide false first (sparse placements).
+  P->Activity.resize(N, 0.0);
+  P->Watches.resize(2 * N);
+  P->HeapPos.resize(N, -1);
+  P->Seen.resize(N, 0);
+  Model.resize(N, -1);
+  for (int V = First; V < NumVars; ++V)
+    P->heapInsert(V);
+  return First;
 }
 
 void CdclSolver::setPolarity(int Var, bool Value) {
   P->Phase[static_cast<std::size_t>(Var)] = Value ? 1 : -1;
 }
 
-bool CdclSolver::addClause(const std::vector<SatLit> &Lits) {
+bool CdclSolver::addClause(std::span<const SatLit> Lits) {
   if (!Ok)
     return false;
-  // Clauses are only added at decision level 0 (between solves).
-  std::vector<SatLit> Ls(Lits);
+  // Clauses are only added at decision level 0 (between solves).  Sort and
+  // dedupe into the solver's buffer, then keep the unassigned literals in
+  // place (the write index never passes the read index).
+  std::vector<SatLit> &Ls = P->AddBuf;
+  Ls.assign(Lits.begin(), Lits.end());
   std::sort(Ls.begin(), Ls.end());
   Ls.erase(std::unique(Ls.begin(), Ls.end()), Ls.end());
-  std::vector<SatLit> Out;
+  std::size_t Kept = 0;
   for (std::size_t I = 0; I < Ls.size(); ++I) {
-    if (I + 1 < Ls.size() && Ls[I + 1] == litNot(Ls[I]) &&
-        litVar(Ls[I]) == litVar(Ls[I + 1]))
+    if (I + 1 < Ls.size() && Ls[I + 1] == litNot(Ls[I]))
       return true; // Tautology.
     int V = P->val(Ls[I]);
     if (V == 1)
       return true; // Satisfied at level 0.
     if (V == 0)
-      Out.push_back(Ls[I]);
+      Ls[Kept++] = Ls[I];
   }
-  if (Out.empty()) {
+  Ls.resize(Kept);
+  if (Ls.empty()) {
     Ok = false;
     return false;
   }
-  if (Out.size() == 1) {
-    P->uncheckedEnqueue(Out[0], nullptr);
-    if (P->propagate(Stats.Propagations) != nullptr)
+  if (Ls.size() == 1) {
+    P->uncheckedEnqueue(Ls[0], Impl::NoClause);
+    if (P->propagate(Stats.Propagations) != Impl::NoClause)
       Ok = false;
     return Ok;
   }
-  Impl::Clause *C = new Impl::Clause;
-  C->Lits = std::move(Out);
-  P->Clauses.push_back(C);
-  P->attach(C);
+  P->store(Ls, /*IsLearnt=*/false);
   ++NumProblemClauses;
   return true;
 }
 
-SatStatus CdclSolver::solve(const std::vector<SatLit> &Assumptions,
+SatStatus CdclSolver::solve(std::span<const SatLit> Assumptions,
                             const SatLimits &Limits) {
   LastStop = SatStop::None;
   if (!Ok)
@@ -358,7 +384,7 @@ SatStatus CdclSolver::solve(const std::vector<SatLit> &Assumptions,
   std::int64_t RestartBudget =
       static_cast<std::int64_t>(luby(2.0, RestartNum) * 64.0);
   std::int64_t ConflictsSinceRestart = 0;
-  std::vector<SatLit> Learnt;
+  const std::vector<SatLit> &Learnt = P->LearntBuf;
 
   auto stop = [&](SatStop Why) {
     LastStop = Why;
@@ -366,9 +392,17 @@ SatStatus CdclSolver::solve(const std::vector<SatLit> &Assumptions,
     return SatStatus::Unknown;
   };
 
+  // A budget spent or a token cancelled before the call stops it before
+  // any search; the in-search polls below only catch them between
+  // conflicts.
+  if (Watch.seconds() >= Limits.TimeLimitSec)
+    return stop(SatStop::TimeLimit);
+  if (Limits.Cancel.cancelled())
+    return stop(SatStop::Cancelled);
+
   for (;;) {
-    Impl::Clause *Confl = P->propagate(Stats.Propagations);
-    if (Confl != nullptr) {
+    Impl::ClauseRef Confl = P->propagate(Stats.Propagations);
+    if (Confl != Impl::NoClause) {
       ++Stats.Conflicts;
       ++ConflictsSinceRestart;
       if (FI.armed() && FI.shouldFire(FaultSite::SatConflict)) {
@@ -382,16 +416,12 @@ SatStatus CdclSolver::solve(const std::vector<SatLit> &Assumptions,
         return SatStatus::Unsat;
       }
       int BtLevel = 0;
-      P->analyze(Confl, Learnt, BtLevel);
+      P->analyze(Confl, BtLevel);
       P->cancelUntil(BtLevel);
       if (Learnt.size() == 1) {
-        P->uncheckedEnqueue(Learnt[0], nullptr);
+        P->uncheckedEnqueue(Learnt[0], Impl::NoClause);
       } else {
-        Impl::Clause *C = new Impl::Clause;
-        C->Learnt = true;
-        C->Lits = Learnt;
-        P->Clauses.push_back(C);
-        P->attach(C);
+        const Impl::ClauseRef C = P->store(Learnt, /*IsLearnt=*/true);
         ++Stats.LearnedClauses;
         Stats.LearnedLiterals += static_cast<std::int64_t>(Learnt.size());
         P->uncheckedEnqueue(Learnt[0], C);
@@ -458,7 +488,7 @@ SatStatus CdclSolver::solve(const std::vector<SatLit> &Assumptions,
         Next = mkLit(Var, P->Phase[static_cast<std::size_t>(Var)] < 0);
       }
       P->TrailLim.push_back(static_cast<int>(P->Trail.size()));
-      P->uncheckedEnqueue(Next, nullptr);
+      P->uncheckedEnqueue(Next, Impl::NoClause);
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 using namespace swp;
 
@@ -16,21 +17,15 @@ int ceilDiv(int A, int B) {
 }
 
 /// Guarded Sinz sequential-counter encoding of sum(X) <= K.  Aux variables
-/// R[i][j] read "at least j+1 of X[0..i] are true"; every clause carries
-/// \p Guard so the whole row retracts with its period selector.
-void sinzAtMost(CdclSolver &S, const std::vector<SatLit> &X, int K,
+/// R[i][j] = Base + i*K + j read "at least j+1 of X[0..i] are true"; every
+/// clause carries \p Guard so the whole row retracts with its period
+/// selector.
+void sinzAtMost(CdclSolver &S, std::span<const SatLit> X, int K,
                 SatLit Guard) {
   const int N = static_cast<int>(X.size());
   assert(N > K && K >= 1 && "caller skips vacuous rows");
-  std::vector<std::vector<int>> R(static_cast<std::size_t>(N - 1));
-  for (auto &Row : R) {
-    Row.resize(static_cast<std::size_t>(K));
-    for (int J = 0; J < K; ++J)
-      Row[static_cast<std::size_t>(J)] = S.newVar();
-  }
-  auto at = [&R](int I, int J) {
-    return R[static_cast<std::size_t>(I)][static_cast<std::size_t>(J)];
-  };
+  const int Base = S.newVars((N - 1) * K);
+  auto at = [Base, K](int I, int J) { return Base + I * K + J; };
   S.addClause({Guard, litNot(X[0]), mkLit(at(0, 0))});
   for (int J = 1; J < K; ++J)
     S.addClause({Guard, mkLit(at(0, J), true)});
@@ -96,12 +91,12 @@ void CnfEncoder::buildColoringSkeleton() {
       const int Ub = std::min(static_cast<int>(Ix) + 1, Count);
       std::vector<int> &Cv = ColorVar[static_cast<std::size_t>(Ops[Ix])];
       Cv.resize(static_cast<std::size_t>(Ub));
-      std::vector<SatLit> Alo;
+      ClauseBuf.clear();
       for (int U = 0; U < Ub; ++U) {
         Cv[static_cast<std::size_t>(U)] = S.newVar();
-        Alo.push_back(mkLit(Cv[static_cast<std::size_t>(U)]));
+        ClauseBuf.push_back(mkLit(Cv[static_cast<std::size_t>(U)]));
       }
-      S.addClause(Alo);
+      S.addClause(ClauseBuf);
       for (int U = 0; U < Ub; ++U)
         for (int V = U + 1; V < Ub; ++V)
           S.addClause({mkLit(Cv[static_cast<std::size_t>(U)], true),
@@ -125,12 +120,12 @@ void CnfEncoder::buildInstanceSkeleton() {
     const int Count = Machine.type(G.node(I).OpClass).Count;
     std::vector<int> &Xv = InstVar[static_cast<std::size_t>(I)];
     Xv.resize(static_cast<std::size_t>(Count));
-    std::vector<SatLit> Alo;
+    ClauseBuf.clear();
     for (int U = 0; U < Count; ++U) {
       Xv[static_cast<std::size_t>(U)] = S.newVar();
-      Alo.push_back(mkLit(Xv[static_cast<std::size_t>(U)]));
+      ClauseBuf.push_back(mkLit(Xv[static_cast<std::size_t>(U)]));
     }
-    S.addClause(Alo);
+    S.addClause(ClauseBuf);
     for (int U = 0; U < Count; ++U)
       for (int V = U + 1; V < Count; ++V)
         S.addClause({mkLit(Xv[static_cast<std::size_t>(U)], true),
@@ -153,14 +148,16 @@ void CnfEncoder::buildInstanceSkeleton() {
         const int Prev = Class[BIx - 1] - Base;
         const int Cur = Class[BIx] - Base;
         for (std::size_t AIx = 0; AIx < Ops.size(); ++AIx) {
-          std::vector<SatLit> C;
-          C.push_back(mkLit(InstVar[static_cast<std::size_t>(Ops[AIx])]
-                                   [static_cast<std::size_t>(Cur)],
-                            true));
+          ClauseBuf.clear();
+          ClauseBuf.push_back(
+              mkLit(InstVar[static_cast<std::size_t>(Ops[AIx])]
+                           [static_cast<std::size_t>(Cur)],
+                    true));
           for (std::size_t E = 0; E < AIx; ++E)
-            C.push_back(mkLit(InstVar[static_cast<std::size_t>(Ops[E])]
-                                     [static_cast<std::size_t>(Prev)]));
-          S.addClause(C);
+            ClauseBuf.push_back(
+                mkLit(InstVar[static_cast<std::size_t>(Ops[E])]
+                             [static_cast<std::size_t>(Prev)]));
+          S.addClause(ClauseBuf);
         }
       }
     }
@@ -190,7 +187,7 @@ void CnfEncoder::buildInstanceSkeleton() {
   // Route indicators y[e][u][c] (value of edge e leaves unit u across
   // exactly c >= 2 hops): forced to 1 by any (x_iu, x_jv) pair at hop
   // distance c; their ROUTE-cell collisions are forbidden per period in
-  // encodePeriod.
+  // encodePeriod, over the columns computed here once per route.
   for (std::size_t EIx = 0; EIx < G.edges().size(); ++EIx) {
     const DdgEdge &E = G.edges()[EIx];
     if (E.Src == E.Dst)
@@ -217,7 +214,12 @@ void CnfEncoder::buildInstanceSkeleton() {
           continue;
         }
         const int Y = S.newVar();
-        RouteVars.push_back({static_cast<int>(EIx), GU, C, Y});
+        const std::vector<int> Cols =
+            Topology::routeColumns(E.Latency, C, Topo->hopLatency());
+        RouteVars.push_back({static_cast<int>(EIx), GU, C, Y,
+                             static_cast<int>(RouteCols.size()),
+                             static_cast<int>(RouteCols.size() + Cols.size())});
+        RouteCols.insert(RouteCols.end(), Cols.begin(), Cols.end());
         for (int V : Consumers)
           S.addClause({mkLit(Y),
                        mkLit(InstVar[static_cast<std::size_t>(E.Src)]
@@ -231,7 +233,7 @@ void CnfEncoder::buildInstanceSkeleton() {
   }
 }
 
-int CnfEncoder::overlapVar(int, int, int NodeI, int NodeJ) {
+int CnfEncoder::overlapVar(int NodeI, int NodeJ) {
   const std::size_t Key = static_cast<std::size_t>(NodeI) *
                               static_cast<std::size_t>(G.numNodes()) +
                           static_cast<std::size_t>(NodeJ);
@@ -257,18 +259,15 @@ int CnfEncoder::overlapVar(int, int, int NodeI, int NodeJ) {
 
 void CnfEncoder::ensureRows(int T) {
   const int N = G.numNodes();
-  while (static_cast<int>(AVar.size()) < T) {
-    std::vector<int> Row(static_cast<std::size_t>(N));
-    const std::size_t Prev = AVar.size();
-    for (int I = 0; I < N; ++I) {
-      Row[static_cast<std::size_t>(I)] = S.newVar();
-      // Unguarded at-most-one per column: a[t][i] rows beyond the assumed
-      // period are then forced off by the guarded at-least-one below it.
-      for (std::size_t Pt = 0; Pt < Prev; ++Pt)
-        S.addClause({mkLit(Row[static_cast<std::size_t>(I)], true),
-                     mkLit(AVar[Pt][static_cast<std::size_t>(I)], true)});
-    }
-    AVar.push_back(std::move(Row));
+  while (static_cast<int>(ARowBase.size()) < T) {
+    const int Base = S.newVars(N);
+    const int Prev = static_cast<int>(ARowBase.size());
+    // Unguarded at-most-one per column: a[t][i] rows beyond the assumed
+    // period are then forced off by the guarded at-least-one below it.
+    for (int I = 0; I < N; ++I)
+      for (int Pt = 0; Pt < Prev; ++Pt)
+        S.addClause({mkLit(Base + I, true), mkLit(aVar(Pt, I), true)});
+    ARowBase.push_back(Base);
   }
 }
 
@@ -291,12 +290,11 @@ void CnfEncoder::encodePeriod(int T, int Sel) {
 
   // At-least-one offset in [0,T) per instruction (Eq. 9/23 at this T).
   for (int I = 0; I < N; ++I) {
-    std::vector<SatLit> Alo;
-    Alo.push_back(NS);
+    ClauseBuf.clear();
+    ClauseBuf.push_back(NS);
     for (int Row = 0; Row < T; ++Row)
-      Alo.push_back(mkLit(AVar[static_cast<std::size_t>(Row)]
-                              [static_cast<std::size_t>(I)]));
-    S.addClause(Alo);
+      ClauseBuf.push_back(mkLit(aVar(Row, I)));
+    S.addClause(ClauseBuf);
   }
 
   // Eager dependence windows for 2-cycles (Eq. 4/8 around a cycle): the K
@@ -317,13 +315,8 @@ void CnfEncoder::encodePeriod(int T, int Sel) {
           const int W1 = ceilDiv(E1.Latency - T * E1.Distance + P - Q, T);
           const int W2 = ceilDiv(E2.Latency - T * E2.Distance + Q - P, T);
           if (W1 + W2 > 0)
-            S.addClause({NS,
-                         mkLit(AVar[static_cast<std::size_t>(P)]
-                                   [static_cast<std::size_t>(E1.Src)],
-                               true),
-                         mkLit(AVar[static_cast<std::size_t>(Q)]
-                                   [static_cast<std::size_t>(E1.Dst)],
-                               true)});
+            S.addClause({NS, mkLit(aVar(P, E1.Src), true),
+                         mkLit(aVar(Q, E1.Dst), true)});
         }
       }
     }
@@ -345,7 +338,8 @@ void CnfEncoder::encodePeriod(int T, int Sel) {
                            Machine.tableFor(G.node(Op)).numStages());
     for (int Stage = 0; Stage < MaxStages; ++Stage) {
       for (int Slot = 0; Slot < T; ++Slot) {
-        std::vector<SatLit> Lits;
+        std::vector<SatLit> &Lits = ClauseBuf;
+        Lits.clear();
         int ContributingOps = 0;
         for (int Op : Ops) {
           const ReservationTable &Tab = Machine.tableFor(G.node(Op));
@@ -354,8 +348,7 @@ void CnfEncoder::encodePeriod(int T, int Sel) {
           bool Contributes = false;
           for (int L : Tab.busyColumns(Stage)) {
             const int Row = ((Slot - L) % T + T) % T;
-            Lits.push_back(mkLit(AVar[static_cast<std::size_t>(Row)]
-                                     [static_cast<std::size_t>(Op)]));
+            Lits.push_back(mkLit(aVar(Row, Op)));
             Contributes = true;
           }
           if (Contributes)
@@ -381,7 +374,7 @@ void CnfEncoder::encodePeriod(int T, int Sel) {
         const int NodeI = Ops[IxI], NodeJ = Ops[IxJ];
         const ReservationTable &Ti = Machine.tableFor(G.node(NodeI));
         const ReservationTable &Tj = Machine.tableFor(G.node(NodeJ));
-        std::vector<char> ConflictAt(static_cast<std::size_t>(T));
+        ConflictAt.resize(static_cast<std::size_t>(T));
         bool Any = false;
         for (int D = 0; D < T; ++D) {
           ConflictAt[static_cast<std::size_t>(D)] =
@@ -390,25 +383,17 @@ void CnfEncoder::encodePeriod(int T, int Sel) {
         }
         if (!Any)
           continue;
-        const int Ov = Count == 1 ? -1
-                                  : overlapVar(static_cast<int>(IxI),
-                                               static_cast<int>(IxJ),
-                                               NodeI, NodeJ);
+        const int Ov = Count == 1 ? -1 : overlapVar(NodeI, NodeJ);
         for (int P = 0; P < T; ++P) {
           for (int Q = 0; Q < T; ++Q) {
             if (!ConflictAt[static_cast<std::size_t>(((Q - P) % T + T) % T)])
               continue;
-            std::vector<SatLit> C{
-                NS,
-                mkLit(AVar[static_cast<std::size_t>(P)]
-                          [static_cast<std::size_t>(NodeI)],
-                      true),
-                mkLit(AVar[static_cast<std::size_t>(Q)]
-                          [static_cast<std::size_t>(NodeJ)],
-                      true)};
+            const SatLit AtP = mkLit(aVar(P, NodeI), true);
+            const SatLit AtQ = mkLit(aVar(Q, NodeJ), true);
             if (Ov >= 0)
-              C.push_back(mkLit(Ov));
-            S.addClause(C);
+              S.addClause({NS, AtP, AtQ, mkLit(Ov)});
+            else
+              S.addClause({NS, AtP, AtQ});
           }
         }
       }
@@ -421,10 +406,12 @@ void CnfEncoder::encodePeriod(int T, int Sel) {
   // ROUTE-cell constraints at this period.  A route (e, u, c) occupies
   // the producer's unit at pattern steps (p + col) mod T for each column
   // col of routeColumns(L, c, hopLatency), p being the producer's offset.
+  auto cols = [this](const RouteVarIds &RV) {
+    return std::span<const int>(RouteCols.data() + RV.ColBegin,
+                                RouteCols.data() + RV.ColEnd);
+  };
   for (const RouteVarIds &RV : RouteVars) {
-    const DdgEdge &E = G.edges()[static_cast<std::size_t>(RV.Edge)];
-    const std::vector<int> Cols =
-        Topology::routeColumns(E.Latency, RV.Hops, Topo->hopLatency());
+    const std::span<const int> Cols = cols(RV);
     // Self-collision: the route's own columns fold onto one pattern step,
     // so placements activating it are infeasible at this T.
     for (std::size_t A = 0; A < Cols.size(); ++A)
@@ -443,27 +430,20 @@ void CnfEncoder::encodePeriod(int T, int Sel) {
         continue;
       const DdgEdge &E1 = G.edges()[static_cast<std::size_t>(A1.Edge)];
       const DdgEdge &E2 = G.edges()[static_cast<std::size_t>(A2.Edge)];
-      const std::vector<int> Cols1 =
-          Topology::routeColumns(E1.Latency, A1.Hops, Topo->hopLatency());
-      const std::vector<int> Cols2 =
-          Topology::routeColumns(E2.Latency, A2.Hops, Topo->hopLatency());
-      for (int Col1 : Cols1) {
-        for (int Col2 : Cols2) {
+      for (int Col1 : cols(A1)) {
+        for (int Col2 : cols(A2)) {
           for (int P = 0; P < T; ++P) {
             const int Q = ((P + Col1 - Col2) % T + T) % T;
             if (E1.Src == E2.Src && Q != P)
               continue; // One producer, one offset: vacuous.
-            std::vector<SatLit> C{NS,
-                                  mkLit(AVar[static_cast<std::size_t>(P)]
-                                            [static_cast<std::size_t>(E1.Src)],
-                                        true)};
+            const SatLit AtP = mkLit(aVar(P, E1.Src), true);
+            const SatLit NotY1 = mkLit(A1.Var, true);
+            const SatLit NotY2 = mkLit(A2.Var, true);
             if (E1.Src != E2.Src)
-              C.push_back(mkLit(AVar[static_cast<std::size_t>(Q)]
-                                    [static_cast<std::size_t>(E2.Src)],
-                                true));
-            C.push_back(mkLit(A1.Var, true));
-            C.push_back(mkLit(A2.Var, true));
-            S.addClause(C);
+              S.addClause(
+                  {NS, AtP, mkLit(aVar(Q, E2.Src), true), NotY1, NotY2});
+            else
+              S.addClause({NS, AtP, NotY1, NotY2});
           }
         }
       }
@@ -476,8 +456,7 @@ std::vector<int> CnfEncoder::modelOffsets(int T) const {
   std::vector<int> Offsets(static_cast<std::size_t>(N), 0);
   for (int I = 0; I < N; ++I)
     for (int Row = 0; Row < T; ++Row)
-      if (S.modelValue(AVar[static_cast<std::size_t>(Row)]
-                           [static_cast<std::size_t>(I)])) {
+      if (S.modelValue(aVar(Row, I))) {
         Offsets[static_cast<std::size_t>(I)] = Row;
         break;
       }
@@ -630,14 +609,12 @@ bool CnfEncoder::decode(int T, ModuloSchedule &Out,
 
 void CnfEncoder::blockCycle(int T, const std::vector<int> &CycleNodes,
                             const std::vector<int> &Offsets) {
-  std::vector<SatLit> C;
+  std::vector<SatLit> &C = ClauseBuf;
+  C.clear();
   C.push_back(mkLit(SelVar[static_cast<std::size_t>(T)], true));
   for (int Node : CycleNodes) {
-    C.push_back(mkLit(
-        AVar[static_cast<std::size_t>(
-                 Offsets[static_cast<std::size_t>(Node)])]
-            [static_cast<std::size_t>(Node)],
-        true));
+    C.push_back(
+        mkLit(aVar(Offsets[static_cast<std::size_t>(Node)], Node), true));
     // On the topology path the cycle's positivity depends on the routing
     // penalties, i.e. on where the nodes sit: block only this
     // offsets-and-placement combination (the model is still loaded — the

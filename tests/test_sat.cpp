@@ -18,11 +18,13 @@
 #include "swp/service/Fingerprint.h"
 #include "swp/service/SchedulerService.h"
 #include "swp/support/FaultInjector.h"
+#include "swp/support/Rng.h"
 #include "swp/workload/Corpus.h"
 #include "swp/workload/Kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -36,6 +38,81 @@ struct InjectorGuard {
 
 std::uint64_t sliceSeed(int I) {
   return static_cast<std::uint64_t>(I) * 2654435761ULL + 99;
+}
+
+/// Every clause given to a solver, for checking its answers exhaustively.
+struct ClauseLog {
+  std::vector<std::vector<SatLit>> Clauses;
+
+  void add(const std::vector<SatLit> &C) { Clauses.push_back(C); }
+
+  static bool litTrue(std::uint32_t Assignment, SatLit L) {
+    return (((Assignment >> litVar(L)) & 1u) != 0) != litNeg(L);
+  }
+
+  /// True when some assignment of variables 0..NumVars-1 makes every
+  /// literal of \p Assumptions and some literal of every clause true.
+  bool satisfiable(int NumVars, const std::vector<SatLit> &Assumptions) const {
+    for (std::uint32_t A = 0; A < (1u << NumVars); ++A) {
+      auto True = [A](SatLit L) { return litTrue(A, L); };
+      if (std::all_of(Assumptions.begin(), Assumptions.end(), True) &&
+          std::all_of(Clauses.begin(), Clauses.end(),
+                      [&](const std::vector<SatLit> &C) {
+                        return std::any_of(C.begin(), C.end(), True);
+                      }))
+        return true;
+    }
+    return false;
+  }
+
+  /// True when \p S's model satisfies every clause and assumption.
+  bool satisfiedBy(const CdclSolver &S,
+                   const std::vector<SatLit> &Assumptions) const {
+    auto True = [&S](SatLit L) { return S.modelValue(litVar(L)) != litNeg(L); };
+    return std::all_of(Assumptions.begin(), Assumptions.end(), True) &&
+           std::all_of(Clauses.begin(), Clauses.end(),
+                       [&](const std::vector<SatLit> &C) {
+                         return std::any_of(C.begin(), C.end(), True);
+                       });
+  }
+};
+
+/// x0 -> x1 -> ... -> x(N-1) over fresh variables: satisfiable.
+void addImplicationChain(CdclSolver &S, int N) {
+  const int First = S.numVars();
+  for (int I = 0; I < N; ++I)
+    S.newVar();
+  for (int I = 0; I + 1 < N; ++I)
+    S.addClause({mkLit(First + I, true), mkLit(First + I + 1)});
+}
+
+/// PHP(Pigeons, Holes) over fresh variables, pigeon I in hole J being
+/// variable numVars() + I * Holes + J: each pigeon in some hole (each row
+/// extended by \p Guard when it is a literal), no two pigeons in one hole.
+/// Unsatisfiable when Pigeons > Holes and the rows are active.
+void addPigeonhole(CdclSolver &S, int Pigeons, int Holes, SatLit Guard = -1,
+                   ClauseLog *Log = nullptr) {
+  const int First = S.numVars();
+  for (int I = 0; I < Pigeons * Holes; ++I)
+    S.newVar();
+  auto add = [&](const std::vector<SatLit> &C) {
+    if (Log)
+      Log->add(C);
+    S.addClause(C);
+  };
+  for (int I = 0; I < Pigeons; ++I) {
+    std::vector<SatLit> Row;
+    if (Guard >= 0)
+      Row.push_back(Guard);
+    for (int J = 0; J < Holes; ++J)
+      Row.push_back(mkLit(First + I * Holes + J));
+    add(Row);
+  }
+  for (int J = 0; J < Holes; ++J)
+    for (int I = 0; I < Pigeons; ++I)
+      for (int K = I + 1; K < Pigeons; ++K)
+        add({mkLit(First + I * Holes + J, true),
+             mkLit(First + K * Holes + J, true)});
 }
 
 /// Remaps a ppc604-class corpus loop onto a machine that defines only op
@@ -98,23 +175,10 @@ TEST(Cdcl, AssumptionsRetractCleanly) {
 
 TEST(Cdcl, PigeonholePrinciple) {
   // 5 pigeons, 4 holes: unsat, and deep enough to exercise 1-UIP learning
-  // and restarts.  P[i][j] = pigeon i sits in hole j.
-  const int Pigeons = 5, Holes = 4;
+  // and restarts.
   CdclSolver S;
-  int P[5][4];
-  for (int I = 0; I < Pigeons; ++I)
-    for (int J = 0; J < Holes; ++J)
-      P[I][J] = S.newVar();
-  for (int I = 0; I < Pigeons; ++I) {
-    std::vector<SatLit> Alo;
-    for (int J = 0; J < Holes; ++J)
-      Alo.push_back(mkLit(P[I][J]));
-    ASSERT_TRUE(S.addClause(Alo));
-  }
-  for (int J = 0; J < Holes; ++J)
-    for (int I = 0; I < Pigeons; ++I)
-      for (int K = I + 1; K < Pigeons; ++K)
-        ASSERT_TRUE(S.addClause({mkLit(P[I][J], true), mkLit(P[K][J], true)}));
+  addPigeonhole(S, 5, 4);
+  EXPECT_TRUE(S.ok());
   EXPECT_EQ(S.solve({}), SatStatus::Unsat);
   EXPECT_GT(S.stats().Conflicts, 0);
   EXPECT_GT(S.stats().LearnedClauses, 0);
@@ -123,22 +187,8 @@ TEST(Cdcl, PigeonholePrinciple) {
 TEST(Cdcl, ConflictLimitCensorsWithStopReason) {
   // Same pigeonhole instance, but a 1-conflict budget: no proof, and the
   // stop reason says why.
-  const int Pigeons = 5, Holes = 4;
   CdclSolver S;
-  std::vector<std::vector<int>> P(Pigeons, std::vector<int>(Holes));
-  for (auto &Row : P)
-    for (int &V : Row)
-      V = S.newVar();
-  for (int I = 0; I < Pigeons; ++I) {
-    std::vector<SatLit> Alo;
-    for (int J = 0; J < Holes; ++J)
-      Alo.push_back(mkLit(P[I][J]));
-    S.addClause(Alo);
-  }
-  for (int J = 0; J < Holes; ++J)
-    for (int I = 0; I < Pigeons; ++I)
-      for (int K = I + 1; K < Pigeons; ++K)
-        S.addClause({mkLit(P[I][J], true), mkLit(P[K][J], true)});
+  addPigeonhole(S, 5, 4);
   SatLimits Limits;
   Limits.ConflictLimit = 1;
   EXPECT_EQ(S.solve({}, Limits), SatStatus::Unknown);
@@ -148,28 +198,159 @@ TEST(Cdcl, ConflictLimitCensorsWithStopReason) {
 }
 
 TEST(Cdcl, CancellationStopsSearch) {
-  CdclSolver S;
-  int A = S.newVar();
-  S.addClause({mkLit(A)});
-  CancellationSource Src;
-  Src.cancel();
-  SatLimits Limits;
-  Limits.Cancel = Src.token();
-  // A pre-cancelled token is honoured even on a trivial instance... once
-  // there is at least one conflict to poll at; a conflict-free solve may
-  // legitimately finish.  Use an instance with guaranteed conflicts.
-  const int N = 6;
-  std::vector<int> V;
-  for (int I = 0; I < N; ++I)
-    V.push_back(S.newVar());
-  for (int I = 0; I + 1 < N; ++I)
-    S.addClause({mkLit(V[static_cast<std::size_t>(I)], true),
-                 mkLit(V[static_cast<std::size_t>(I) + 1])});
-  SatStatus St = S.solve({}, Limits);
-  EXPECT_TRUE(St == SatStatus::Unknown || St == SatStatus::Sat);
-  if (St == SatStatus::Unknown) {
-    EXPECT_EQ(S.lastStop(), SatStop::Cancelled);
+  // A pre-cancelled token stops the search at solve() entry, before any
+  // propagation: on a satisfiable implication chain and on PHP(5,4), which
+  // would otherwise be refuted within a few dozen conflicts.
+  for (int Instance = 0; Instance < 2; ++Instance) {
+    CdclSolver S;
+    if (Instance == 0)
+      addImplicationChain(S, 6);
+    else
+      addPigeonhole(S, 5, 4);
+    CancellationSource Src;
+    Src.cancel();
+    SatLimits Limits;
+    Limits.Cancel = Src.token();
+    EXPECT_EQ(S.solve({}, Limits), SatStatus::Unknown) << Instance;
+    EXPECT_EQ(S.lastStop(), SatStop::Cancelled) << Instance;
+    EXPECT_EQ(S.stats().Conflicts, 0) << Instance;
+    EXPECT_EQ(S.stats().Decisions, 0) << Instance;
+    EXPECT_TRUE(S.ok()) << Instance;
+    // Without the token the same solver answers.
+    EXPECT_EQ(S.solve({}), Instance == 0 ? SatStatus::Sat : SatStatus::Unsat)
+        << Instance;
   }
+}
+
+TEST(Cdcl, SpentTimeBudgetStopsSearch) {
+  // TimeLimitSec = 0 is a budget already spent when solve() is entered.
+  for (int Instance = 0; Instance < 2; ++Instance) {
+    CdclSolver S;
+    if (Instance == 0)
+      addImplicationChain(S, 6);
+    else
+      addPigeonhole(S, 5, 4);
+    SatLimits Limits;
+    Limits.TimeLimitSec = 0;
+    EXPECT_EQ(S.solve({}, Limits), SatStatus::Unknown) << Instance;
+    EXPECT_EQ(S.lastStop(), SatStop::TimeLimit) << Instance;
+    EXPECT_EQ(S.stats().Conflicts, 0) << Instance;
+    EXPECT_EQ(S.stats().Decisions, 0) << Instance;
+    EXPECT_EQ(S.solve({}), Instance == 0 ? SatStatus::Sat : SatStatus::Unsat)
+        << Instance;
+  }
+}
+
+TEST(Cdcl, MatchesBruteForceOnRandomCnfs) {
+  // Seeded random CNFs small enough to enumerate.  Clauses have width 1-4
+  // and may repeat a literal or hold its complement, so the dedupe,
+  // tautology, unit and level-0 paths of addClause all run.  Clauses and
+  // variables arrive in batches between solves, and each solve runs under
+  // 0-3 random assumptions (possibly contradicting one another).  Half the
+  // instances are 3/4-wide CNFs over 9-12 variables that cross the
+  // satisfiability threshold batch by batch, so the search learns clauses.
+  Rng R(19950618);
+  std::int64_t Learned = 0;
+  int SatAnswers = 0, UnsatAnswers = 0, GlobalUnsat = 0;
+  for (int Instance = 0; Instance < 600; ++Instance) {
+    CdclSolver S;
+    ClauseLog Log;
+    const bool Hard = R.chance(0.5);
+    const int MaxVars = Hard ? R.intIn(9, 12) : R.intIn(1, 12);
+    for (int Batch = 0; Batch < 4; ++Batch) {
+      const int Vars =
+          Batch == 3 ? MaxVars : R.intIn(std::max(1, S.numVars()), MaxVars);
+      while (S.numVars() < Vars)
+        S.newVar();
+      const int NumClauses =
+          Hard ? R.intIn(Vars, 2 * Vars) : R.intIn(1, Vars + 2);
+      for (int CI = 0; CI < NumClauses; ++CI) {
+        const double Roll = R.unit();
+        const int Width = Hard        ? (Roll < 0.7 ? 3 : 4)
+                          : Roll < 0.1  ? 1
+                          : Roll < 0.35 ? 2
+                          : Roll < 0.75 ? 3
+                                        : 4;
+        std::vector<SatLit> C;
+        for (int K = 0; K < Width; ++K) {
+          if (K > 0 && R.chance(0.15))
+            C.push_back(C.back()); // Repeated literal.
+          else if (K > 0 && R.chance(0.08))
+            C.push_back(litNot(C.back())); // Tautology.
+          else
+            C.push_back(mkLit(R.intIn(0, Vars - 1), R.chance(0.5)));
+        }
+        Log.add(C);
+        const bool Added = S.addClause(C);
+        EXPECT_EQ(Added, S.ok()) << "instance " << Instance;
+      }
+      for (int Solve = 0; Solve < 2; ++Solve) {
+        std::vector<SatLit> Assumptions;
+        for (int K = R.intIn(0, 3); K > 0; --K)
+          Assumptions.push_back(mkLit(R.intIn(0, Vars - 1), R.chance(0.5)));
+        const SatStatus St = S.solve(Assumptions);
+        ASSERT_NE(St, SatStatus::Unknown) << "instance " << Instance;
+        EXPECT_EQ(St == SatStatus::Sat, Log.satisfiable(Vars, Assumptions))
+            << "instance " << Instance << " batch " << Batch;
+        if (St == SatStatus::Sat) {
+          ++SatAnswers;
+          EXPECT_TRUE(Log.satisfiedBy(S, Assumptions))
+              << "instance " << Instance << " batch " << Batch;
+        } else {
+          ++UnsatAnswers;
+          if (Assumptions.empty()) {
+            EXPECT_FALSE(S.ok()) << "instance " << Instance;
+          }
+        }
+        if (!S.ok()) {
+          EXPECT_FALSE(Log.satisfiable(Vars, {})) << "instance " << Instance;
+        }
+      }
+    }
+    GlobalUnsat += S.ok() ? 0 : 1;
+    Learned += S.stats().LearnedClauses;
+  }
+  // The corpus must reach every kind of answer, and learn clauses.
+  EXPECT_GT(SatAnswers, 1000);
+  EXPECT_GT(UnsatAnswers, 1000);
+  EXPECT_GT(GlobalUnsat, 100);
+  EXPECT_GT(Learned, 50);
+}
+
+TEST(Cdcl, LearningUnderAssumptionsThenIncrementalClauses) {
+  // PHP(6,5) with its at-least-one rows guarded by a selector: refuting it
+  // under the selector learns clauses (appended to the clause store while
+  // earlier clauses are being propagated), and later solves over the same
+  // store must stay sound as problem clauses keep arriving.
+  CdclSolver S;
+  ClauseLog Log;
+  const int Sel = S.newVar();
+  addPigeonhole(S, 6, 5, mkLit(Sel, true), &Log);
+  EXPECT_EQ(S.solve({mkLit(Sel)}), SatStatus::Unsat);
+  EXPECT_TRUE(S.ok());
+  EXPECT_GT(S.stats().LearnedClauses, 10);
+  // Without the selector the rows are off: satisfiable.
+  ASSERT_EQ(S.solve({}), SatStatus::Sat);
+  EXPECT_TRUE(Log.satisfiedBy(S, {}));
+  EXPECT_FALSE(S.modelValue(Sel));
+  // Assert five of the six rows outright: a perfect matching exists.
+  const int Holes = 5;
+  for (int I = 0; I < 5; ++I) {
+    std::vector<SatLit> Row;
+    for (int J = 0; J < Holes; ++J)
+      Row.push_back(mkLit(1 + I * Holes + J));
+    Log.add(Row);
+    ASSERT_TRUE(S.addClause(Row));
+    ASSERT_EQ(S.solve({}), SatStatus::Sat);
+    EXPECT_TRUE(Log.satisfiedBy(S, {}));
+  }
+  // The sixth row makes the instance unsat for good.
+  std::vector<SatLit> Last;
+  for (int J = 0; J < Holes; ++J)
+    Last.push_back(mkLit(1 + 5 * Holes + J));
+  S.addClause(Last);
+  EXPECT_EQ(S.solve({}), SatStatus::Unsat);
+  EXPECT_FALSE(S.ok());
 }
 
 //===----------------------------------------------------------------------===//
