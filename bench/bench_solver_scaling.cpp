@@ -31,7 +31,6 @@
 #include "swp/workload/Corpus.h"
 
 #include "swp/support/Format.h"
-#include "swp/support/Stopwatch.h"
 
 #include <benchmark/benchmark.h>
 
@@ -223,35 +222,25 @@ struct SmokeTotals {
 };
 
 /// The SAT engine's rate-optimal sweep over \p G, as satScheduleLoop runs
-/// it, but driven through SatScheduler::solveAtT so that the solver's
-/// decision and propagation counters can be read around each attempt.
+/// it, with a step that also reads the solver's decision and propagation
+/// counters around each attempt.
 void addSatSmokeLoop(const Ddg &G, const MachineModel &M,
                      const SchedulerOptions &Opts, SmokeTotals &Tot) {
-  Stopwatch Watch;
-  const int TLb = std::max({1, recurrenceMii(G), M.resourceMii(G)});
   SatScheduler Engine(G, M, Opts.Mapping);
-  bool AllBelowProven = true;
-  for (int T = TLb; T <= TLb + Opts.MaxTSlack; ++T) {
-    if (!M.moduloFeasible(G, T))
-      continue;
+  SchedulerResult R = searchRateOptimal(G, M, Opts, [&](int T) {
     const SatStats Before = Engine.stats();
-    SatAttempt A = Engine.solveAtT(T, Opts.TimeLimitPerT, Opts.NodeLimitPerT);
+    SatAttempt A = Engine.solveAtT(T, Opts.TimeLimitPerT, Opts.NodeLimitPerT,
+                                   Opts.Cancel);
     const SatStats &After = Engine.stats();
-    Tot.SatConflicts += A.Conflicts;
     Tot.SatDecisions += After.Decisions - Before.Decisions;
     Tot.SatPropagations += After.Propagations - Before.Propagations;
     Tot.SatCycleBlocks += A.CycleBlocks;
-    if (A.Status == MilpStatus::Optimal || A.Status == MilpStatus::Feasible) {
-      if (verifySchedule(G, M, A.Schedule).Ok) {
-        ++Tot.SatFound;
-        Tot.SatProven += AllBelowProven ? 1 : 0;
-      }
-      break;
-    }
-    if (A.Status != MilpStatus::Infeasible)
-      AllBelowProven = false;
-  }
-  Tot.SatSeconds += Watch.seconds();
+    return satStepResult(std::move(A));
+  });
+  Tot.SatConflicts += R.TotalNodes;
+  Tot.SatFound += R.found() ? 1 : 0;
+  Tot.SatProven += R.ProvenRateOptimal ? 1 : 0;
+  Tot.SatSeconds += R.TotalSeconds;
 }
 
 SmokeTotals runSmokeCorpus() {

@@ -7,13 +7,15 @@
 /// \file
 /// The rate-optimal search loop of the paper's experiments: compute the
 /// lower bound T_lb = max(T_dep, T_res), then try T = T_lb, T_lb+1, ...
-/// solving the unified scheduling+mapping MILP at each T until one is
-/// feasible.  T violating the modulo-scheduling precondition are skipped
-/// (they admit no fixed-mapping schedule), exactly as in the paper.
+/// until one is feasible.  T violating the modulo-scheduling precondition
+/// are skipped (they admit no fixed-mapping schedule), exactly as in the
+/// paper.  searchRateOptimal is that loop, shared by every exact engine;
+/// an engine supplies only the per-T step (scheduleLoop's step solves the
+/// unified scheduling+mapping MILP, satScheduleLoop's the CNF encoding).
 ///
 /// The found schedule is rate-optimal when every smaller T was *proven*
-/// infeasible; time/node limits censor proofs and are reported per attempt
-/// (the paper's "10/30" time-limit note).
+/// infeasible (TAttempt::refutes); time/node limits censor proofs and are
+/// reported per attempt (the paper's "10/30" time-limit note).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +29,7 @@
 #include "swp/support/Status.h"
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace swp {
@@ -110,6 +113,13 @@ struct TAttempt {
   std::int64_t Nodes = 0;
   /// Simplex effort behind this attempt (probe + all node relaxations).
   LpEffort Lp;
+
+  /// True when this attempt proves its T infeasible: an uncensored
+  /// Infeasible verdict (a modulo skip is one).  Every ProvenRateOptimal
+  /// claim rests on this rule.
+  bool refutes() const {
+    return Status == MilpStatus::Infeasible && StopReason == SearchStop::None;
+  }
 };
 
 /// Which rung of the service's fallback ladder produced the schedule.
@@ -164,15 +174,55 @@ struct SchedulerResult {
 
   bool found() const { return Schedule.T > 0; }
 
+  /// True when some attempt refutes candidate \p T (TAttempt::refutes).
+  bool refutes(int T) const;
+
+  /// True when every T in [TLowerBound, \p T) is refuted: a schedule at
+  /// \p T is then rate-optimal.
+  bool refutesBelow(int T) const;
+
   /// Renders the per-attempt SearchStop chain ("T=3 infeasible; T=4
   /// lp-stall; ...") — the evidence trail behind an unfound/censored
   /// result.
   std::string stopChain() const;
 };
 
-/// Runs the rate-optimal search for \p G on \p Machine.
+/// One exact engine's answer for one candidate T: the attempt record
+/// (Status, StopReason, Seconds, Nodes, Lp; the sweep fills T), the
+/// schedule when Status is Optimal or Feasible, and the typed error when
+/// it is Error.
+struct TStepResult {
+  TAttempt Attempt;
+  ModuloSchedule Schedule;
+  Status Error;
+};
+
+/// An exact engine's per-T step: answers candidate \p T.
+using TStep = std::function<TStepResult(int T)>;
+
+/// The rate-optimal T-sweep every exact engine shares.  Validates the loop
+/// (phase "driver"), computes T_lb, then walks T = T_lb .. T_lb +
+/// Opts.MaxTSlack: modulo-infeasible T are recorded as skips, every other
+/// T is answered by \p Step.  The first found schedule is verified (when
+/// Opts.VerifySchedules) and is ProvenRateOptimal when refutesBelow(T).
+/// The first typed error is kept; an InvalidInput error stops the sweep,
+/// any other error censors its T and the sweep goes on.  A fired
+/// Opts.Cancel, or a step stopped by cancellation, ends the sweep with
+/// Cancelled set.  Sums TotalNodes and TotalLp over the steps and stamps
+/// FaultsSeen.  Holds no state beyond its own frame, so sweeps may run
+/// concurrently.
+SchedulerResult searchRateOptimal(const Ddg &G, const MachineModel &Machine,
+                                  const SchedulerOptions &Opts,
+                                  const TStep &Step);
+
+/// Runs the rate-optimal search for \p G on \p Machine: the shared sweep
+/// with a scheduleAtT step that carries the LP basis across T.
 SchedulerResult scheduleLoop(const Ddg &G, const MachineModel &Machine,
                              const SchedulerOptions &Opts = {});
+
+/// The InvalidInput error of a loop that MachineModel::acceptsDdg rejects,
+/// naming \p G; each entry point adds its own phase.
+Status invalidLoopError(const Ddg &G);
 
 /// Builds and solves the MILP for one fixed \p T; \returns the solver
 /// outcome and, when feasible, writes the extracted schedule.  \p StopOut,

@@ -72,7 +72,10 @@ public:
     return Types[static_cast<size_t>(Node.OpClass)].variant(Node.Variant);
   }
 
-  /// True when every node of \p G names a valid OpClass and variant.
+  /// True when \p G is a loop this machine can schedule: well formed
+  /// (Ddg::isWellFormed over this machine's op classes) and every node
+  /// names a valid variant of its class.  The one input check of every
+  /// scheduling entry point.
   bool acceptsDdg(const Ddg &G) const;
 
   int numTypes() const { return static_cast<int>(Types.size()); }

@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The second exact engine: the same rate-optimal search loop as
-/// swp/core/Driver, but answering each candidate-T feasibility question
-/// with the CDCL solver over the CnfEncoder's incremental encoding instead
-/// of the MILP.  One SatScheduler keeps a single solver alive across
-/// candidate periods, so conflict clauses learned while refuting T keep
-/// pruning at T+1 (the incremental payoff the tests pin down).
+/// The second exact engine: swp/core/Driver's shared rate-optimal sweep
+/// (searchRateOptimal) with a step that answers each candidate-T
+/// feasibility question with the CDCL solver over the CnfEncoder's
+/// incremental encoding instead of the MILP.  One SatScheduler keeps a
+/// single solver alive across candidate periods, so conflict clauses
+/// learned while refuting T keep pruning at T+1 (the incremental payoff
+/// the tests pin down).
 ///
 /// Results reuse the MILP vocabulary (MilpStatus / SearchStop /
 /// SchedulerResult) so the service, tools, and fuzz harness treat both
@@ -75,10 +76,15 @@ private:
   std::unique_ptr<CnfEncoder> Encoder;
 };
 
+/// \p A as the shared sweep's per-T step result (conflicts count as
+/// nodes); the SAT engine's searchRateOptimal steps return this.
+TStepResult satStepResult(SatAttempt A);
+
 /// Runs the rate-optimal search for \p G on \p Machine with the SAT
-/// engine; a drop-in sibling of scheduleLoop() (Opts.NodeLimitPerT bounds
-/// conflicts per T; ColoringObjective / MinimizeBuffers / LpRoundingProbe
-/// do not apply and are ignored).
+/// engine: the shared sweep with a step over one SatScheduler, a drop-in
+/// sibling of scheduleLoop() (Opts.NodeLimitPerT bounds conflicts per T;
+/// ColoringObjective / MinimizeBuffers / LpRoundingProbe do not apply and
+/// are ignored).
 SchedulerResult satScheduleLoop(const Ddg &G, const MachineModel &Machine,
                                 const SchedulerOptions &Opts = {});
 

@@ -313,17 +313,15 @@ MilpStatus swp::scheduleAtT(const Ddg &G, const MachineModel &Machine, int T,
   // Malformed inputs become typed errors instead of downstream asserts or
   // garbage models; T < 1 admits no schedule by definition of the
   // initiation interval.
-  if (T < 1 || !G.isWellFormed(Machine.numTypes()) || !Machine.acceptsDdg(G)) {
+  if (T < 1 || !Machine.acceptsDdg(G)) {
     if (StopOut)
       *StopOut = SearchStop::Fault;
-    if (ErrorOut)
-      *ErrorOut = Status(StatusCode::InvalidInput,
-                         T < 1 ? "initiation interval T must be >= 1"
-                               : "DDG is malformed or uses op classes the "
-                                 "machine does not define")
-                     .withPhase("schedule-at-t")
-                     .withT(T)
-                     .withInstance(G.name());
+    if (ErrorOut) {
+      *ErrorOut = T < 1 ? Status(StatusCode::InvalidInput,
+                                 "initiation interval T must be >= 1")
+                        : invalidLoopError(G);
+      ErrorOut->withPhase("schedule-at-t").withT(T).withInstance(G.name());
+    }
     return MilpStatus::Error;
   }
 
@@ -471,19 +469,24 @@ MilpStatus swp::scheduleAtT(const Ddg &G, const MachineModel &Machine, int T,
   return Res.Status;
 }
 
-SchedulerResult swp::scheduleLoop(const Ddg &G, const MachineModel &Machine,
-                                  const SchedulerOptions &Opts) {
+Status swp::invalidLoopError(const Ddg &G) {
+  return Status(StatusCode::InvalidInput,
+                "DDG is malformed or uses op classes the machine does not "
+                "define")
+      .withInstance(G.name());
+}
+
+SchedulerResult swp::searchRateOptimal(const Ddg &G,
+                                       const MachineModel &Machine,
+                                       const SchedulerOptions &Opts,
+                                       const TStep &Step) {
   SchedulerResult Result;
   // Validate before any analysis: recurrenceMii asserts on zero-distance
   // cycles, and a DDG referencing op classes the machine lacks has no
   // reservation tables to schedule against.  Such inputs return a typed
   // error, never an abort.
-  if (!G.isWellFormed(Machine.numTypes()) || !Machine.acceptsDdg(G)) {
-    Result.Error = Status(StatusCode::InvalidInput,
-                          "DDG is malformed or uses op classes the machine "
-                          "does not define")
-                       .withPhase("driver")
-                       .withInstance(G.name());
+  if (!Machine.acceptsDdg(G)) {
+    Result.Error = invalidLoopError(G).withPhase("driver");
     return Result;
   }
   Result.TDep = recurrenceMii(G);
@@ -492,34 +495,26 @@ SchedulerResult swp::scheduleLoop(const Ddg &G, const MachineModel &Machine,
 
   const std::uint64_t FiredBefore = FaultInjector::instance().totalFired();
   Stopwatch Total;
-  bool AllBelowProven = true;
-  // Basis carry across the candidate-T sweep: consecutive T solve nearly
-  // the same model, so each workspace starts from the previous T's basis.
-  TWarmContext Warm;
-  TWarmContext *WarmPtr = Opts.WarmStartAcrossT ? &Warm : nullptr;
   for (int T = Result.TLowerBound;
        T <= Result.TLowerBound + Opts.MaxTSlack; ++T) {
     if (Opts.Cancel.cancelled()) {
       Result.Cancelled = true;
       break;
     }
-    TAttempt Attempt;
-    Attempt.T = T;
     if (!Machine.moduloFeasible(G, T)) {
       // No fixed-assignment schedule can exist at this T (paper Sec. 2);
       // the skip is itself a proof of infeasibility.
-      Attempt.ModuloSkipped = true;
-      Attempt.Status = MilpStatus::Infeasible;
-      Result.Attempts.push_back(Attempt);
+      TAttempt Skip;
+      Skip.T = T;
+      Skip.ModuloSkipped = true;
+      Skip.Status = MilpStatus::Infeasible;
+      Result.Attempts.push_back(Skip);
       continue;
     }
 
-    ModuloSchedule Candidate;
-    Status AttemptError;
-    Attempt.Status = scheduleAtT(G, Machine, T, Opts, Candidate,
-                                 &Attempt.Seconds, &Attempt.Nodes,
-                                 &Attempt.StopReason, &AttemptError, WarmPtr,
-                                 &Attempt.Lp);
+    TStepResult Answer = Step(T);
+    TAttempt &Attempt = Answer.Attempt;
+    Attempt.T = T;
     Result.TotalNodes += Attempt.Nodes;
     Result.TotalLp += Attempt.Lp;
     Result.Attempts.push_back(Attempt);
@@ -532,29 +527,25 @@ SchedulerResult swp::scheduleLoop(const Ddg &G, const MachineModel &Machine,
       // fail identically at every T, so stop; transient faults (injected
       // allocation death) leave larger T worth trying, but this T's proof
       // is censored.
+      const bool Invalid = Answer.Error.code() == StatusCode::InvalidInput;
       if (Result.Error.isOk())
-        Result.Error = AttemptError;
-      AllBelowProven = false;
-      if (AttemptError.code() == StatusCode::InvalidInput)
+        Result.Error = std::move(Answer.Error);
+      if (Invalid)
         break;
       continue;
     }
 
     if (Attempt.Status == MilpStatus::Optimal ||
         Attempt.Status == MilpStatus::Feasible) {
-      if (Opts.VerifySchedules) {
-        VerifyResult V = verifySchedule(G, Machine, Candidate);
-        if (!V.Ok) {
-          Result.VerifyFailed = true;
-          break;
-        }
+      if (Opts.VerifySchedules &&
+          !verifySchedule(G, Machine, Answer.Schedule).Ok) {
+        Result.VerifyFailed = true;
+        break;
       }
-      Result.Schedule = std::move(Candidate);
-      Result.ProvenRateOptimal = AllBelowProven;
+      Result.Schedule = std::move(Answer.Schedule);
+      Result.ProvenRateOptimal = Result.refutesBelow(T);
       break;
     }
-    if (Attempt.Status != MilpStatus::Infeasible)
-      AllBelowProven = false; // Limit censored the proof at this T.
     if (Result.Cancelled)
       break; // A cancelled attempt proves nothing; larger T are moot too.
   }
@@ -562,6 +553,21 @@ SchedulerResult swp::scheduleLoop(const Ddg &G, const MachineModel &Machine,
       FaultInjector::instance().totalFired() > FiredBefore;
   Result.TotalSeconds = Total.seconds();
   return Result;
+}
+
+SchedulerResult swp::scheduleLoop(const Ddg &G, const MachineModel &Machine,
+                                  const SchedulerOptions &Opts) {
+  // Basis carry across the candidate-T sweep: consecutive T solve nearly
+  // the same model, so each workspace starts from the previous T's basis.
+  TWarmContext Warm;
+  TWarmContext *WarmPtr = Opts.WarmStartAcrossT ? &Warm : nullptr;
+  return searchRateOptimal(G, Machine, Opts, [&](int T) {
+    TStepResult R;
+    TAttempt &A = R.Attempt;
+    A.Status = scheduleAtT(G, Machine, T, Opts, R.Schedule, &A.Seconds,
+                           &A.Nodes, &A.StopReason, &R.Error, WarmPtr, &A.Lp);
+    return R;
+  });
 }
 
 const char *swp::fallbackRungName(FallbackRung R) {
@@ -574,6 +580,19 @@ const char *swp::fallbackRungName(FallbackRung R) {
     return "iterative-modulo";
   }
   return "?";
+}
+
+bool SchedulerResult::refutes(int T) const {
+  return std::any_of(Attempts.begin(), Attempts.end(), [T](const TAttempt &A) {
+    return A.T == T && A.refutes();
+  });
+}
+
+bool SchedulerResult::refutesBelow(int T) const {
+  for (int Below = TLowerBound; Below < T; ++Below)
+    if (!refutes(Below))
+      return false;
+  return true;
 }
 
 std::string SchedulerResult::stopChain() const {

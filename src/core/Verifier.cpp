@@ -30,7 +30,7 @@ VerifyResult swp::verifySchedule(const Ddg &G, const MachineModel &Machine,
     return fail("start-time vector size mismatch");
   if (S.hasMapping() && static_cast<int>(S.Mapping.size()) != N)
     return fail("mapping vector size mismatch");
-  if (!G.isWellFormed(Machine.numTypes()) || !Machine.acceptsDdg(G))
+  if (!Machine.acceptsDdg(G))
     return fail("malformed DDG for this machine");
 
   for (int I = 0; I < N; ++I)

@@ -31,13 +31,12 @@ int MachineModel::globalUnitIndex(int R, int Unit) const {
 }
 
 bool MachineModel::acceptsDdg(const Ddg &G) const {
-  for (const DdgNode &N : G.nodes()) {
-    if (N.OpClass < 0 || N.OpClass >= numTypes())
-      return false;
+  if (!G.isWellFormed(numTypes())) // Also range-checks every OpClass.
+    return false;
+  for (const DdgNode &N : G.nodes())
     if (N.Variant < 0 ||
         N.Variant >= Types[static_cast<size_t>(N.OpClass)].numVariants())
       return false;
-  }
   return true;
 }
 

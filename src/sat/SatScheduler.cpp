@@ -2,19 +2,17 @@
 
 #include "swp/sat/SatScheduler.h"
 
-#include "swp/core/Verifier.h"
-#include "swp/ddg/Analysis.h"
 #include "swp/support/FaultInjector.h"
 #include "swp/support/Stopwatch.h"
 
-#include <algorithm>
+#include <optional>
 
 using namespace swp;
 
 SatScheduler::SatScheduler(const Ddg &Graph, const MachineModel &M,
                            MappingKind Kind)
     : G(Graph), Machine(M), Mapping(Kind) {
-  Valid = G.isWellFormed(Machine.numTypes()) && Machine.acceptsDdg(G);
+  Valid = Machine.acceptsDdg(G);
   if (Valid) {
     Solver = std::make_unique<CdclSolver>();
     Encoder = std::make_unique<CnfEncoder>(G, Machine, Mapping, *Solver);
@@ -41,14 +39,10 @@ SatAttempt SatScheduler::solveAtT(int T, double TimeLimitSec,
   };
 
   if (!Valid || T < 1) {
-    A.Error = Status(StatusCode::InvalidInput,
-                     T < 1 && Valid
-                         ? "initiation interval T must be >= 1"
-                         : "DDG is malformed or uses op classes the machine "
-                           "does not define")
-                  .withPhase("sat-schedule-at-t")
-                  .withT(T)
-                  .withInstance(G.name());
+    A.Error = Valid ? Status(StatusCode::InvalidInput,
+                             "initiation interval T must be >= 1")
+                    : invalidLoopError(G);
+    A.Error.withPhase("sat-schedule-at-t").withT(T).withInstance(G.name());
     return finish(MilpStatus::Error, SearchStop::Fault);
   }
 
@@ -125,81 +119,26 @@ SatAttempt SatScheduler::solveAtT(int T, double TimeLimitSec,
   }
 }
 
+TStepResult swp::satStepResult(SatAttempt A) {
+  TStepResult R;
+  R.Attempt.Status = A.Status;
+  R.Attempt.StopReason = A.Stop;
+  R.Attempt.Seconds = A.Seconds;
+  R.Attempt.Nodes = A.Conflicts;
+  R.Schedule = std::move(A.Schedule);
+  R.Error = std::move(A.Error);
+  return R;
+}
+
 SchedulerResult swp::satScheduleLoop(const Ddg &G, const MachineModel &Machine,
                                      const SchedulerOptions &Opts) {
-  SchedulerResult Result;
-  if (!G.isWellFormed(Machine.numTypes()) || !Machine.acceptsDdg(G)) {
-    Result.Error = Status(StatusCode::InvalidInput,
-                          "DDG is malformed or uses op classes the machine "
-                          "does not define")
-                       .withPhase("sat-driver")
-                       .withInstance(G.name());
-    return Result;
-  }
-  Result.TDep = recurrenceMii(G);
-  Result.TRes = Machine.resourceMii(G);
-  Result.TLowerBound = std::max({1, Result.TDep, Result.TRes});
-
-  const std::uint64_t FiredBefore = FaultInjector::instance().totalFired();
-  Stopwatch Total;
-  SatScheduler Engine(G, Machine, Opts.Mapping);
-  bool AllBelowProven = true;
-  for (int T = Result.TLowerBound;
-       T <= Result.TLowerBound + Opts.MaxTSlack; ++T) {
-    if (Opts.Cancel.cancelled()) {
-      Result.Cancelled = true;
-      break;
-    }
-    TAttempt Attempt;
-    Attempt.T = T;
-    if (!Machine.moduloFeasible(G, T)) {
-      Attempt.ModuloSkipped = true;
-      Attempt.Status = MilpStatus::Infeasible;
-      Result.Attempts.push_back(Attempt);
-      continue;
-    }
-
-    SatAttempt A = Engine.solveAtT(T, Opts.TimeLimitPerT, Opts.NodeLimitPerT,
-                                   Opts.Cancel);
-    Attempt.Status = A.Status;
-    Attempt.StopReason = A.Stop;
-    Attempt.Seconds = A.Seconds;
-    Attempt.Nodes = A.Conflicts;
-    Result.TotalNodes += A.Conflicts;
-    Result.Attempts.push_back(Attempt);
-
-    if (A.Stop == SearchStop::Cancelled)
-      Result.Cancelled = true;
-
-    if (A.Status == MilpStatus::Error) {
-      if (Result.Error.isOk())
-        Result.Error = A.Error;
-      AllBelowProven = false;
-      if (A.Error.code() == StatusCode::InvalidInput)
-        break;
-      continue;
-    }
-
-    if (A.Status == MilpStatus::Optimal ||
-        A.Status == MilpStatus::Feasible) {
-      if (Opts.VerifySchedules) {
-        VerifyResult V = verifySchedule(G, Machine, A.Schedule);
-        if (!V.Ok) {
-          Result.VerifyFailed = true;
-          break;
-        }
-      }
-      Result.Schedule = std::move(A.Schedule);
-      Result.ProvenRateOptimal = AllBelowProven;
-      break;
-    }
-    if (A.Status != MilpStatus::Infeasible)
-      AllBelowProven = false;
-    if (Result.Cancelled)
-      break;
-  }
-  Result.FaultsSeen =
-      FaultInjector::instance().totalFired() > FiredBefore;
-  Result.TotalSeconds = Total.seconds();
-  return Result;
+  // Built at the first attempted T, inside the sweep's clock, so the
+  // T-independent encoding counts toward TotalSeconds.
+  std::optional<SatScheduler> Engine;
+  return searchRateOptimal(G, Machine, Opts, [&](int T) {
+    if (!Engine)
+      Engine.emplace(G, Machine, Opts.Mapping);
+    return satStepResult(Engine->solveAtT(T, Opts.TimeLimitPerT,
+                                          Opts.NodeLimitPerT, Opts.Cancel));
+  });
 }

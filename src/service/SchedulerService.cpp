@@ -37,44 +37,21 @@ namespace {
 bool decisive(const SchedulerResult &R) {
   if (R.found())
     return true;
-  if (!R.Error.isOk() || R.Cancelled || R.FaultsSeen || R.Attempts.empty())
-    return false;
-  for (const TAttempt &A : R.Attempts)
-    if (A.Status != MilpStatus::Infeasible || A.StopReason != SearchStop::None)
-      return false;
-  return true;
+  return R.Error.isOk() && !R.Cancelled && !R.FaultsSeen &&
+         !R.Attempts.empty() && R.refutesBelow(R.Attempts.back().T + 1);
 }
 
-/// Cross-engine proof merge: the losing engine's clean per-T infeasibility
-/// proofs below the winner's T upgrade the winner to ProvenRateOptimal.
-/// Requires a fault-free loser run — a proof produced while the injector
-/// was firing is not trusted (mirrors the driver's own downgrade).
+/// Cross-engine proof merge: the losing engine's refutations of the T below
+/// the winner's upgrade the winner to ProvenRateOptimal.  Requires a
+/// fault-free loser run — a proof produced while the injector was firing
+/// is not trusted (mirrors the driver's own downgrade).
 bool mergeCrossEngineProof(SchedulerResult &Winner,
                            const SchedulerResult &Loser) {
   if (!Winner.found() || Winner.ProvenRateOptimal || Loser.FaultsSeen ||
       Winner.TLowerBound <= 0)
     return false;
-  const int NeedFrom = Winner.TLowerBound, NeedTo = Winner.Schedule.T;
-  if (NeedTo <= NeedFrom) {
-    Winner.ProvenRateOptimal = true; // Sitting on the lower bound.
-    return true;
-  }
-  std::vector<char> Proven(static_cast<std::size_t>(NeedTo - NeedFrom), 0);
-  auto Mark = [&](const TAttempt &A) {
-    if (A.T < NeedFrom || A.T >= NeedTo)
-      return;
-    // ModuloSkipped is a sound analytic proof; otherwise require a clean
-    // (uncensored) Infeasible verdict.
-    if (A.Status == MilpStatus::Infeasible &&
-        (A.ModuloSkipped || A.StopReason == SearchStop::None))
-      Proven[static_cast<std::size_t>(A.T - NeedFrom)] = 1;
-  };
-  for (const TAttempt &A : Winner.Attempts)
-    Mark(A);
-  for (const TAttempt &A : Loser.Attempts)
-    Mark(A);
-  for (char P : Proven)
-    if (!P)
+  for (int T = Winner.TLowerBound; T < Winner.Schedule.T; ++T)
+    if (!Winner.refutes(T) && !Loser.refutes(T))
       return false;
   Winner.ProvenRateOptimal = true;
   return true;
@@ -202,13 +179,9 @@ SchedulerResult swp::portfolioSchedule(const Ddg &G,
 
   // Validate before the heuristic leg: IMS and the analyses it runs assert
   // on malformed DDGs, and the ILP leg would reject them anyway.
-  if (!G.isWellFormed(Machine.numTypes()) || !Machine.acceptsDdg(G)) {
+  if (!Machine.acceptsDdg(G)) {
     SchedulerResult R;
-    R.Error = Status(StatusCode::InvalidInput,
-                     "DDG is malformed or uses op classes the machine does "
-                     "not define")
-                  .withPhase("portfolio")
-                  .withInstance(G.name());
+    R.Error = invalidLoopError(G).withPhase("portfolio");
     R.TotalSeconds = Total.seconds();
     Outcome(PortfolioOutcome::NothingFound);
     return R;
@@ -239,15 +212,13 @@ SchedulerResult swp::portfolioSchedule(const Ddg &G,
     Incumbent = ModuloSchedule();
   }
 
-  SchedulerResult R;
-  R.TDep = Ims.TDep;
-  R.TRes = Ims.TRes;
-  R.TLowerBound = Ims.TLowerBound;
-  R.VerifyFailed = HeurVerifyFailed;
-
-  if (Incumbent.T > 0 && Incumbent.T == R.TLowerBound) {
+  if (Incumbent.T > 0 && Incumbent.T == Ims.TLowerBound) {
     // The incumbent sits on the lower bound: it is rate-optimal by
     // construction, so the ILP leg loses the race unstarted.
+    SchedulerResult R;
+    R.TDep = Ims.TDep;
+    R.TRes = Ims.TRes;
+    R.TLowerBound = Ims.TLowerBound;
     R.Schedule = std::move(Incumbent);
     R.ProvenRateOptimal = true;
     StampFaults(R);
@@ -262,40 +233,25 @@ SchedulerResult swp::portfolioSchedule(const Ddg &G,
   SchedulerOptions IlpOpts = Opts;
   if (Incumbent.T > 0)
     IlpOpts.MaxTSlack =
-        std::min(Opts.MaxTSlack, Incumbent.T - 1 - R.TLowerBound);
+        std::min(Opts.MaxTSlack, Incumbent.T - 1 - Ims.TLowerBound);
   SchedulerResult Ilp = exactSchedule(G, Machine, IlpOpts, Engine, RaceOut);
   Ilp.VerifyFailed = Ilp.VerifyFailed || HeurVerifyFailed;
-  if (Ilp.found()) {
-    StampFaults(Ilp);
-    Ilp.TotalSeconds = Total.seconds();
-    Outcome(PortfolioOutcome::IlpWon);
-    return Ilp;
+  PortfolioOutcome Settled = PortfolioOutcome::IlpWon;
+  if (!Ilp.found() && Incumbent.T > 0) {
+    // Fall back to the heuristic incumbent: the exact leg's result, with
+    // its attempts and effort, answers with the incumbent instead.  It is
+    // proven rate-optimal exactly when the exact leg refuted every smaller
+    // T.
+    Ilp.Schedule = std::move(Incumbent);
+    Ilp.ProvenRateOptimal = Ilp.refutesBelow(Ilp.Schedule.T);
+    Settled = PortfolioOutcome::FellBackToHeuristic;
+  } else if (!Ilp.found()) {
+    Settled = PortfolioOutcome::NothingFound;
   }
-
-  if (Incumbent.T == 0) {
-    StampFaults(Ilp);
-    Ilp.TotalSeconds = Total.seconds();
-    Outcome(PortfolioOutcome::NothingFound);
-    return Ilp;
-  }
-
-  // Fall back to the heuristic incumbent.  It is proven rate-optimal
-  // exactly when the ILP leg conclusively refuted every smaller T.
-  R.Attempts = std::move(Ilp.Attempts);
-  R.TotalNodes = Ilp.TotalNodes;
-  R.Cancelled = Ilp.Cancelled;
-  R.Error = Ilp.Error;
-  bool AllBelowProven =
-      !Ilp.Cancelled && static_cast<int>(R.Attempts.size()) ==
-                            Incumbent.T - R.TLowerBound;
-  for (const TAttempt &A : R.Attempts)
-    AllBelowProven = AllBelowProven && A.Status == MilpStatus::Infeasible;
-  R.Schedule = std::move(Incumbent);
-  R.ProvenRateOptimal = AllBelowProven;
-  StampFaults(R);
-  R.TotalSeconds = Total.seconds();
-  Outcome(PortfolioOutcome::FellBackToHeuristic);
-  return R;
+  StampFaults(Ilp);
+  Ilp.TotalSeconds = Total.seconds();
+  Outcome(Settled);
+  return Ilp;
 }
 
 SchedulerResult swp::runHeuristicLadder(const Ddg &G,
@@ -303,12 +259,8 @@ SchedulerResult swp::runHeuristicLadder(const Ddg &G,
                                         int MaxTSlack) {
   Stopwatch Total;
   SchedulerResult R;
-  if (!G.isWellFormed(Machine.numTypes()) || !Machine.acceptsDdg(G)) {
-    R.Error = Status(StatusCode::InvalidInput,
-                     "DDG is malformed or uses op classes the machine does "
-                     "not define")
-                  .withPhase("heuristic-ladder")
-                  .withInstance(G.name());
+  if (!Machine.acceptsDdg(G)) {
+    R.Error = invalidLoopError(G).withPhase("heuristic-ladder");
     R.TotalSeconds = Total.seconds();
     return R;
   }
@@ -485,11 +437,9 @@ SchedulerResult SchedulerService::scheduleOne(const Ddg &G,
           R.TRes = Rung.TRes;
           R.TLowerBound = Rung.TLowerBound;
         }
-        // T_lb comes from fault-free analysis, so a rung schedule sitting
-        // on it is rate-optimal by construction even though the ILP search
-        // was not trustworthy.
-        R.ProvenRateOptimal =
-            R.TLowerBound > 0 && R.Schedule.T == R.TLowerBound;
+        // A rung schedule sitting on the fault-free T_lb is rate-optimal by
+        // construction even though the ILP search was not trustworthy.
+        R.ProvenRateOptimal = Rung.ProvenRateOptimal;
       }
     }
   }

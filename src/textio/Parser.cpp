@@ -453,7 +453,7 @@ bool swp::parseLoop(const std::string &Text, const MachineModel &Machine,
     Err = lineError(LineNo, "loop has no nodes");
     return false;
   }
-  if (!G.isWellFormed(Machine.numTypes()) || !Machine.acceptsDdg(G)) {
+  if (!Machine.acceptsDdg(G)) {
     Err = lineError(LineNo,
                     "loop is malformed for this machine (zero-distance "
                     "cycle?)");

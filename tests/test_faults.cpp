@@ -1,7 +1,8 @@
 //===- test_faults.cpp - Failure-domain tests -----------------------------===//
 //
 // The fault injector itself (spec parsing, deterministic firing, counters),
-// typed Status propagation out of the solver stack, and the service-level
+// typed Status propagation out of the solver stack, the shared T-sweep's
+// proof accounting under a scripted per-T step, and the service-level
 // guarantees under injected faults: the watchdog retries transient
 // failures, the fallback ladder degrades to a verified heuristic schedule,
 // faulted results are never cached and never claim censored-proof
@@ -277,6 +278,90 @@ TEST(DriverFaults, InvalidInputIsTypedWithoutInjection) {
             MilpStatus::Error)
       << "T below 1 is invalid";
   EXPECT_EQ(Error.code(), StatusCode::InvalidInput);
+}
+
+//===----------------------------------------------------------------------===//
+// The shared T-sweep's proof accounting, driven by a scripted step
+//===----------------------------------------------------------------------===//
+
+TEST(SweepAccounting, ScriptedStepsFollowTheProofRules) {
+  MachineModel M = ppc604Like();
+  Ddg G = generateRandomLoop(M, 11, {});
+  const int TLb = std::max({1, recurrenceMii(G), M.resourceMii(G)});
+  ASSERT_TRUE(M.moduloFeasible(G, TLb));
+  ASSERT_TRUE(M.moduloFeasible(G, TLb + 1));
+  // A schedule at T_lb + 1 that really verifies, and a copy the verifier
+  // rejects.
+  ModuloSchedule Good;
+  MilpStatus GoodSt = scheduleAtT(G, M, TLb + 1, fastOptions(), Good);
+  ASSERT_TRUE(GoodSt == MilpStatus::Optimal || GoodSt == MilpStatus::Feasible);
+  ASSERT_TRUE(verifySchedule(G, M, Good).Ok);
+  ModuloSchedule Rejected = Good;
+  Rejected.StartTime[0] = -1;
+  ASSERT_FALSE(verifySchedule(G, M, Rejected).Ok);
+
+  // The step's answer at T_lb; at T_lb + 1 it returns Good.
+  struct Case {
+    const char *Name;
+    MilpStatus Verdict;
+    SearchStop Stop;
+    StatusCode Error;
+    bool ReturnsRejected;
+    // Expectations.
+    bool Found, Proven, VerifyFailed, Cancelled;
+    int Attempts;
+  };
+  const Case Cases[] = {
+      {"refuted", MilpStatus::Infeasible, SearchStop::None, StatusCode::Ok,
+       false, true, true, false, false, 2},
+      {"node-limit", MilpStatus::Unknown, SearchStop::NodeLimit,
+       StatusCode::Ok, false, true, false, false, false, 2},
+      {"censored-infeasible", MilpStatus::Infeasible, SearchStop::TimeLimit,
+       StatusCode::Ok, false, true, false, false, false, 2},
+      {"transient-error", MilpStatus::Error, SearchStop::Fault,
+       StatusCode::ResourceExhausted, false, true, false, false, false, 2},
+      {"invalid-input", MilpStatus::Error, SearchStop::Fault,
+       StatusCode::InvalidInput, false, false, false, false, false, 1},
+      {"verifier-rejects", MilpStatus::Optimal, SearchStop::None,
+       StatusCode::Ok, true, false, false, true, false, 1},
+      {"cancelled", MilpStatus::Unknown, SearchStop::Cancelled,
+       StatusCode::Ok, false, false, false, false, true, 1},
+  };
+  for (const Case &C : Cases) {
+    int Calls = 0;
+    SchedulerResult R =
+        searchRateOptimal(G, M, fastOptions(), [&](int T) {
+          ++Calls;
+          TStepResult Answer;
+          Answer.Attempt.Nodes = 3;
+          if (T == TLb + 1) {
+            Answer.Attempt.Status = MilpStatus::Optimal;
+            Answer.Schedule = Good;
+            return Answer;
+          }
+          Answer.Attempt.Status = C.Verdict;
+          Answer.Attempt.StopReason = C.Stop;
+          if (C.Error != StatusCode::Ok)
+            Answer.Error = Status(C.Error, "scripted").withT(T);
+          if (C.ReturnsRejected)
+            Answer.Schedule = Rejected;
+          return Answer;
+        });
+    EXPECT_EQ(R.TLowerBound, TLb) << C.Name;
+    EXPECT_EQ(R.found(), C.Found) << C.Name;
+    if (C.Found)
+      EXPECT_EQ(R.Schedule.T, TLb + 1) << C.Name;
+    EXPECT_EQ(R.ProvenRateOptimal, C.Proven) << C.Name;
+    EXPECT_EQ(R.VerifyFailed, C.VerifyFailed) << C.Name;
+    EXPECT_EQ(R.Cancelled, C.Cancelled) << C.Name;
+    EXPECT_EQ(R.Error.code(), C.Error) << C.Name << ": first error kept";
+    ASSERT_FALSE(R.Attempts.empty()) << C.Name;
+    EXPECT_EQ(static_cast<int>(R.Attempts.size()), C.Attempts) << C.Name;
+    EXPECT_EQ(Calls, C.Attempts) << C.Name << ": the sweep stopped there";
+    EXPECT_EQ(R.Attempts[0].T, TLb) << C.Name;
+    EXPECT_EQ(R.TotalNodes, 3 * C.Attempts) << C.Name;
+    EXPECT_FALSE(R.FaultsSeen) << C.Name;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -451,6 +451,47 @@ TEST(SchedulerService, PortfolioAgreesWithSerialIlp) {
       << "every cold portfolio job settles one way";
 }
 
+TEST(SchedulerService, PortfolioFallbackKeepsExactLegLpEffort) {
+  // loop-0324 (3 nodes, T_lb 4): the exact leg refutes T = 4 and 5, so the
+  // heuristic incumbent at T = 6 stands, proven.  The LP work behind those
+  // refutations must reach the result and the service's counters.
+  MachineModel M = ppc604Like();
+  CorpusOptions COpts;
+  COpts.NumLoops = 400;
+  COpts.MaxNodes = 16;
+  const Ddg G = generateCorpus(M, COpts)[324];
+  ASSERT_EQ(G.name(), "loop-0324");
+  SchedulerOptions SOpts;
+  SOpts.TimeLimitPerT = 1e9; // Only deterministic limits.
+  SOpts.NodeLimitPerT = 2000;
+
+  PortfolioOutcome Outcome = PortfolioOutcome::NothingFound;
+  SchedulerResult P = portfolioSchedule(G, M, SOpts, &Outcome);
+  ASSERT_EQ(Outcome, PortfolioOutcome::FellBackToHeuristic);
+  ASSERT_EQ(P.TLowerBound, 4);
+  ASSERT_EQ(P.Schedule.T, 6);
+  EXPECT_TRUE(P.ProvenRateOptimal);
+
+  SchedulerOptions Narrow = SOpts;
+  Narrow.MaxTSlack = P.Schedule.T - 1 - P.TLowerBound;
+  SchedulerResult Exact = scheduleLoop(G, M, Narrow);
+  EXPECT_FALSE(Exact.found());
+  EXPECT_GT(Exact.TotalLp.Pivots, 0);
+  EXPECT_EQ(P.TotalLp.Pivots, Exact.TotalLp.Pivots);
+  EXPECT_EQ(P.TotalLp.Refactorizations, Exact.TotalLp.Refactorizations);
+  EXPECT_EQ(P.TotalLp.Solves, Exact.TotalLp.Solves);
+  EXPECT_EQ(P.TotalLp.WarmSolves, Exact.TotalLp.WarmSolves);
+
+  ServiceOptions SvcOpts;
+  SvcOpts.Jobs = 1;
+  SvcOpts.Sched = SOpts;
+  SvcOpts.Portfolio = true;
+  SchedulerService Svc(M, SvcOpts);
+  EXPECT_EQ(Svc.submit(G).get().Schedule.T, 6);
+  EXPECT_EQ(Svc.stats().LpPivots,
+            static_cast<std::uint64_t>(Exact.TotalLp.Pivots));
+}
+
 TEST(SchedulerService, CancelAllResolvesEverything) {
   MachineModel M = ppc604Like();
   std::vector<Ddg> Corpus = corpusSlice(32);

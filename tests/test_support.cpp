@@ -1,7 +1,6 @@
 //===- test_support.cpp - Support library unit tests ----------------------===//
 
 #include "swp/support/Format.h"
-#include "swp/support/Rational.h"
 #include "swp/support/Rng.h"
 #include "swp/support/Statistics.h"
 #include "swp/support/Stopwatch.h"
@@ -10,57 +9,6 @@
 #include <gtest/gtest.h>
 
 using namespace swp;
-
-TEST(Rational, NormalizesSignAndGcd) {
-  Rational R(4, -6);
-  EXPECT_EQ(R.num(), -2);
-  EXPECT_EQ(R.den(), 3);
-  EXPECT_EQ(Rational(0, 5).num(), 0);
-  EXPECT_EQ(Rational(0, 5).den(), 1);
-}
-
-TEST(Rational, FloorCeilPositive) {
-  EXPECT_EQ(Rational(7, 2).floor(), 3);
-  EXPECT_EQ(Rational(7, 2).ceil(), 4);
-  EXPECT_EQ(Rational(8, 2).floor(), 4);
-  EXPECT_EQ(Rational(8, 2).ceil(), 4);
-}
-
-TEST(Rational, FloorCeilNegative) {
-  EXPECT_EQ(Rational(-7, 2).floor(), -4);
-  EXPECT_EQ(Rational(-7, 2).ceil(), -3);
-  EXPECT_EQ(Rational(-8, 2).floor(), -4);
-  EXPECT_EQ(Rational(-8, 2).ceil(), -4);
-}
-
-TEST(Rational, Arithmetic) {
-  Rational A(1, 3), B(1, 6);
-  EXPECT_EQ(A + B, Rational(1, 2));
-  EXPECT_EQ(A - B, Rational(1, 6));
-  EXPECT_EQ(A * B, Rational(1, 18));
-  EXPECT_EQ(A / B, Rational(2));
-  EXPECT_EQ(-A, Rational(-1, 3));
-}
-
-TEST(Rational, Comparisons) {
-  EXPECT_LT(Rational(1, 3), Rational(1, 2));
-  EXPECT_GT(Rational(5, 2), Rational(2));
-  EXPECT_LE(Rational(2), Rational(2));
-  EXPECT_GE(Rational(-1, 2), Rational(-1));
-  EXPECT_NE(Rational(1, 3), Rational(1, 4));
-}
-
-TEST(Rational, StrRendersIntegerAndFraction) {
-  EXPECT_EQ(Rational(6, 3).str(), "2");
-  EXPECT_EQ(Rational(5, 3).str(), "5/3");
-  EXPECT_EQ(Rational(-5, 3).str(), "-5/3");
-}
-
-TEST(Rational, IsIntegerAndToDouble) {
-  EXPECT_TRUE(Rational(4, 2).isInteger());
-  EXPECT_FALSE(Rational(1, 2).isInteger());
-  EXPECT_DOUBLE_EQ(Rational(1, 4).toDouble(), 0.25);
-}
 
 TEST(Rng, Deterministic) {
   Rng A(42), B(42);

@@ -292,6 +292,20 @@ int runConnect(const std::string &SocketPath, const std::string &Tenant,
   return AnyBad ? 1 : AnyShed ? 3 : 0;
 }
 
+/// The exact engine behind an ilp|sat|race|portfolio --scheduler name (the
+/// portfolio anchors on the ILP); false for the heuristic schedulers.
+bool exactEngineFor(const std::string &Scheduler, ExactEngine &Engine) {
+  if (Scheduler == "ilp" || Scheduler == "portfolio")
+    Engine = ExactEngine::Ilp;
+  else if (Scheduler == "sat")
+    Engine = ExactEngine::Sat;
+  else if (Scheduler == "race")
+    Engine = ExactEngine::Race;
+  else
+    return false;
+  return true;
+}
+
 int runBatch(const std::string &BatchDir, const MachineModel &Machine,
              const ServiceOptions &SvcOpts, const std::string &Format,
              const std::string &LoadCacheDir,
@@ -522,9 +536,10 @@ int main(int Argc, char **Argv) {
                                          : MappingKind::RunTime;
   SchedOpts.MinimizeBuffers = MinBuffers;
 
+  ExactEngine Engine = ExactEngine::Ilp;
+  const bool Exact = exactEngineFor(Scheduler, Engine);
   if (!BatchDir.empty()) {
-    if (Scheduler != "ilp" && Scheduler != "sat" && Scheduler != "race" &&
-        Scheduler != "portfolio") {
+    if (!Exact) {
       std::fprintf(
           stderr,
           "error: --batch supports --scheduler ilp|sat|race|portfolio\n");
@@ -534,10 +549,7 @@ int main(int Argc, char **Argv) {
     SvcOpts.Jobs = Jobs;
     SvcOpts.Sched = SchedOpts;
     SvcOpts.Portfolio = Scheduler == "portfolio";
-    if (Scheduler == "sat")
-      SvcOpts.Engine = ExactEngine::Sat;
-    else if (Scheduler == "race")
-      SvcOpts.Engine = ExactEngine::Race;
+    SvcOpts.Engine = Engine;
     SvcOpts.DeadlinePerLoop = Deadline;
     return runBatch(BatchDir, Machine, SvcOpts, Format, LoadCacheDir,
                     SaveCacheDir);
@@ -570,71 +582,43 @@ int main(int Argc, char **Argv) {
   if (wantArtifact(Prints, "dot"))
     std::printf("%s\n", toDot(Loop).c_str());
 
-  ModuloSchedule Schedule;
-  int TLb = 0;
-  bool Proven = false;
-  double Seconds = 0.0;
-  std::int64_t Nodes = 0;
-  bool Cancelled = false, VerifyFailed = false;
-  if (Scheduler == "ilp" || Scheduler == "sat" || Scheduler == "race" ||
-      Scheduler == "portfolio") {
-    SchedulerResult R;
-    if (Scheduler == "portfolio")
-      R = portfolioSchedule(Loop, Machine, SchedOpts);
-    else if (Scheduler == "sat")
-      R = exactSchedule(Loop, Machine, SchedOpts, ExactEngine::Sat);
-    else if (Scheduler == "race")
-      R = exactSchedule(Loop, Machine, SchedOpts, ExactEngine::Race);
-    else
-      R = scheduleLoop(Loop, Machine, SchedOpts);
-    TLb = R.TLowerBound;
-    Proven = R.ProvenRateOptimal;
-    Seconds = R.TotalSeconds;
-    Nodes = R.TotalNodes;
-    Cancelled = R.Cancelled;
-    VerifyFailed = R.VerifyFailed;
-    if (R.found())
-      Schedule = std::move(R.Schedule);
+  // Every scheduler answers as one SchedulerResult; the heuristics fill
+  // its schedule, T_lb and (enum) proof flag.
+  SchedulerResult R;
+  if (Scheduler == "portfolio") {
+    R = portfolioSchedule(Loop, Machine, SchedOpts);
+  } else if (Exact) {
+    R = exactSchedule(Loop, Machine, SchedOpts, Engine);
   } else if (Scheduler == "ims") {
-    ImsResult R = iterativeModuloSchedule(Loop, Machine);
-    TLb = R.TLowerBound;
-    if (R.found())
-      Schedule = std::move(R.Schedule);
+    ImsResult H = iterativeModuloSchedule(Loop, Machine);
+    R.Schedule = std::move(H.Schedule);
+    R.TLowerBound = H.TLowerBound;
   } else if (Scheduler == "slack") {
-    SlackResult R = slackModuloSchedule(Loop, Machine);
-    TLb = R.TLowerBound;
-    if (R.found())
-      Schedule = std::move(R.Schedule);
+    SlackResult H = slackModuloSchedule(Loop, Machine);
+    R.Schedule = std::move(H.Schedule);
+    R.TLowerBound = H.TLowerBound;
   } else if (Scheduler == "enum") {
     EnumOptions Opts;
     Opts.TimeLimitPerT = TimeLimit;
-    EnumResult R = enumerativeSchedule(Loop, Machine, Opts);
-    TLb = R.TLowerBound;
-    Proven = R.ProvenRateOptimal;
-    if (R.found())
-      Schedule = std::move(R.Schedule);
+    EnumResult H = enumerativeSchedule(Loop, Machine, Opts);
+    R.Schedule = std::move(H.Schedule);
+    R.TLowerBound = H.TLowerBound;
+    R.ProvenRateOptimal = H.ProvenRateOptimal;
   } else {
     return usage(Argv[0]);
   }
+  const ModuloSchedule &Schedule = R.Schedule;
 
   if (Format == "json") {
-    SchedulerResult Summary;
-    Summary.Schedule = Schedule;
-    Summary.TLowerBound = TLb;
-    Summary.ProvenRateOptimal = Proven;
-    Summary.TotalSeconds = Seconds;
-    Summary.TotalNodes = Nodes;
-    Summary.Cancelled = Cancelled;
-    Summary.VerifyFailed = VerifyFailed;
-    std::printf("%s\n", resultJson(Loop.name(), Summary).c_str());
-    if (Schedule.T == 0)
+    std::printf("%s\n", resultJson(Loop.name(), R).c_str());
+    if (!R.found())
       return 1;
     VerifyResult V = verifySchedule(Loop, Machine, Schedule);
     return V.Ok ? 0 : 1;
   }
 
-  if (Schedule.T == 0) {
-    std::fprintf(stderr, "no schedule found (T_lb = %d)\n", TLb);
+  if (!R.found()) {
+    std::fprintf(stderr, "no schedule found (T_lb = %d)\n", R.TLowerBound);
     return 1;
   }
   VerifyResult V = verifySchedule(Loop, Machine, Schedule);
@@ -647,7 +631,7 @@ int main(int Argc, char **Argv) {
   std::printf("loop %s on machine %s: II = %d (T_dep %d, T_res %d)%s\n",
               Loop.name().c_str(), Machine.name().c_str(), Schedule.T,
               recurrenceMii(Loop), Machine.resourceMii(Loop),
-              Proven ? ", proven rate-optimal" : "");
+              R.ProvenRateOptimal ? ", proven rate-optimal" : "");
   if (Schedule.hasMapping()) {
     std::printf("mapping:");
     for (int I = 0; I < Loop.numNodes(); ++I)
