@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <span>
-#include <vector>
 
 namespace swp {
 
@@ -94,7 +93,10 @@ struct SatStats {
   std::int64_t InjectedFaults = 0;
 };
 
-/// The solver.  Not thread-safe; one instance per scheduling job.
+/// The solver.  Not thread-safe; one instance per scheduling job.  Its
+/// storage is recycled: a destroyed solver parks its store, reset, in a
+/// per-thread slot, and the next solver built on that thread takes it
+/// (DESIGN.md Section 10, "Storage reuse").
 class CdclSolver {
 public:
   CdclSolver();
@@ -136,9 +138,7 @@ public:
   }
 
   /// Model value of \p Var after a Sat answer.
-  bool modelValue(int Var) const {
-    return Model[static_cast<std::size_t>(Var)] > 0;
-  }
+  bool modelValue(int Var) const;
 
   /// What stopped the last solve() (SatStop::None unless it was Unknown).
   SatStop lastStop() const { return LastStop; }
@@ -157,7 +157,6 @@ private:
   bool Ok = true;
   SatStop LastStop = SatStop::None;
   SatStats Stats;
-  std::vector<std::int8_t> Model;
 };
 
 } // namespace swp

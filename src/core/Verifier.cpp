@@ -59,24 +59,22 @@ VerifyResult swp::verifySchedule(const Ddg &G, const MachineModel &Machine,
     // Exact per-unit conflict check via reservation-table offset deltas.
     for (int R = 0; R < Machine.numTypes(); ++R) {
       const FuType &Ty = Machine.type(R);
-      std::vector<int> Ops = G.nodesOfClass(R);
-      for (size_t A = 0; A < Ops.size(); ++A) {
-        int U = S.Mapping[static_cast<size_t>(Ops[A])];
+      for (int A = 0; A < N; ++A) {
+        if (G.node(A).OpClass != R)
+          continue;
+        int U = S.Mapping[static_cast<size_t>(A)];
         if (U < 0 || U >= Ty.Count)
           return fail(strFormat("instruction %s mapped to bad unit %d",
-                                G.node(Ops[A]).Name.c_str(), U));
-        for (size_t B = A + 1; B < Ops.size(); ++B) {
-          if (S.Mapping[static_cast<size_t>(Ops[B])] != U)
+                                G.node(A).Name.c_str(), U));
+        for (int B = A + 1; B < N; ++B) {
+          if (G.node(B).OpClass != R || S.Mapping[static_cast<size_t>(B)] != U)
             continue;
-          int Delta =
-              ((S.offset(Ops[B]) - S.offset(Ops[A])) % S.T + S.T) % S.T;
-          if (tablesConflictAtOffset(Machine.tableFor(G.node(Ops[A])),
-                                     Machine.tableFor(G.node(Ops[B])), Delta,
-                                     S.T))
-            return fail(strFormat(
-                "%s and %s collide on unit %s#%d",
-                G.node(Ops[A]).Name.c_str(), G.node(Ops[B]).Name.c_str(),
-                Ty.Name.c_str(), U));
+          int Delta = ((S.offset(B) - S.offset(A)) % S.T + S.T) % S.T;
+          if (tablesConflictAtOffset(Machine.tableFor(G.node(A)),
+                                     Machine.tableFor(G.node(B)), Delta, S.T))
+            return fail(strFormat("%s and %s collide on unit %s#%d",
+                                  G.node(A).Name.c_str(),
+                                  G.node(B).Name.c_str(), Ty.Name.c_str(), U));
         }
       }
     }
@@ -136,18 +134,19 @@ VerifyResult swp::verifySchedule(const Ddg &G, const MachineModel &Machine,
   }
 
   // Run-time mapping: aggregate per-(stage, slot) usage within capacity.
+  std::vector<int> Usage(static_cast<size_t>(S.T));
   for (int R = 0; R < Machine.numTypes(); ++R) {
     const FuType &Ty = Machine.type(R);
-    std::vector<int> Ops = G.nodesOfClass(R);
-    if (Ops.empty())
-      continue;
-    int MaxStages = 0;
-    for (int Op : Ops)
-      MaxStages = std::max(MaxStages,
-                           Machine.tableFor(G.node(Op)).numStages());
+    int MaxStages = 0; // Zero when no node uses the type.
+    for (int Op = 0; Op < N; ++Op)
+      if (G.node(Op).OpClass == R)
+        MaxStages = std::max(MaxStages,
+                             Machine.tableFor(G.node(Op)).numStages());
     for (int Stage = 0; Stage < MaxStages; ++Stage) {
-      std::vector<int> Usage(static_cast<size_t>(S.T), 0);
-      for (int Op : Ops) {
+      std::fill(Usage.begin(), Usage.end(), 0);
+      for (int Op = 0; Op < N; ++Op) {
+        if (G.node(Op).OpClass != R)
+          continue;
         const ReservationTable &Table = Machine.tableFor(G.node(Op));
         if (Stage >= Table.numStages())
           continue;

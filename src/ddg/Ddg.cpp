@@ -27,34 +27,42 @@ bool Ddg::isWellFormed(int NumOpClasses) const {
   // no legal execution order at all.  Kahn's count over the zero-distance
   // subgraph (successors as offset arrays) retires every node exactly when
   // that subgraph is acyclic; it is iterative, so an untrusted
-  // multi-megabyte chain cannot overflow a thread's stack.
+  // multi-megabyte chain cannot overflow a thread's stack.  One vector
+  // holds the successor offsets, the in-degrees, the successors and the
+  // ready stack (each node enters it at most once).
   const size_t Count = Nodes.size();
-  std::vector<int> SuccStart(Count + 1, 0), InDegree(Count, 0);
+  size_t ZeroEdges = 0;
+  for (const DdgEdge &E : Edges)
+    ZeroEdges += E.Distance == 0 ? 1 : 0;
+  std::vector<int> Work(3 * Count + 1 + ZeroEdges, 0);
+  int *SuccStart = Work.data();
+  int *InDegree = SuccStart + Count + 1;
+  int *Succ = InDegree + Count;
+  int *Ready = Succ + ZeroEdges;
   for (const DdgEdge &E : Edges)
     if (E.Distance == 0) {
-      ++SuccStart[static_cast<size_t>(E.Src) + 1];
+      ++SuccStart[static_cast<size_t>(E.Src)];
       ++InDegree[static_cast<size_t>(E.Dst)];
     }
-  for (size_t I = 0; I < Count; ++I)
-    SuccStart[I + 1] += SuccStart[I];
-  std::vector<int> Succ(static_cast<size_t>(SuccStart[Count]));
-  std::vector<int> Fill(SuccStart.begin(), SuccStart.end() - 1);
+  // The prefix sum makes SuccStart[U] the end of U's successors; filling
+  // them back to front moves it to their start.
+  for (size_t I = 1; I <= Count; ++I)
+    SuccStart[I] += SuccStart[I - 1];
   for (const DdgEdge &E : Edges)
     if (E.Distance == 0)
-      Succ[static_cast<size_t>(Fill[static_cast<size_t>(E.Src)]++)] = E.Dst;
+      Succ[--SuccStart[static_cast<size_t>(E.Src)]] = E.Dst;
 
-  std::vector<int> Ready;
+  size_t ReadyTop = 0;
   for (size_t I = 0; I < Count; ++I)
     if (InDegree[I] == 0)
-      Ready.push_back(static_cast<int>(I));
+      Ready[ReadyTop++] = static_cast<int>(I);
   size_t Retired = 0;
-  while (!Ready.empty()) {
-    const size_t U = static_cast<size_t>(Ready.back());
-    Ready.pop_back();
+  while (ReadyTop > 0) {
+    const size_t U = static_cast<size_t>(Ready[--ReadyTop]);
     ++Retired;
     for (int K = SuccStart[U]; K < SuccStart[U + 1]; ++K)
-      if (--InDegree[static_cast<size_t>(Succ[static_cast<size_t>(K)])] == 0)
-        Ready.push_back(Succ[static_cast<size_t>(K)]);
+      if (--InDegree[static_cast<size_t>(Succ[K])] == 0)
+        Ready[ReadyTop++] = Succ[K];
   }
   return Retired == Count;
 }

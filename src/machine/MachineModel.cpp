@@ -45,16 +45,16 @@ int MachineModel::resourceMii(const Ddg &G) const {
   int Best = 0;
   for (int R = 0; R < numTypes(); ++R) {
     const FuType &Ty = Types[static_cast<size_t>(R)];
-    std::vector<int> Ops = G.nodesOfClass(R);
-    if (Ops.empty())
-      continue;
-    int MaxStages = 0;
-    for (int Op : Ops)
-      MaxStages = std::max(MaxStages, tableFor(G.node(Op)).numStages());
+    int MaxStages = 0; // Zero when no node uses the type.
+    for (const DdgNode &N : G.nodes())
+      if (N.OpClass == R)
+        MaxStages = std::max(MaxStages, tableFor(N).numStages());
     for (int S = 0; S < MaxStages; ++S) {
       int Demand = 0; // Stage-cycles per iteration.
-      for (int Op : Ops) {
-        const ReservationTable &Table = tableFor(G.node(Op));
+      for (const DdgNode &N : G.nodes()) {
+        if (N.OpClass != R)
+          continue;
+        const ReservationTable &Table = tableFor(N);
         if (S < Table.numStages())
           Demand += static_cast<int>(Table.busyColumns(S).size());
       }

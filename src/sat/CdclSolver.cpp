@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <vector>
 
 using namespace swp;
 
@@ -27,6 +28,10 @@ double luby(double Y, int X) {
     X = X % Size;
   }
   return std::pow(Y, Seq);
+}
+
+template <typename T> std::size_t heapBytes(const std::vector<T> &V) {
+  return V.capacity() * sizeof(T);
 }
 
 } // namespace
@@ -62,8 +67,11 @@ struct CdclSolver::Impl {
   static constexpr double VarDecay = 0.95;
 
   /// Watch[L] = clauses to inspect when literal L becomes true (they watch
-  /// the negation of L).
+  /// the negation of L).  Only the first NumWatches lists (two per
+  /// variable) are in use; the lists past them are empty and keep the
+  /// capacity a recycled store brought along.
   std::vector<std::vector<ClauseRef>> Watches;
+  std::size_t NumWatches = 0;
 
   /// Assignment trail and per-level boundaries.
   std::vector<SatLit> Trail;
@@ -80,6 +88,98 @@ struct CdclSolver::Impl {
   std::vector<SatLit> AddBuf;
   /// The clause analyze() learns.
   std::vector<SatLit> LearntBuf;
+  /// Assignment of the last Sat answer.
+  std::vector<std::int8_t> Model;
+
+  // -- Storage reuse (DESIGN.md Section 10) -------------------------------
+
+  /// A store that keeps more capacity than this is freed, not parked.
+  static constexpr std::size_t MaxParkedBytes = std::size_t(1) << 20;
+
+  /// The calling thread's spare store.  Trivially destructible, so a
+  /// solver destroyed while its thread exits can still read it.
+  struct Slot {
+    Impl *Parked = nullptr;
+    /// Set once the thread's exit has freed the parked store.
+    bool Closed = false;
+  };
+  static Slot &slot() {
+    thread_local constinit Slot S;
+    return S;
+  }
+
+  /// Frees the parked store at thread exit and closes the slot, so a
+  /// solver destroyed later on the thread frees its own store.
+  struct SlotReaper {
+    ~SlotReaper() {
+      Slot &S = slot();
+      delete S.Parked;
+      S.Parked = nullptr;
+      S.Closed = true;
+    }
+  };
+
+  /// The thread's parked store if there is one, else a new one.
+  static Impl *acquire() {
+    Slot &S = slot();
+    if (Impl *Spare = S.Parked) {
+      S.Parked = nullptr;
+      return Spare;
+    }
+    return new Impl;
+  }
+
+  /// Parks \p Store, reset, in the thread's empty slot; frees it when the
+  /// slot is full or closed or the store exceeds MaxParkedBytes.
+  static void release(Impl *Store) {
+    Slot &S = slot();
+    if (S.Parked || S.Closed || Store->capacityBytes() > MaxParkedBytes) {
+      delete Store;
+      return;
+    }
+    thread_local SlotReaper Reaper; // Constructed by the thread's first park.
+    Store->reset();
+    S.Parked = Store;
+  }
+
+  /// Heap bytes the store's vectors hold, in use or not.
+  std::size_t capacityBytes() const {
+    std::size_t Sum =
+        heapBytes(Clauses) + heapBytes(Lits) + heapBytes(Assign) +
+        heapBytes(Level) + heapBytes(Reason) + heapBytes(Phase) +
+        heapBytes(Activity) + heapBytes(Watches) + heapBytes(Trail) +
+        heapBytes(TrailLim) + heapBytes(Heap) + heapBytes(HeapPos) +
+        heapBytes(Seen) + heapBytes(AddBuf) + heapBytes(LearntBuf) +
+        heapBytes(Model);
+    for (const std::vector<ClauseRef> &W : Watches)
+      Sum += heapBytes(W);
+    return Sum;
+  }
+
+  /// Returns the store to the state `new Impl` builds, keeping every
+  /// vector's capacity (each watch list's included).
+  void reset() {
+    Clauses.clear();
+    Lits.clear();
+    Assign.clear();
+    Level.clear();
+    Reason.clear();
+    Phase.clear();
+    Activity.clear();
+    VarInc = 1.0;
+    for (std::size_t L = 0; L < NumWatches; ++L)
+      Watches[L].clear();
+    NumWatches = 0;
+    Trail.clear();
+    TrailLim.clear();
+    QHead = 0;
+    Heap.clear();
+    HeapPos.clear();
+    Seen.clear();
+    AddBuf.clear();
+    LearntBuf.clear();
+    Model.clear();
+  }
 
   SatLit *lits(ClauseRef C) {
     return Lits.data() + Clauses[static_cast<std::size_t>(C)].Begin;
@@ -309,9 +409,9 @@ const char *swp::satStatusName(SatStatus S) {
   return "?";
 }
 
-CdclSolver::CdclSolver() : P(new Impl) {}
+CdclSolver::CdclSolver() : P(Impl::acquire()) {}
 
-CdclSolver::~CdclSolver() { delete P; }
+CdclSolver::~CdclSolver() { Impl::release(P); }
 
 int CdclSolver::newVars(int Count) {
   const int First = NumVars;
@@ -322,10 +422,14 @@ int CdclSolver::newVars(int Count) {
   P->Reason.resize(N, Impl::NoClause);
   P->Phase.resize(N, -1); // Decide false first (sparse placements).
   P->Activity.resize(N, 0.0);
-  P->Watches.resize(2 * N);
+  // Lists past NumWatches are empty already; growing Watches only when
+  // it is short keeps their capacities.
+  P->NumWatches = 2 * N;
+  if (P->Watches.size() < P->NumWatches)
+    P->Watches.resize(P->NumWatches);
   P->HeapPos.resize(N, -1);
   P->Seen.resize(N, 0);
-  Model.resize(N, -1);
+  P->Model.resize(N, -1);
   for (int V = First; V < NumVars; ++V)
     P->heapInsert(V);
   return First;
@@ -333,6 +437,10 @@ int CdclSolver::newVars(int Count) {
 
 void CdclSolver::setPolarity(int Var, bool Value) {
   P->Phase[static_cast<std::size_t>(Var)] = Value ? 1 : -1;
+}
+
+bool CdclSolver::modelValue(int Var) const {
+  return P->Model[static_cast<std::size_t>(Var)] > 0;
 }
 
 bool CdclSolver::addClause(std::span<const SatLit> Lits) {
@@ -480,7 +588,7 @@ SatStatus CdclSolver::solve(std::span<const SatLit> Assumptions,
         }
         if (Var == -1) {
           // Every variable assigned: a model.
-          Model = P->Assign;
+          P->Model = P->Assign;
           P->cancelUntil(0);
           return SatStatus::Sat;
         }

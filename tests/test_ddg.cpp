@@ -88,6 +88,39 @@ TEST(Ddg, WellFormedHandlesLongZeroDistanceChainsOnAThread) {
   EXPECT_FALSE(CycleOk);
 }
 
+TEST(Ddg, WellFormedMatchesTransitiveClosureOnRandomGraphs) {
+  // The zero-distance cycle check against Warshall's closure of the
+  // zero-distance edges, on small random graphs with self-loops, parallel
+  // edges and loop-carried edges mixed in.
+  Rng R(19950618);
+  int Cyclic = 0;
+  for (int Instance = 0; Instance < 2000; ++Instance) {
+    const int N = R.intIn(1, 8);
+    Ddg G("g");
+    for (int I = 0; I < N; ++I)
+      G.addNode("n", 0, 1);
+    bool Reach[8][8] = {};
+    for (int K = R.intIn(0, 2 * N); K > 0; --K) {
+      const int Src = R.intIn(0, N - 1), Dst = R.intIn(0, N - 1);
+      const int Distance = R.chance(0.6) ? 0 : R.intIn(1, 2);
+      G.addEdge(Src, Dst, Distance);
+      Reach[Src][Dst] |= Distance == 0;
+    }
+    for (int K = 0; K < N; ++K)
+      for (int I = 0; I < N; ++I)
+        for (int J = 0; J < N; ++J)
+          Reach[I][J] |= Reach[I][K] && Reach[K][J];
+    bool HasCycle = false;
+    for (int I = 0; I < N; ++I)
+      HasCycle |= Reach[I][I];
+    EXPECT_EQ(G.isWellFormed(1), !HasCycle) << "instance " << Instance;
+    Cyclic += HasCycle ? 1 : 0;
+  }
+  // Both verdicts must be common.
+  EXPECT_GT(Cyclic, 400);
+  EXPECT_LT(Cyclic, 1600);
+}
+
 TEST(Ddg, WellFormedRejectsBadClass) {
   Ddg G("g");
   G.addNode("a", 3, 1);

@@ -5,8 +5,10 @@
 // ILP on kernels and random loops (both mapping disciplines), the
 // incremental per-T payoffs (learned-clause reuse strictly cheaper than
 // from-scratch; assumption retraction never leaks a stale period
-// constraint), and fault-domain behaviour (an injected SAT death is never
-// reported as an infeasibility proof).
+// constraint), fault-domain behaviour (an injected SAT death is never
+// reported as an infeasibility proof), and recycled solver storage (a
+// solver on a store another solver parked answers as on a fresh one, on
+// any thread).
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +28,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 using namespace swp;
@@ -65,15 +69,31 @@ struct ClauseLog {
     return false;
   }
 
-  /// True when \p S's model satisfies every clause and assumption.
-  bool satisfiedBy(const CdclSolver &S,
+  /// True when \p Model (one value per variable) satisfies every clause
+  /// and assumption.
+  bool satisfiedBy(const std::vector<bool> &Model,
                    const std::vector<SatLit> &Assumptions) const {
-    auto True = [&S](SatLit L) { return S.modelValue(litVar(L)) != litNeg(L); };
+    auto True = [&Model](SatLit L) {
+      return Model[static_cast<std::size_t>(litVar(L))] != litNeg(L);
+    };
     return std::all_of(Assumptions.begin(), Assumptions.end(), True) &&
            std::all_of(Clauses.begin(), Clauses.end(),
                        [&](const std::vector<SatLit> &C) {
                          return std::any_of(C.begin(), C.end(), True);
                        });
+  }
+
+  /// True when \p S's model satisfies every clause and assumption.
+  bool satisfiedBy(const CdclSolver &S,
+                   const std::vector<SatLit> &Assumptions) const {
+    return satisfiedBy(modelOf(S), Assumptions);
+  }
+
+  static std::vector<bool> modelOf(const CdclSolver &S) {
+    std::vector<bool> Model;
+    for (int V = 0; V < S.numVars(); ++V)
+      Model.push_back(S.modelValue(V));
+    return Model;
   }
 };
 
@@ -113,6 +133,101 @@ void addPigeonhole(CdclSolver &S, int Pigeons, int Holes, SatLit Guard = -1,
       for (int K = I + 1; K < Pigeons; ++K)
         add({mkLit(First + I * Holes + J, true),
              mkLit(First + K * Holes + J, true)});
+}
+
+/// One instance of the brute-force corpus: variables and clauses arrive in
+/// batches, and each batch ends with two solves under assumptions.
+struct CnfScript {
+  struct Batch {
+    int Vars = 0;
+    std::vector<std::vector<SatLit>> Clauses;
+    std::vector<SatLit> Assumptions[2];
+  };
+  std::vector<Batch> Batches;
+};
+
+/// Everything a solver reports while it runs a CnfScript.
+struct Transcript {
+  /// addClause results, and each solve's status and ok() after it, in call
+  /// order.
+  std::vector<int> Answers;
+  /// The model of each Sat answer.
+  std::vector<std::vector<bool>> Models;
+  SatStats Stats;
+};
+
+/// The counters of \p St, printable by gtest.
+auto counters(const SatStats &St) {
+  return std::make_tuple(St.Decisions, St.Propagations, St.Conflicts,
+                         St.LearnedClauses, St.LearnedLiterals, St.Restarts,
+                         St.InjectedFaults);
+}
+
+Transcript runScript(const CnfScript &Script, CdclSolver &S) {
+  Transcript Out;
+  for (const CnfScript::Batch &B : Script.Batches) {
+    while (S.numVars() < B.Vars)
+      S.newVar();
+    for (const std::vector<SatLit> &C : B.Clauses) {
+      const bool Added = S.addClause(C);
+      EXPECT_EQ(Added, S.ok());
+      Out.Answers.push_back(Added);
+    }
+    for (const std::vector<SatLit> &A : B.Assumptions) {
+      const SatStatus St = S.solve(A);
+      Out.Answers.push_back(static_cast<int>(St));
+      Out.Answers.push_back(S.ok());
+      if (St == SatStatus::Sat)
+        Out.Models.push_back(ClauseLog::modelOf(S));
+    }
+  }
+  Out.Stats = S.stats();
+  return Out;
+}
+
+/// How the solver that parks a recycled store ends.
+enum class ExitState { GlobalUnsat, ConflictLimit, Cancelled, Fault };
+
+/// Runs a solver larger than any CnfScript into \p How and destroys it,
+/// which parks its store for the next solver built on this thread.  It
+/// first refutes PHP(6,5) under a selector, so the store holds learned
+/// clauses and long watch lists.
+void parkStoreEndingIn(ExitState How) {
+  CdclSolver S;
+  const int Sel = S.newVar();
+  addPigeonhole(S, 6, 5, mkLit(Sel, true));
+  ASSERT_EQ(S.solve({mkLit(Sel)}), SatStatus::Unsat);
+  ASSERT_TRUE(S.ok());
+  SatLimits Limits;
+  switch (How) {
+  case ExitState::GlobalUnsat:
+    S.addClause({mkLit(Sel)});
+    EXPECT_EQ(S.solve({}), SatStatus::Unsat);
+    ASSERT_FALSE(S.ok());
+    return;
+  case ExitState::ConflictLimit:
+    addPigeonhole(S, 5, 4);
+    Limits.ConflictLimit = 3;
+    ASSERT_EQ(S.solve({}, Limits), SatStatus::Unknown);
+    ASSERT_EQ(S.lastStop(), SatStop::ConflictLimit);
+    return;
+  case ExitState::Cancelled: {
+    CancellationSource Src;
+    Src.cancel();
+    Limits.Cancel = Src.token();
+    ASSERT_EQ(S.solve({mkLit(Sel)}, Limits), SatStatus::Unknown);
+    ASSERT_EQ(S.lastStop(), SatStop::Cancelled);
+    return;
+  }
+  case ExitState::Fault: {
+    InjectorGuard Guard;
+    addPigeonhole(S, 5, 4);
+    ASSERT_TRUE(FaultInjector::instance().configure("sat-conflict:p1.0", 3));
+    ASSERT_EQ(S.solve({}), SatStatus::Unknown);
+    ASSERT_EQ(S.lastStop(), SatStop::Fault);
+    return;
+  }
+  }
 }
 
 /// Remaps a ppc604-class corpus loop onto a machine that defines only op
@@ -249,19 +364,24 @@ TEST(Cdcl, MatchesBruteForceOnRandomCnfs) {
   // 0-3 random assumptions (possibly contradicting one another).  Half the
   // instances are 3/4-wide CNFs over 9-12 variables that cross the
   // satisfiability threshold batch by batch, so the search learns clauses.
+  //
+  // Each script runs twice: on a fresh store (another live solver holds the
+  // thread's spare), and on a store recycled from a larger solver that
+  // ended in one of the four exit states.  Both runs must give the same
+  // answers, models and counters.
   Rng R(19950618);
   std::int64_t Learned = 0;
   int SatAnswers = 0, UnsatAnswers = 0, GlobalUnsat = 0;
   for (int Instance = 0; Instance < 600; ++Instance) {
-    CdclSolver S;
-    ClauseLog Log;
+    CnfScript Script;
     const bool Hard = R.chance(0.5);
     const int MaxVars = Hard ? R.intIn(9, 12) : R.intIn(1, 12);
-    for (int Batch = 0; Batch < 4; ++Batch) {
+    int NumVars = 0;
+    for (int BatchNo = 0; BatchNo < 4; ++BatchNo) {
+      CnfScript::Batch &B = Script.Batches.emplace_back();
       const int Vars =
-          Batch == 3 ? MaxVars : R.intIn(std::max(1, S.numVars()), MaxVars);
-      while (S.numVars() < Vars)
-        S.newVar();
+          BatchNo == 3 ? MaxVars : R.intIn(std::max(1, NumVars), MaxVars);
+      NumVars = B.Vars = std::max(NumVars, Vars);
       const int NumClauses =
           Hard ? R.intIn(Vars, 2 * Vars) : R.intIn(1, Vars + 2);
       for (int CI = 0; CI < NumClauses; ++CI) {
@@ -271,7 +391,7 @@ TEST(Cdcl, MatchesBruteForceOnRandomCnfs) {
                           : Roll < 0.35 ? 2
                           : Roll < 0.75 ? 3
                                         : 4;
-        std::vector<SatLit> C;
+        std::vector<SatLit> &C = B.Clauses.emplace_back();
         for (int K = 0; K < Width; ++K) {
           if (K > 0 && R.chance(0.15))
             C.push_back(C.back()); // Repeated literal.
@@ -280,35 +400,61 @@ TEST(Cdcl, MatchesBruteForceOnRandomCnfs) {
           else
             C.push_back(mkLit(R.intIn(0, Vars - 1), R.chance(0.5)));
         }
-        Log.add(C);
-        const bool Added = S.addClause(C);
-        EXPECT_EQ(Added, S.ok()) << "instance " << Instance;
       }
-      for (int Solve = 0; Solve < 2; ++Solve) {
-        std::vector<SatLit> Assumptions;
+      for (std::vector<SatLit> &Assumptions : B.Assumptions)
         for (int K = R.intIn(0, 3); K > 0; --K)
           Assumptions.push_back(mkLit(R.intIn(0, Vars - 1), R.chance(0.5)));
-        const SatStatus St = S.solve(Assumptions);
+    }
+
+    Transcript Fresh;
+    {
+      CdclSolver Holder; // Takes the thread's spare, so S starts fresh.
+      CdclSolver S;
+      Fresh = runScript(Script, S);
+    }
+    parkStoreEndingIn(static_cast<ExitState>(Instance % 4));
+    Transcript Recycled;
+    {
+      CdclSolver S;
+      Recycled = runScript(Script, S);
+    }
+    EXPECT_EQ(Fresh.Answers, Recycled.Answers) << "instance " << Instance;
+    EXPECT_EQ(Fresh.Models, Recycled.Models) << "instance " << Instance;
+    EXPECT_EQ(counters(Fresh.Stats), counters(Recycled.Stats))
+        << "instance " << Instance;
+
+    // Check the answers by enumeration.
+    ClauseLog Log;
+    std::size_t Answer = 0, Model = 0;
+    bool Ok = true;
+    for (const CnfScript::Batch &B : Script.Batches) {
+      for (const std::vector<SatLit> &C : B.Clauses) {
+        Log.add(C);
+        Ok = Fresh.Answers[Answer++] != 0;
+      }
+      for (const std::vector<SatLit> &A : B.Assumptions) {
+        const auto St = static_cast<SatStatus>(Fresh.Answers[Answer++]);
+        Ok = Fresh.Answers[Answer++] != 0;
         ASSERT_NE(St, SatStatus::Unknown) << "instance " << Instance;
-        EXPECT_EQ(St == SatStatus::Sat, Log.satisfiable(Vars, Assumptions))
-            << "instance " << Instance << " batch " << Batch;
+        EXPECT_EQ(St == SatStatus::Sat, Log.satisfiable(B.Vars, A))
+            << "instance " << Instance;
         if (St == SatStatus::Sat) {
           ++SatAnswers;
-          EXPECT_TRUE(Log.satisfiedBy(S, Assumptions))
-              << "instance " << Instance << " batch " << Batch;
+          EXPECT_TRUE(Log.satisfiedBy(Fresh.Models[Model++], A))
+              << "instance " << Instance;
         } else {
           ++UnsatAnswers;
-          if (Assumptions.empty()) {
-            EXPECT_FALSE(S.ok()) << "instance " << Instance;
+          if (A.empty()) {
+            EXPECT_FALSE(Ok) << "instance " << Instance;
           }
         }
-        if (!S.ok()) {
-          EXPECT_FALSE(Log.satisfiable(Vars, {})) << "instance " << Instance;
+        if (!Ok) {
+          EXPECT_FALSE(Log.satisfiable(B.Vars, {})) << "instance " << Instance;
         }
       }
     }
-    GlobalUnsat += S.ok() ? 0 : 1;
-    Learned += S.stats().LearnedClauses;
+    GlobalUnsat += Ok ? 0 : 1;
+    Learned += Fresh.Stats.LearnedClauses;
   }
   // The corpus must reach every kind of answer, and learn clauses.
   EXPECT_GT(SatAnswers, 1000);
@@ -782,4 +928,52 @@ TEST(SatService, ServiceBatchWithRaceEngineCountsWins) {
   ServiceStats Stats = Svc.stats();
   // Every job ran the race, and every race names exactly one winner.
   EXPECT_EQ(Stats.RaceIlpWins + Stats.RaceSatWins, Loops.size());
+}
+
+//===----------------------------------------------------------------------===//
+// Recycled solver storage across threads
+//===----------------------------------------------------------------------===//
+
+TEST(SatThreads, ConcurrentSweepsMatchSerial) {
+  // Each thread parks and takes solver stores in its own slot, so two
+  // sweeps running at once must answer exactly as one running alone.
+  // Conflict budgets only: a wall-clock cap would make answers load-bound.
+  MachineModel M = ppc604Like();
+  std::vector<Ddg> Loops;
+  for (int I = 0; I < 16; ++I)
+    Loops.push_back(generateRandomLoop(M, sliceSeed(I + 900),
+                                       CorpusOptions{}));
+  auto sweepAll = [&] {
+    std::vector<SchedulerResult> Out;
+    for (MappingKind Kind : {MappingKind::Fixed, MappingKind::RunTime}) {
+      SchedulerOptions Opts;
+      Opts.TimeLimitPerT = 1e9;
+      Opts.NodeLimitPerT = 200;
+      Opts.Mapping = Kind;
+      for (const Ddg &G : Loops)
+        Out.push_back(satScheduleLoop(G, M, Opts));
+    }
+    return Out;
+  };
+  const std::vector<SchedulerResult> Serial = sweepAll();
+  std::vector<SchedulerResult> A, B;
+  std::thread TA([&] { A = sweepAll(); });
+  std::thread TB([&] { B = sweepAll(); });
+  TA.join();
+  TB.join();
+  int Found = 0;
+  for (const std::vector<SchedulerResult> *Run : {&A, &B}) {
+    ASSERT_EQ(Run->size(), Serial.size());
+    for (std::size_t I = 0; I < Serial.size(); ++I) {
+      const SchedulerResult &X = (*Run)[I], &Y = Serial[I];
+      EXPECT_EQ(X.found(), Y.found()) << I;
+      EXPECT_EQ(X.Schedule.T, Y.Schedule.T) << I;
+      EXPECT_EQ(X.ProvenRateOptimal, Y.ProvenRateOptimal) << I;
+      EXPECT_EQ(X.TotalNodes, Y.TotalNodes) << I;
+      EXPECT_EQ(X.Schedule.StartTime, Y.Schedule.StartTime) << I;
+      EXPECT_EQ(X.Schedule.Mapping, Y.Schedule.Mapping) << I;
+      Found += X.found() ? 1 : 0;
+    }
+  }
+  EXPECT_GT(Found, 0);
 }
