@@ -129,12 +129,12 @@ void runLoop(const Ddg &G, const MachineModel &M, const SchedulerOptions &Opts,
       ++S.Disagree;
   }
 
-  ImsResult Ims = iterativeModuloSchedule(G, M);
+  SchedulerResult Ims = iterativeModuloSchedule(G, M);
   if (Ims.found() && verifySchedule(G, M, Ims.Schedule).Ok) {
     ++S.Ims.Found;
     S.Ims.IiSum += Ims.Schedule.T;
   }
-  SlackResult Sl = slackModuloSchedule(G, M);
+  SchedulerResult Sl = slackModuloSchedule(G, M);
   if (Sl.found() && verifySchedule(G, M, Sl.Schedule).Ok) {
     ++S.Slack.Found;
     S.Slack.IiSum += Sl.Schedule.T;

@@ -42,13 +42,13 @@ int main() {
     SchedulerResult Ilp = scheduleLoop(G, Machine, SOpts);
     double T1 = W1.seconds();
     Stopwatch W2;
-    ImsResult Ims = iterativeModuloSchedule(G, Machine);
+    SchedulerResult Ims = iterativeModuloSchedule(G, Machine);
     double T2 = W2.seconds();
-    SlackResult Slack = slackModuloSchedule(G, Machine);
+    SchedulerResult Slack = slackModuloSchedule(G, Machine);
     Stopwatch W3;
     EnumOptions EOpts;
     EOpts.TimeLimitPerT = SOpts.TimeLimitPerT;
-    EnumResult En = enumerativeSchedule(G, Machine, EOpts);
+    SchedulerResult En = enumerativeSchedule(G, Machine, EOpts);
     double T3 = W3.seconds();
     Table.addRow({G.name(), std::to_string(G.numNodes()),
                   std::to_string(Ilp.TLowerBound),
@@ -69,7 +69,7 @@ int main() {
   long SumIlp = 0, SumIms = 0;
   for (const Ddg &G : generateCorpus(Machine, COpts)) {
     SchedulerResult Ilp = scheduleLoop(G, Machine, SOpts);
-    ImsResult Ims = iterativeModuloSchedule(G, Machine);
+    SchedulerResult Ims = iterativeModuloSchedule(G, Machine);
     if (!Ilp.found() || !Ims.found())
       continue;
     ++Both;
@@ -88,7 +88,7 @@ int main() {
     if (G.numNodes() <= 8 && Ilp.ProvenRateOptimal) {
       EnumOptions EOpts;
       EOpts.TimeLimitPerT = SOpts.TimeLimitPerT;
-      EnumResult En = enumerativeSchedule(G, Machine, EOpts);
+      SchedulerResult En = enumerativeSchedule(G, Machine, EOpts);
       if (En.found() && En.ProvenRateOptimal) {
         ++EnumRan;
         if (En.Schedule.T == Ilp.Schedule.T)

@@ -132,7 +132,7 @@ void BM_IterativeModulo(benchmark::State &State) {
   MachineModel M = ppc604Like();
   Ddg G = loopOfSize(static_cast<int>(State.range(0)), 44);
   for (auto _ : State) {
-    ImsResult R = iterativeModuloSchedule(G, M);
+    SchedulerResult R = iterativeModuloSchedule(G, M);
     benchmark::DoNotOptimize(R.Schedule.T);
   }
 }
@@ -144,8 +144,8 @@ void BM_Enumerative(benchmark::State &State) {
   EnumOptions Opts;
   Opts.TimeLimitPerT = 5.0;
   for (auto _ : State) {
-    EnumResult R = enumerativeSchedule(G, M, Opts);
-    benchmark::DoNotOptimize(R.States);
+    SchedulerResult R = enumerativeSchedule(G, M, Opts);
+    benchmark::DoNotOptimize(R.TotalNodes);
   }
 }
 BENCHMARK(BM_Enumerative)->Arg(4)->Arg(6)->Arg(8);
@@ -186,7 +186,7 @@ BENCHMARK(BM_ServiceBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 void BM_VerifierThroughput(benchmark::State &State) {
   MachineModel M = ppc604Like();
   Ddg G = loopOfSize(static_cast<int>(State.range(0)), 47);
-  ImsResult R = iterativeModuloSchedule(G, M);
+  SchedulerResult R = iterativeModuloSchedule(G, M);
   if (!R.found()) {
     State.SkipWithError("no schedule");
     return;

@@ -50,7 +50,7 @@ int main(int Argc, char **Argv) {
   for (int I = 0; I < Sample; ++I) {
     const Ddg &G = Corpus[static_cast<size_t>(I)];
     SchedulerResult Ilp = scheduleLoop(G, Machine);
-    ImsResult Ims = iterativeModuloSchedule(G, Machine);
+    SchedulerResult Ims = iterativeModuloSchedule(G, Machine);
     Table.addRow({G.name(), std::to_string(G.numNodes()),
                   std::to_string(Ilp.TLowerBound),
                   Ilp.found() ? std::to_string(Ilp.Schedule.T) : "-",

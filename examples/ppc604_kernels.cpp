@@ -29,7 +29,7 @@ int main(int Argc, char **Argv) {
                    "optimal?"});
   for (const Ddg &G : classicKernels()) {
     SchedulerResult Ilp = scheduleLoop(G, Machine);
-    ImsResult Ims = iterativeModuloSchedule(G, Machine);
+    SchedulerResult Ims = iterativeModuloSchedule(G, Machine);
     Table.addRow({G.name(), std::to_string(G.numNodes()),
                   std::to_string(Ilp.TDep), std::to_string(Ilp.TRes),
                   Ilp.found() ? std::to_string(Ilp.Schedule.T) : "-",

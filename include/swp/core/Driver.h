@@ -9,13 +9,16 @@
 /// lower bound T_lb = max(T_dep, T_res), then try T = T_lb, T_lb+1, ...
 /// until one is feasible.  T violating the modulo-scheduling precondition
 /// are skipped (they admit no fixed-mapping schedule), exactly as in the
-/// paper.  searchRateOptimal is that loop, shared by every exact engine;
-/// an engine supplies only the per-T step (scheduleLoop's step solves the
-/// unified scheduling+mapping MILP, satScheduleLoop's the CNF encoding).
+/// paper.  searchRateOptimal is that loop, shared by every scheduler; a
+/// scheduler supplies only the per-T step (scheduleLoop's step solves the
+/// unified scheduling+mapping MILP, satScheduleLoop's the CNF encoding,
+/// and the heuristics' steps run IMS, slack scheduling or the enumerative
+/// search at that T).
 ///
 /// The found schedule is rate-optimal when every smaller T was *proven*
 /// infeasible (TAttempt::refutes); time/node limits censor proofs and are
-/// reported per attempt (the paper's "10/30" time-limit note).
+/// reported per attempt (the paper's "10/30" time-limit note).  A
+/// heuristic miss answers Unknown: it is never a refutation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,7 +92,7 @@ struct LpEffort {
 };
 
 /// Cross-T warm-start context: the previous candidate T's formulation
-/// handles and final structural basis.  scheduleAtT consumes it to seed
+/// handles and final structural basis.  ilpStepAtT consumes it to seed
 /// the new T's workspace and overwrites it with this T's outcome.  A
 /// default-constructed context seeds nothing.
 struct TWarmContext {
@@ -187,7 +190,7 @@ struct SchedulerResult {
   std::string stopChain() const;
 };
 
-/// One exact engine's answer for one candidate T: the attempt record
+/// One scheduler's answer for one candidate T: the attempt record
 /// (Status, StopReason, Seconds, Nodes, Lp; the sweep fills T), the
 /// schedule when Status is Optimal or Feasible, and the typed error when
 /// it is Error.
@@ -197,10 +200,10 @@ struct TStepResult {
   Status Error;
 };
 
-/// An exact engine's per-T step: answers candidate \p T.
+/// A scheduler's per-T step: answers candidate \p T.
 using TStep = std::function<TStepResult(int T)>;
 
-/// The rate-optimal T-sweep every exact engine shares.  Validates the loop
+/// The rate-optimal T-sweep every scheduler shares.  Validates the loop
 /// (phase "driver"), computes T_lb, then walks T = T_lb .. T_lb +
 /// Opts.MaxTSlack: modulo-infeasible T are recorded as skips, every other
 /// T is answered by \p Step.  The first found schedule is verified (when
@@ -216,7 +219,7 @@ SchedulerResult searchRateOptimal(const Ddg &G, const MachineModel &Machine,
                                   const TStep &Step);
 
 /// Runs the rate-optimal search for \p G on \p Machine: the shared sweep
-/// with a scheduleAtT step that carries the LP basis across T.
+/// with an ilpStepAtT step that carries the LP basis across T.
 SchedulerResult scheduleLoop(const Ddg &G, const MachineModel &Machine,
                              const SchedulerOptions &Opts = {});
 
@@ -224,12 +227,20 @@ SchedulerResult scheduleLoop(const Ddg &G, const MachineModel &Machine,
 /// naming \p G; each entry point adds its own phase.
 Status invalidLoopError(const Ddg &G);
 
-/// Builds and solves the MILP for one fixed \p T; \returns the solver
-/// outcome and, when feasible, writes the extracted schedule.  \p StopOut,
-/// when non-null, receives what censored the search (SearchStop::None when
-/// nothing did).  \p Warm, when non-null, seeds this T's LP workspace from
-/// the context's basis and is overwritten with this T's final basis (the
-/// scheduleLoop carry).  \p EffortOut receives this call's simplex effort.
+/// scheduleLoop's step: builds and solves the MILP for one fixed \p T.
+/// The attempt carries the solver outcome, what censored the search
+/// (SearchStop::None when nothing did), the wall time, the B&B nodes and
+/// the simplex effort; the schedule is set when the outcome is Optimal or
+/// Feasible, the typed error when it is Error.  \p Warm, when non-null,
+/// seeds this T's LP workspace from the context's basis and is
+/// overwritten with this T's final basis (the scheduleLoop carry).
+TStepResult ilpStepAtT(const Ddg &G, const MachineModel &Machine, int T,
+                       const SchedulerOptions &Opts,
+                       TWarmContext *Warm = nullptr);
+
+/// ilpStepAtT with its answer spread over out-parameters.  Kept only for
+/// the benchmark's per-T replay (perfbench/library.cpp); new code calls
+/// ilpStepAtT.
 MilpStatus scheduleAtT(const Ddg &G, const MachineModel &Machine, int T,
                        const SchedulerOptions &Opts, ModuloSchedule &Out,
                        double *SecondsOut = nullptr,

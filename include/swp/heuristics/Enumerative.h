@@ -16,13 +16,16 @@
 ///   k_j - k_i >= ceil((latency - T*m + off_i - off_j) / T),
 /// solved by Bellman-Ford (which also yields the K vector).  Exhaustive up
 /// to the state limit, so — like the ILP — it proves infeasibility at a T.
+/// Each T is one step of the shared rate-optimal sweep (swp/core/Driver):
+/// an exhausted T answers Infeasible, one cut by the state or time limit a
+/// censored Unknown.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SWP_HEURISTICS_ENUMERATIVE_H
 #define SWP_HEURISTICS_ENUMERATIVE_H
 
-#include "swp/core/Schedule.h"
+#include "swp/core/Driver.h"
 #include "swp/ddg/Ddg.h"
 #include "swp/machine/MachineModel.h"
 
@@ -40,22 +43,12 @@ struct EnumOptions {
   double TimeLimitPerT = 10.0;
 };
 
-/// Enumerative search outcome.
-struct EnumResult {
-  ModuloSchedule Schedule;
-  int TDep = 0;
-  int TRes = 0;
-  int TLowerBound = 0;
-  /// True when every T below the found one was exhausted (rate-optimal).
-  bool ProvenRateOptimal = false;
-  std::int64_t States = 0;
-
-  bool found() const { return Schedule.T > 0; }
-};
-
-/// Runs the enumerative search for \p G on \p Machine.
-EnumResult enumerativeSchedule(const Ddg &G, const MachineModel &Machine,
-                               const EnumOptions &Opts = {});
+/// Runs the enumerative search for \p G on \p Machine: the shared sweep
+/// with an enumerative step.  Each attempt's Nodes counts its search
+/// states.  On a machine whose topology constrains placement the search
+/// declines with an InvalidInput error at its first T.
+SchedulerResult enumerativeSchedule(const Ddg &G, const MachineModel &Machine,
+                                    const EnumOptions &Opts = {});
 
 } // namespace swp
 

@@ -14,14 +14,16 @@
 /// (height-based), each at the earliest dependence-legal slot with a
 /// conflict-free unit in the modulo reservation table; when no slot fits
 /// within a T-wide window the instruction is force-placed and conflicting /
-/// dependence-violated instructions are evicted, within a budget.
+/// dependence-violated instructions are evicted, within a budget.  Each
+/// attempt is one step of the shared rate-optimal sweep (swp/core/Driver);
+/// a miss at T answers Unknown and is never a refutation.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SWP_HEURISTICS_ITERATIVEMODULO_H
 #define SWP_HEURISTICS_ITERATIVEMODULO_H
 
-#include "swp/core/Schedule.h"
+#include "swp/core/Driver.h"
 #include "swp/ddg/Ddg.h"
 #include "swp/machine/MachineModel.h"
 
@@ -31,24 +33,14 @@ namespace swp {
 struct ImsOptions {
   /// Candidate T range: [T_lb, T_lb + MaxTSlack].
   int MaxTSlack = 64;
-  /// Scheduling budget per T, as a multiple of the instruction count.
-  int BudgetRatio = 6;
 };
 
-/// IMS outcome.
-struct ImsResult {
-  /// Schedule with fixed mapping (T == 0 when every T in range failed).
-  ModuloSchedule Schedule;
-  int TDep = 0;
-  int TRes = 0;
-  int TLowerBound = 0;
-
-  bool found() const { return Schedule.T > 0; }
-};
-
-/// Runs iterative modulo scheduling for \p G on \p Machine.
-ImsResult iterativeModuloSchedule(const Ddg &G, const MachineModel &Machine,
-                                  const ImsOptions &Opts = {});
+/// Runs iterative modulo scheduling for \p G on \p Machine: the shared
+/// sweep with an IMS step.  The schedule has a fixed mapping; it is
+/// ProvenRateOptimal only when every smaller T was modulo-skipped.
+SchedulerResult iterativeModuloSchedule(const Ddg &G,
+                                        const MachineModel &Machine,
+                                        const ImsOptions &Opts = {});
 
 } // namespace swp
 

@@ -7,13 +7,18 @@
 /// \file
 /// The modulo reservation table shared by the heuristic schedulers: per
 /// physical unit, per stage, per pattern slot, which instruction occupies
-/// it.  Variant-aware (multi-function pipelines).
+/// it.  Variant-aware (multi-function pipelines).  On top of it, the
+/// placement state IMS and slack scheduling share (ModuloPlacer) and the
+/// sweep that turns a heuristic's per-T attempt into steps of the shared
+/// rate-optimal T-sweep (heuristicSweep).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SWP_HEURISTICS_MODULORESERVATIONTABLE_H
 #define SWP_HEURISTICS_MODULORESERVATIONTABLE_H
 
+#include "swp/core/Driver.h"
+#include "swp/core/Schedule.h"
 #include "swp/ddg/Ddg.h"
 #include "swp/machine/MachineModel.h"
 
@@ -113,6 +118,83 @@ private:
   /// Committed cells per DDG edge index (grown lazily to the DDG's size).
   mutable std::vector<std::vector<RouteCell>> RouteCells;
 };
+
+/// One heuristic attempt at one T, as IMS and slack scheduling share it:
+/// the reservation table, each node's issue time and unit (-1 while
+/// unscheduled), the time of its previous placement, and Rau's budget of
+/// placement steps.  The two schedulers differ only in which node goes
+/// next and which window it tries; the candidate scan, the forced
+/// placement with eviction and the eviction of violated neighbours are
+/// the same.
+class ModuloPlacer {
+public:
+  ModuloPlacer(const Ddg &G, const MachineModel &Machine, int T);
+
+  /// Nodes not (or no longer) scheduled.
+  int unscheduled() const { return Remaining; }
+  /// Issue time of \p Node, -1 while unscheduled.
+  int time(int Node) const { return Time[static_cast<size_t>(Node)]; }
+  /// Latest issue time worth trying; beyond it the attempt fails.
+  int timeCap() const { return TimeCap; }
+  /// Cycles a topology's routing penalties add to the classic T-slot
+  /// window (0 on topology-free machines): they make dependence windows
+  /// placement-dependent, so a time rejected at one unit may admit at
+  /// another up to this many cycles later.
+  int routePenalty() const { return Tables.maxRoutePenalty(); }
+
+  /// Spends one step of the budget (six per node); \returns false once it
+  /// is used up.
+  bool spendStep() { return Budget-- > 0; }
+
+  /// Scans issue times [\p Lo, \p Hi] upward, or downward when \p Late,
+  /// and at each every unit of \p Node's type; places \p Node at the
+  /// first slot that fits the table and the topology.  \returns false
+  /// when none does.
+  bool placeInWindow(int Node, int Lo, int Hi, bool Late);
+
+  /// Rau's forced placement: issues \p Node at \p EStart, but never
+  /// earlier than its previous placement + 1, on the unit with the fewest
+  /// victims (table collisions plus, with a topology, routing and
+  /// adjacency victims), evicting them.  \returns false when that time
+  /// passes timeCap().
+  bool forcePlace(int Node, int EStart);
+
+  /// Evicts the scheduled successors (and, with \p AlsoPreds, the
+  /// predecessors) whose dependence on the just-placed \p Node is now
+  /// violated.  \returns false when \p Node's own self-dependence is
+  /// violated: T is below its self-recurrence bound.
+  bool evictViolated(int Node, bool AlsoPreds);
+
+  /// The finished schedule.  \pre unscheduled() == 0.
+  ModuloSchedule take();
+
+private:
+  void place(int Node, int At, int U);
+  void unschedule(int Node);
+
+  const Ddg &G;
+  const MachineModel &Machine;
+  int T;
+  ModuloReservationTable Tables;
+  std::vector<int> Time;
+  std::vector<int> Unit;
+  std::vector<int> PrevTime;
+  int Remaining;
+  int Budget;
+  int TimeCap;
+};
+
+/// A heuristic's attempt at one T: fills \p Out and \returns true when
+/// every node was placed.
+using HeuristicAtT = bool (*)(const Ddg &G, const MachineModel &Machine,
+                              int T, ModuloSchedule &Out);
+
+/// Runs \p AtT as the step of the shared rate-optimal sweep over
+/// [T_lb, T_lb + \p MaxTSlack]: a placed schedule answers Optimal, a miss
+/// Unknown.  A miss is never a refutation, so a schedule counts as proven
+/// only when every smaller T in the window was modulo-skipped.
+SchedulerResult heuristicSweep(const Ddg &G, const MachineModel &Machine,
+                               int MaxTSlack, HeuristicAtT AtT);
 
 } // namespace swp
 

@@ -14,14 +14,16 @@
 /// of increasing slack.  Instructions whose scheduled neighbours are
 /// mostly consumers are placed as *late* as possible, producers-first ones
 /// as *early* as possible — shrinking value lifetimes — with IMS-style
-/// eviction under a budget when no slot fits.
+/// eviction under a budget when no slot fits.  Each attempt is one step of
+/// the shared rate-optimal sweep (swp/core/Driver); a miss at T answers
+/// Unknown and is never a refutation.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SWP_HEURISTICS_SLACKMODULO_H
 #define SWP_HEURISTICS_SLACKMODULO_H
 
-#include "swp/core/Schedule.h"
+#include "swp/core/Driver.h"
 #include "swp/ddg/Ddg.h"
 #include "swp/machine/MachineModel.h"
 
@@ -31,23 +33,13 @@ namespace swp {
 struct SlackOptions {
   /// Candidate T range: [T_lb, T_lb + MaxTSlack].
   int MaxTSlack = 64;
-  /// Scheduling budget per T, as a multiple of the instruction count.
-  int BudgetRatio = 6;
 };
 
-/// Slack-scheduler outcome.
-struct SlackResult {
-  ModuloSchedule Schedule;
-  int TDep = 0;
-  int TRes = 0;
-  int TLowerBound = 0;
-
-  bool found() const { return Schedule.T > 0; }
-};
-
-/// Runs lifetime-sensitive slack modulo scheduling for \p G on \p Machine.
-SlackResult slackModuloSchedule(const Ddg &G, const MachineModel &Machine,
-                                const SlackOptions &Opts = {});
+/// Runs lifetime-sensitive slack modulo scheduling for \p G on \p Machine:
+/// the shared sweep with a slack step.  The schedule is ProvenRateOptimal
+/// only when every smaller T was modulo-skipped.
+SchedulerResult slackModuloSchedule(const Ddg &G, const MachineModel &Machine,
+                                    const SlackOptions &Opts = {});
 
 } // namespace swp
 

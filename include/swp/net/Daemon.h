@@ -76,6 +76,9 @@ struct DaemonStats {
   std::uint64_t SnapshotSaves = 0;
   std::uint64_t SnapshotEntriesLoaded = 0;
   std::uint64_t SnapshotCorruptShards = 0;
+  /// Connection threads not yet joined: the live connections plus any
+  /// finished ones the accept loop has not reaped yet.
+  std::uint64_t HeldConnectionThreads = 0;
   AdmissionStats Admission;
   /// Aggregated over all keyed services, live and retired.
   ServiceStats Service;
@@ -123,6 +126,8 @@ private:
                                                ExactEngine Engine,
                                                bool Portfolio);
   void acceptLoop();
+  /// Joins the connection threads whose connection has ended.
+  void reapFinishedConnections();
   void handleConnection(Socket Conn);
   void noteCompletion();
   void bumpCounter(std::uint64_t DaemonStats::*Field);
@@ -136,8 +141,13 @@ private:
   std::atomic<bool> StopFlag{false};
   std::thread AcceptThread;
 
-  std::mutex ConnMutex;
-  std::list<std::thread> ConnThreads;
+  /// One connection's thread; Done is set as its last action.
+  struct ConnThread {
+    std::thread Thread;
+    std::atomic<bool> Done{false};
+  };
+  mutable std::mutex ConnMutex;
+  std::list<ConnThread> ConnThreads;
 
   /// Keyed services, MRU first.
   struct ServiceEntry {

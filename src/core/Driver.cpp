@@ -293,50 +293,36 @@ std::vector<LpBasisStatus> mapBasisAcrossT(const TWarmContext &Old, int NewT,
 
 } // namespace
 
-MilpStatus swp::scheduleAtT(const Ddg &G, const MachineModel &Machine, int T,
-                            const SchedulerOptions &Opts, ModuloSchedule &Out,
-                            double *SecondsOut, std::int64_t *NodesOut,
-                            SearchStop *StopOut, Status *ErrorOut,
-                            TWarmContext *Warm, LpEffort *EffortOut) {
+TStepResult swp::ilpStepAtT(const Ddg &G, const MachineModel &Machine, int T,
+                            const SchedulerOptions &Opts, TWarmContext *Warm) {
   Stopwatch Watch;
-  if (SecondsOut)
-    *SecondsOut = 0.0;
-  if (NodesOut)
-    *NodesOut = 0;
-  if (StopOut)
-    *StopOut = SearchStop::None;
-  if (ErrorOut)
-    *ErrorOut = Status();
-  if (EffortOut)
-    *EffortOut = LpEffort();
+  TStepResult R;
+  TAttempt &A = R.Attempt;
 
   // Malformed inputs become typed errors instead of downstream asserts or
   // garbage models; T < 1 admits no schedule by definition of the
   // initiation interval.
   if (T < 1 || !Machine.acceptsDdg(G)) {
-    if (StopOut)
-      *StopOut = SearchStop::Fault;
-    if (ErrorOut) {
-      *ErrorOut = T < 1 ? Status(StatusCode::InvalidInput,
-                                 "initiation interval T must be >= 1")
-                        : invalidLoopError(G);
-      ErrorOut->withPhase("schedule-at-t").withT(T).withInstance(G.name());
-    }
-    return MilpStatus::Error;
+    A.Status = MilpStatus::Error;
+    A.StopReason = SearchStop::Fault;
+    R.Error = T < 1 ? Status(StatusCode::InvalidInput,
+                             "initiation interval T must be >= 1")
+                    : invalidLoopError(G);
+    R.Error.withPhase("schedule-at-t").withT(T).withInstance(G.name());
+    return R;
   }
 
   FaultInjector &FI = FaultInjector::instance();
   // Fault injection: the MILP model allocation fails.
   if (FI.shouldFire(FaultSite::Alloc)) {
-    if (StopOut)
-      *StopOut = SearchStop::Fault;
-    if (ErrorOut)
-      *ErrorOut = Status(StatusCode::ResourceExhausted,
-                         "injected allocation failure building the MILP model")
-                     .withPhase("model-build")
-                     .withT(T)
-                     .withInstance(G.name());
-    return MilpStatus::Error;
+    A.Status = MilpStatus::Error;
+    A.StopReason = SearchStop::Fault;
+    R.Error = Status(StatusCode::ResourceExhausted,
+                     "injected allocation failure building the MILP model")
+                  .withPhase("model-build")
+                  .withT(T)
+                  .withInstance(G.name());
+    return R;
   }
   // Fault soundness: an injected spurious "LP infeasible" must never turn
   // into a fake infeasibility proof (and from there into a false
@@ -372,22 +358,17 @@ MilpStatus swp::scheduleAtT(const Ddg &G, const MachineModel &Machine, int T,
     SchedulerOptions FeasOpts = Opts;
     FeasOpts.ColoringObjective = false;
     FeasOpts.MinimizeBuffers = false;
-    ModuloSchedule FeasSched;
-    LpEffort FeasEffort;
-    MilpStatus FeasStatus =
-        scheduleAtT(G, Machine, T, FeasOpts, FeasSched, nullptr, nullptr,
-                    nullptr, nullptr, Warm, &FeasEffort);
-    if (EffortOut)
-      *EffortOut += FeasEffort;
-    if (FeasStatus == MilpStatus::Infeasible) {
-      if (SecondsOut)
-        *SecondsOut = Watch.seconds();
-      return MilpStatus::Infeasible;
+    TStepResult Feas = ilpStepAtT(G, Machine, T, FeasOpts, Warm);
+    A.Lp += Feas.Attempt.Lp;
+    if (Feas.Attempt.Status == MilpStatus::Infeasible) {
+      A.Status = MilpStatus::Infeasible;
+      A.Seconds = Watch.seconds();
+      return R;
     }
-    if (FeasStatus == MilpStatus::Optimal ||
-        FeasStatus == MilpStatus::Feasible)
+    if (Feas.Attempt.Status == MilpStatus::Optimal ||
+        Feas.Attempt.Status == MilpStatus::Feasible)
       MOpts.WarmStart = scheduleToAssignment(G, Machine, T, FOpts, Vars,
-                                             FeasSched, M.numVars());
+                                             Feas.Schedule, M.numVars());
   }
 
   // One LP workspace serves the rounding probe and every branch-and-bound
@@ -397,21 +378,19 @@ MilpStatus swp::scheduleAtT(const Ddg &G, const MachineModel &Machine, int T,
   if (Warm && Warm->valid() && M.valid())
     Workspace.seedBasis(mapBasisAcrossT(*Warm, T, Vars, M.numVars()));
   auto Finish = [&](MilpStatus S) {
-    if (SecondsOut)
-      *SecondsOut = Watch.seconds();
-    if (EffortOut) {
-      const LpStats &WS = Workspace.stats();
-      EffortOut->Pivots += WS.totalPivots();
-      EffortOut->Refactorizations += WS.Refactorizations;
-      EffortOut->Solves += WS.Solves;
-      EffortOut->WarmSolves += WS.WarmSolves;
-    }
+    A.Status = S;
+    A.Seconds = Watch.seconds();
+    const LpStats &WS = Workspace.stats();
+    A.Lp.Pivots += WS.totalPivots();
+    A.Lp.Refactorizations += WS.Refactorizations;
+    A.Lp.Solves += WS.Solves;
+    A.Lp.WarmSolves += WS.WarmSolves;
     if (Warm && M.valid()) {
       Warm->T = T;
       Warm->Vars = Vars;
       Warm->Basis = Workspace.structuralBasis();
     }
-    return S;
+    return std::move(R);
   };
 
   // The rounding probe completes offsets with a topology-blind first-fit
@@ -427,46 +406,59 @@ MilpStatus swp::scheduleAtT(const Ddg &G, const MachineModel &Machine, int T,
     CancellationSource ProbeDeadline(Opts.Cancel);
     if (Opts.TimeLimitPerT < 1e8)
       ProbeDeadline.setDeadlineAfter(Opts.TimeLimitPerT * 0.25);
-    ModuloSchedule Probed;
     ProbeOutcome Probe =
         lpRoundingProbe(G, Machine, T, Opts.Mapping, M, Workspace, Vars,
-                        ProbeDeadline.token(), Probed);
+                        ProbeDeadline.token(), R.Schedule);
     if (Probe == ProbeOutcome::LpInfeasible) {
       if (Faulted()) {
-        if (StopOut)
-          *StopOut = SearchStop::Fault;
+        A.StopReason = SearchStop::Fault;
         return Finish(MilpStatus::Unknown);
       }
       return Finish(MilpStatus::Infeasible);
     }
-    if (Probe == ProbeOutcome::Found) {
-      Out = std::move(Probed);
+    if (Probe == ProbeOutcome::Found)
       return Finish(MilpStatus::Optimal);
-    }
   }
 
   MOpts.TimeLimitSec = Opts.TimeLimitPerT;
   MOpts.NodeLimit = Opts.NodeLimitPerT;
   MOpts.StopAtFirstIncumbent = !Optimizing;
   MilpResult Res = solveMilp(Workspace, M, MOpts);
-  Finish(Res.Status);
-  if (NodesOut)
-    *NodesOut = Res.Nodes;
-  if (StopOut)
-    *StopOut = Res.StopReason;
-  if (Res.Status == MilpStatus::Error && ErrorOut)
-    *ErrorOut = Status(Res.Error)
-                    .withPhase("milp")
-                    .withT(T)
-                    .withInstance(G.name());
+  A.Nodes = Res.Nodes;
+  A.StopReason = Res.StopReason;
+  if (Res.Status == MilpStatus::Error)
+    R.Error = Status(Res.Error)
+                  .withPhase("milp")
+                  .withT(T)
+                  .withInstance(G.name());
   if (Res.Status == MilpStatus::Infeasible && Faulted()) {
-    if (StopOut)
-      *StopOut = SearchStop::Fault;
-    return MilpStatus::Unknown;
+    A.StopReason = SearchStop::Fault;
+    return Finish(MilpStatus::Unknown);
   }
   if (Res.hasSolution())
-    Out = extractSchedule(G, Machine, T, FOpts, Vars, Res.X);
-  return Res.Status;
+    R.Schedule = extractSchedule(G, Machine, T, FOpts, Vars, Res.X);
+  return Finish(Res.Status);
+}
+
+MilpStatus swp::scheduleAtT(const Ddg &G, const MachineModel &Machine, int T,
+                            const SchedulerOptions &Opts, ModuloSchedule &Out,
+                            double *SecondsOut, std::int64_t *NodesOut,
+                            SearchStop *StopOut, Status *ErrorOut,
+                            TWarmContext *Warm, LpEffort *EffortOut) {
+  TStepResult R = ilpStepAtT(G, Machine, T, Opts, Warm);
+  if (SecondsOut)
+    *SecondsOut = R.Attempt.Seconds;
+  if (NodesOut)
+    *NodesOut = R.Attempt.Nodes;
+  if (StopOut)
+    *StopOut = R.Attempt.StopReason;
+  if (ErrorOut)
+    *ErrorOut = std::move(R.Error);
+  if (EffortOut)
+    *EffortOut = R.Attempt.Lp;
+  if (R.Schedule.T > 0)
+    Out = std::move(R.Schedule);
+  return R.Attempt.Status;
 }
 
 Status swp::invalidLoopError(const Ddg &G) {
@@ -562,11 +554,7 @@ SchedulerResult swp::scheduleLoop(const Ddg &G, const MachineModel &Machine,
   TWarmContext Warm;
   TWarmContext *WarmPtr = Opts.WarmStartAcrossT ? &Warm : nullptr;
   return searchRateOptimal(G, Machine, Opts, [&](int T) {
-    TStepResult R;
-    TAttempt &A = R.Attempt;
-    A.Status = scheduleAtT(G, Machine, T, Opts, R.Schedule, &A.Seconds,
-                           &A.Nodes, &A.StopReason, &R.Error, WarmPtr, &A.Lp);
-    return R;
+    return ilpStepAtT(G, Machine, T, Opts, WarmPtr);
   });
 }
 

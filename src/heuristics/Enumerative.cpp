@@ -2,7 +2,6 @@
 
 #include "swp/heuristics/Enumerative.h"
 
-#include "swp/ddg/Analysis.h"
 #include "swp/support/Stopwatch.h"
 
 #include <algorithm>
@@ -51,13 +50,19 @@ public:
     });
   }
 
-  /// \returns true when a complete assignment was found; Proven reports
-  /// whether the search space was exhausted otherwise.
-  bool run(ModuloSchedule &Out, bool &Proven, std::int64_t &States) {
-    bool Found = dfs(0, Out);
-    Proven = !LimitHit;
-    States = StateCount;
-    return Found;
+  /// Searches this T as a sweep step: Optimal with the schedule when a
+  /// complete assignment exists, Infeasible when the space was exhausted,
+  /// Unknown censored by the state or time limit otherwise.
+  TStepResult run() {
+    TStepResult R;
+    if (dfs(0, R.Schedule))
+      R.Attempt.Status = MilpStatus::Optimal;
+    else if (Stop == SearchStop::None)
+      R.Attempt.Status = MilpStatus::Infeasible;
+    R.Attempt.StopReason = Stop;
+    R.Attempt.Nodes = StateCount;
+    R.Attempt.Seconds = Watch.seconds();
+    return R;
   }
 
 private:
@@ -118,13 +123,14 @@ private:
   }
 
   bool dfs(int Depth, ModuloSchedule &Out) {
-    if (LimitHit)
+    if (Stop != SearchStop::None)
       return false;
-    if (++StateCount >= Opts.MaxStatesPerT ||
-        Watch.seconds() >= Opts.TimeLimitPerT) {
-      LimitHit = true;
+    if (++StateCount >= Opts.MaxStatesPerT)
+      Stop = SearchStop::NodeLimit;
+    else if (Watch.seconds() >= Opts.TimeLimitPerT)
+      Stop = SearchStop::TimeLimit;
+    if (Stop != SearchStop::None)
       return false;
-    }
     const int N = G.numNodes();
     if (Depth == N) {
       std::vector<int> K;
@@ -165,7 +171,7 @@ private:
         Unit[static_cast<size_t>(Node)] = -1;
         if (Ok)
           return true;
-        if (LimitHit)
+        if (Stop != SearchStop::None)
           return false;
       }
     }
@@ -182,42 +188,34 @@ private:
   std::vector<std::vector<std::vector<std::vector<bool>>>> Busy;
   std::vector<int> MaxUsedUnit;
   std::int64_t StateCount = 0;
-  bool LimitHit = false;
+  /// The limit that cut the search short (None while it is exhaustive).
+  SearchStop Stop = SearchStop::None;
   Stopwatch Watch;
 };
 
 } // namespace
 
-EnumResult swp::enumerativeSchedule(const Ddg &G, const MachineModel &Machine,
-                                    const EnumOptions &Opts) {
-  EnumResult Result;
-  Result.TDep = recurrenceMii(G);
-  Result.TRes = Machine.resourceMii(G);
-  Result.TLowerBound = std::max({1, Result.TDep, Result.TRes});
-  // The search tree enumerates offsets and units without routing-hazard
-  // pruning, so on a placement-constraining topology it would claim
-  // proofs it cannot make.  Report "not found, nothing proven" and let
-  // the exact engines (ILP / SAT) handle those machines.
-  if (Machine.topologyConstrains())
-    return Result;
-  bool AllBelowProven = true;
-  for (int T = Result.TLowerBound;
-       T <= Result.TLowerBound + Opts.MaxTSlack; ++T) {
-    if (!Machine.moduloFeasible(G, T))
-      continue; // Proven infeasible at this T.
-    EnumSearch Search(G, Machine, T, Opts);
-    ModuloSchedule S;
-    bool Proven = false;
-    std::int64_t States = 0;
-    bool Found = Search.run(S, Proven, States);
-    Result.States += States;
-    if (Found) {
-      Result.Schedule = std::move(S);
-      Result.ProvenRateOptimal = AllBelowProven;
-      break;
+SchedulerResult swp::enumerativeSchedule(const Ddg &G,
+                                         const MachineModel &Machine,
+                                         const EnumOptions &Opts) {
+  SchedulerOptions Sweep;
+  Sweep.MaxTSlack = Opts.MaxTSlack;
+  return searchRateOptimal(G, Machine, Sweep, [&](int T) {
+    // The search tree enumerates offsets and units without routing-hazard
+    // pruning, so on a placement-constraining topology it would claim
+    // proofs it cannot make.  Decline, and leave those machines to the
+    // exact engines (ILP / SAT).
+    if (Machine.topologyConstrains()) {
+      TStepResult R;
+      R.Attempt.Status = MilpStatus::Error;
+      R.Error = Status(StatusCode::InvalidInput,
+                       "the enumerative search does not model topology "
+                       "routing; use the ILP or SAT engine")
+                    .withPhase("enumerative")
+                    .withT(T)
+                    .withInstance(G.name());
+      return R;
     }
-    if (!Proven)
-      AllBelowProven = false;
-  }
-  return Result;
+    return EnumSearch(G, Machine, T, Opts).run();
+  });
 }

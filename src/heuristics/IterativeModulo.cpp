@@ -4,9 +4,6 @@
 
 #include "swp/heuristics/ModuloReservationTable.h"
 
-#include "swp/ddg/Analysis.h"
-#include "swp/machine/MachineModel.h"
-
 #include <algorithm>
 
 using namespace swp;
@@ -36,33 +33,19 @@ std::vector<int> computeHeights(const Ddg &G, int T) {
 }
 
 /// One IMS attempt at a fixed T; fills \p Out on success.
-bool scheduleAtT(const Ddg &G, const MachineModel &Machine, int T, int Budget,
-                 ModuloSchedule &Out) {
+bool imsAtT(const Ddg &G, const MachineModel &Machine, int T,
+            ModuloSchedule &Out) {
   const int N = G.numNodes();
   std::vector<int> Height = computeHeights(G, T);
-  std::vector<int> Time(static_cast<size_t>(N), -1);
-  std::vector<int> Unit(static_cast<size_t>(N), -1);
-  std::vector<int> PrevTime(static_cast<size_t>(N), -1);
-  ModuloReservationTable Tables(Machine, T);
-  const int TimeCap = (N + 4) * std::max(T, 1) + 64;
-
-  auto Unschedule = [&](int Node) {
-    Tables.releaseRoutes(G, Node);
-    Tables.remove(G, Node, Time[static_cast<size_t>(Node)],
-                  Unit[static_cast<size_t>(Node)]);
-    Time[static_cast<size_t>(Node)] = -1;
-    Unit[static_cast<size_t>(Node)] = -1;
-  };
-
-  int Remaining = N;
-  while (Remaining > 0) {
-    if (Budget-- <= 0)
+  ModuloPlacer P(G, Machine, T);
+  while (P.unscheduled() > 0) {
+    if (!P.spendStep())
       return false;
 
     // Highest-priority unscheduled instruction.
     int Node = -1;
     for (int I = 0; I < N; ++I) {
-      if (Time[static_cast<size_t>(I)] >= 0)
+      if (P.time(I) >= 0)
         continue;
       if (Node < 0 || Height[static_cast<size_t>(I)] >
                           Height[static_cast<size_t>(Node)])
@@ -72,115 +55,30 @@ bool scheduleAtT(const Ddg &G, const MachineModel &Machine, int T, int Budget,
     // Earliest start from scheduled predecessors.
     int EStart = 0;
     for (const DdgEdge &E : G.edges()) {
-      if (E.Dst != Node || Time[static_cast<size_t>(E.Src)] < 0)
+      if (E.Dst != Node || P.time(E.Src) < 0)
         continue;
-      EStart = std::max(EStart, Time[static_cast<size_t>(E.Src)] + E.Latency -
-                                    T * E.Distance);
+      EStart = std::max(EStart, P.time(E.Src) + E.Latency - T * E.Distance);
     }
-    if (EStart > TimeCap)
+    if (EStart > P.timeCap())
       return false;
 
-    // Try a window of slots, any unit.  Routing penalties make dependence
-    // windows placement-dependent, so the classic T-slot scan grows by the
-    // worst-case penalty (0 on topology-free machines).
-    int R = G.node(Node).OpClass;
-    int PlacedTime = -1, PlacedUnit = -1;
-    const int Window = T + Tables.maxRoutePenalty();
-    for (int Cand = EStart; Cand < EStart + Window && PlacedTime < 0; ++Cand)
-      for (int U = 0; U < Machine.type(R).Count; ++U)
-        if (Tables.fits(G, Node, Cand, U) &&
-            Tables.topoAdmits(G, Node, Cand, U, Time, Unit)) {
-          PlacedTime = Cand;
-          PlacedUnit = U;
-          break;
-        }
-
-    if (PlacedTime < 0) {
-      // Force placement, evicting whatever is in the way (Rau's rule:
-      // never earlier than the previous placement + 1).
-      PlacedTime = EStart;
-      if (PrevTime[static_cast<size_t>(Node)] >= 0)
-        PlacedTime = std::max(PlacedTime,
-                              PrevTime[static_cast<size_t>(Node)] + 1);
-      if (PlacedTime > TimeCap)
-        return false;
-      // Evict from the unit with the fewest conflicts (table collisions
-      // plus, with a topology, routing/adjacency victims).
-      auto VictimsAt = [&](int U) {
-        std::vector<int> V = Tables.conflicts(G, Node, PlacedTime, U);
-        for (int W :
-             Tables.topoConflicts(G, Node, PlacedTime, U, Time, Unit))
-          if (std::find(V.begin(), V.end(), W) == V.end())
-            V.push_back(W);
-        return V;
-      };
-      PlacedUnit = 0;
-      size_t BestConflicts = SIZE_MAX;
-      for (int U = 0; U < Machine.type(R).Count; ++U) {
-        size_t C = VictimsAt(U).size();
-        if (C < BestConflicts) {
-          BestConflicts = C;
-          PlacedUnit = U;
-        }
-      }
-      for (int Victim : VictimsAt(PlacedUnit)) {
-        Unschedule(Victim);
-        ++Remaining;
-      }
-    }
-
-    Tables.place(G, Node, PlacedTime, PlacedUnit);
-    Time[static_cast<size_t>(Node)] = PlacedTime;
-    Unit[static_cast<size_t>(Node)] = PlacedUnit;
-    PrevTime[static_cast<size_t>(Node)] = PlacedTime;
-    Tables.commitRoutes(G, Node, Time, Unit);
-    --Remaining;
-
-    // Evict scheduled successors whose dependence is now violated.
-    for (const DdgEdge &E : G.edges()) {
-      if (E.Src != Node || E.Dst == Node)
-        continue;
-      int TDst = Time[static_cast<size_t>(E.Dst)];
-      if (TDst >= 0 && TDst < PlacedTime + E.Latency - T * E.Distance) {
-        Unschedule(E.Dst);
-        ++Remaining;
-      }
-    }
-    // Self-loops: a violated self-dependence means this T is hopeless for
-    // this placement; the dependence check below catches it via EStart on
-    // the next attempt (self edge with Dst == Node re-enters EStart).
-    for (const DdgEdge &E : G.edges()) {
-      if (E.Src != Node || E.Dst != Node)
-        continue;
-      if (0 < E.Latency - T * E.Distance)
-        return false; // T below the self-recurrence bound.
-    }
+    // Try a window of T slots (widened by the routing penalty), any unit;
+    // failing that, force the placement and evict whatever is in the way.
+    if (!P.placeInWindow(Node, EStart, EStart + T - 1 + P.routePenalty(),
+                         /*Late=*/false) &&
+        !P.forcePlace(Node, EStart))
+      return false;
+    if (!P.evictViolated(Node, /*AlsoPreds=*/false))
+      return false;
   }
-
-  Out.T = T;
-  Out.StartTime = std::move(Time);
-  Out.Mapping = std::move(Unit);
+  Out = P.take();
   return true;
 }
 
 } // namespace
 
-ImsResult swp::iterativeModuloSchedule(const Ddg &G,
-                                       const MachineModel &Machine,
-                                       const ImsOptions &Opts) {
-  ImsResult Result;
-  Result.TDep = recurrenceMii(G);
-  Result.TRes = Machine.resourceMii(G);
-  Result.TLowerBound = std::max({1, Result.TDep, Result.TRes});
-  for (int T = Result.TLowerBound;
-       T <= Result.TLowerBound + Opts.MaxTSlack; ++T) {
-    if (!Machine.moduloFeasible(G, T))
-      continue;
-    ModuloSchedule S;
-    if (scheduleAtT(G, Machine, T, Opts.BudgetRatio * G.numNodes(), S)) {
-      Result.Schedule = std::move(S);
-      break;
-    }
-  }
-  return Result;
+SchedulerResult swp::iterativeModuloSchedule(const Ddg &G,
+                                             const MachineModel &Machine,
+                                             const ImsOptions &Opts) {
+  return heuristicSweep(G, Machine, Opts.MaxTSlack, imsAtT);
 }

@@ -2,6 +2,8 @@
 
 #include "swp/heuristics/ModuloReservationTable.h"
 
+#include "swp/support/Stopwatch.h"
+
 #include <algorithm>
 #include <cassert>
 
@@ -248,4 +250,115 @@ void ModuloReservationTable::releaseRoutes(const Ddg &G, int Node) {
                 [static_cast<size_t>(C.Slot)] = -1;
     RouteCells[EIx].clear();
   }
+}
+
+ModuloPlacer::ModuloPlacer(const Ddg &G, const MachineModel &Machine, int T)
+    : G(G), Machine(Machine), T(T), Tables(Machine, T),
+      Time(static_cast<size_t>(G.numNodes()), -1),
+      Unit(static_cast<size_t>(G.numNodes()), -1),
+      PrevTime(static_cast<size_t>(G.numNodes()), -1),
+      Remaining(G.numNodes()), Budget(6 * G.numNodes()),
+      TimeCap((G.numNodes() + 4) * std::max(T, 1) + 64) {}
+
+void ModuloPlacer::place(int Node, int At, int U) {
+  Tables.place(G, Node, At, U);
+  Time[static_cast<size_t>(Node)] = At;
+  Unit[static_cast<size_t>(Node)] = U;
+  PrevTime[static_cast<size_t>(Node)] = At;
+  Tables.commitRoutes(G, Node, Time, Unit);
+  --Remaining;
+}
+
+void ModuloPlacer::unschedule(int Node) {
+  Tables.releaseRoutes(G, Node);
+  Tables.remove(G, Node, Time[static_cast<size_t>(Node)],
+                Unit[static_cast<size_t>(Node)]);
+  Time[static_cast<size_t>(Node)] = -1;
+  Unit[static_cast<size_t>(Node)] = -1;
+  ++Remaining;
+}
+
+bool ModuloPlacer::placeInWindow(int Node, int Lo, int Hi, bool Late) {
+  const int Units = Machine.type(G.node(Node).OpClass).Count;
+  for (int Step = 0; Step <= Hi - Lo; ++Step) {
+    const int At = Late ? Hi - Step : Lo + Step;
+    for (int U = 0; U < Units; ++U)
+      if (Tables.fits(G, Node, At, U) &&
+          Tables.topoAdmits(G, Node, At, U, Time, Unit)) {
+        place(Node, At, U);
+        return true;
+      }
+  }
+  return false;
+}
+
+bool ModuloPlacer::forcePlace(int Node, int EStart) {
+  int At = EStart;
+  if (PrevTime[static_cast<size_t>(Node)] >= 0)
+    At = std::max(At, PrevTime[static_cast<size_t>(Node)] + 1);
+  if (At > TimeCap)
+    return false;
+  auto VictimsAt = [&](int U) {
+    std::vector<int> V = Tables.conflicts(G, Node, At, U);
+    for (int W : Tables.topoConflicts(G, Node, At, U, Time, Unit))
+      if (std::find(V.begin(), V.end(), W) == V.end())
+        V.push_back(W);
+    return V;
+  };
+  int Best = 0;
+  size_t BestConflicts = SIZE_MAX;
+  for (int U = 0; U < Machine.type(G.node(Node).OpClass).Count; ++U) {
+    size_t C = VictimsAt(U).size();
+    if (C < BestConflicts) {
+      BestConflicts = C;
+      Best = U;
+    }
+  }
+  for (int Victim : VictimsAt(Best))
+    unschedule(Victim);
+  place(Node, At, Best);
+  return true;
+}
+
+bool ModuloPlacer::evictViolated(int Node, bool AlsoPreds) {
+  const int At = Time[static_cast<size_t>(Node)];
+  for (const DdgEdge &E : G.edges()) {
+    if (E.Src == E.Dst)
+      continue;
+    if (E.Src == Node) {
+      int TDst = Time[static_cast<size_t>(E.Dst)];
+      if (TDst >= 0 && TDst < At + E.Latency - T * E.Distance)
+        unschedule(E.Dst);
+    } else if (AlsoPreds && E.Dst == Node) {
+      int TSrc = Time[static_cast<size_t>(E.Src)];
+      if (TSrc >= 0 && At < TSrc + E.Latency - T * E.Distance)
+        unschedule(E.Src);
+    }
+  }
+  for (const DdgEdge &E : G.edges())
+    if (E.Src == Node && E.Dst == Node && 0 < E.Latency - T * E.Distance)
+      return false;
+  return true;
+}
+
+ModuloSchedule ModuloPlacer::take() {
+  ModuloSchedule S;
+  S.T = T;
+  S.StartTime = std::move(Time);
+  S.Mapping = std::move(Unit);
+  return S;
+}
+
+SchedulerResult swp::heuristicSweep(const Ddg &G, const MachineModel &Machine,
+                                    int MaxTSlack, HeuristicAtT AtT) {
+  SchedulerOptions Sweep;
+  Sweep.MaxTSlack = MaxTSlack;
+  return searchRateOptimal(G, Machine, Sweep, [&](int T) {
+    Stopwatch Watch;
+    TStepResult R;
+    if (AtT(G, Machine, T, R.Schedule))
+      R.Attempt.Status = MilpStatus::Optimal;
+    R.Attempt.Seconds = Watch.seconds();
+    return R;
+  });
 }

@@ -2,7 +2,6 @@
 
 #include "swp/heuristics/SlackModulo.h"
 
-#include "swp/ddg/Analysis.h"
 #include "swp/heuristics/ModuloReservationTable.h"
 
 #include <algorithm>
@@ -54,8 +53,9 @@ std::vector<int> alapTimes(const Ddg &G, int T, int Horizon) {
   return L;
 }
 
-bool scheduleAtT(const Ddg &G, const MachineModel &Machine, int T, int Budget,
-                 ModuloSchedule &Out) {
+/// One slack-scheduling attempt at a fixed T; fills \p Out on success.
+bool slackAtT(const Ddg &G, const MachineModel &Machine, int T,
+              ModuloSchedule &Out) {
   const int N = G.numNodes();
   std::vector<int> Asap = asapTimes(G, T);
   int Horizon = 0;
@@ -64,29 +64,15 @@ bool scheduleAtT(const Ddg &G, const MachineModel &Machine, int T, int Budget,
   Horizon += T;
   std::vector<int> Alap = alapTimes(G, T, Horizon);
 
-  std::vector<int> Time(static_cast<size_t>(N), -1);
-  std::vector<int> Unit(static_cast<size_t>(N), -1);
-  std::vector<int> PrevTime(static_cast<size_t>(N), -1);
-  ModuloReservationTable Tables(Machine, T);
-  const int TimeCap = (N + 4) * std::max(T, 1) + 64;
-
-  auto Unschedule = [&](int Node) {
-    Tables.releaseRoutes(G, Node);
-    Tables.remove(G, Node, Time[static_cast<size_t>(Node)],
-                  Unit[static_cast<size_t>(Node)]);
-    Time[static_cast<size_t>(Node)] = -1;
-    Unit[static_cast<size_t>(Node)] = -1;
-  };
-
-  int Remaining = N;
-  while (Remaining > 0) {
-    if (Budget-- <= 0)
+  ModuloPlacer P(G, Machine, T);
+  while (P.unscheduled() > 0) {
+    if (!P.spendStep())
       return false;
 
     // Minimum-slack unscheduled instruction (critical ops first).
     int Node = -1;
     for (int I = 0; I < N; ++I) {
-      if (Time[static_cast<size_t>(I)] >= 0)
+      if (P.time(I) >= 0)
         continue;
       int SlackI = Alap[static_cast<size_t>(I)] - Asap[static_cast<size_t>(I)];
       if (Node < 0 ||
@@ -97,154 +83,56 @@ bool scheduleAtT(const Ddg &G, const MachineModel &Machine, int T, int Budget,
 
     // Dynamic window from scheduled neighbours.
     int EStart = 0;
-    int LStart = TimeCap;
+    int LStart = P.timeCap();
     int ScheduledPreds = 0, ScheduledSuccs = 0;
     for (const DdgEdge &E : G.edges()) {
-      if (E.Dst == Node && E.Src != Node &&
-          Time[static_cast<size_t>(E.Src)] >= 0) {
-        EStart = std::max(EStart, Time[static_cast<size_t>(E.Src)] +
-                                      E.Latency - T * E.Distance);
+      if (E.Dst == Node && E.Src != Node && P.time(E.Src) >= 0) {
+        EStart =
+            std::max(EStart, P.time(E.Src) + E.Latency - T * E.Distance);
         ++ScheduledPreds;
       }
-      if (E.Src == Node && E.Dst != Node &&
-          Time[static_cast<size_t>(E.Dst)] >= 0) {
-        LStart = std::min(LStart, Time[static_cast<size_t>(E.Dst)] -
-                                      E.Latency + T * E.Distance);
+      if (E.Src == Node && E.Dst != Node && P.time(E.Dst) >= 0) {
+        LStart =
+            std::min(LStart, P.time(E.Dst) - E.Latency + T * E.Distance);
         ++ScheduledSuccs;
       }
     }
-    if (EStart > TimeCap)
+    if (EStart > P.timeCap())
       return false;
     // A window of at most T slots suffices (resources repeat mod T) —
     // widened by the worst-case routing penalty when the topology makes
     // dependence windows placement-dependent (0 otherwise).
-    int WindowHi = std::min(LStart, EStart + T - 1 + Tables.maxRoutePenalty());
+    int WindowHi = std::min(LStart, EStart + T - 1 + P.routePenalty());
 
     // Direction: consumers-anchored ops go late (shrink the lifetime of
-    // the value they produce toward its uses), otherwise early.
+    // the value they produce toward its uses), otherwise early.  Failing
+    // the window, force the placement with eviction (IMS rule).
     bool Late = ScheduledSuccs > ScheduledPreds;
-
-    int R = G.node(Node).OpClass;
-    int PlacedTime = -1, PlacedUnit = -1;
-    if (WindowHi >= EStart) {
-      if (Late) {
-        for (int Cand = WindowHi; Cand >= EStart && PlacedTime < 0; --Cand)
-          for (int U = 0; U < Machine.type(R).Count; ++U)
-            if (Tables.fits(G, Node, Cand, U) &&
-                Tables.topoAdmits(G, Node, Cand, U, Time, Unit)) {
-              PlacedTime = Cand;
-              PlacedUnit = U;
-              break;
-            }
-      } else {
-        for (int Cand = EStart; Cand <= WindowHi && PlacedTime < 0; ++Cand)
-          for (int U = 0; U < Machine.type(R).Count; ++U)
-            if (Tables.fits(G, Node, Cand, U) &&
-                Tables.topoAdmits(G, Node, Cand, U, Time, Unit)) {
-              PlacedTime = Cand;
-              PlacedUnit = U;
-              break;
-            }
-      }
-    }
-
-    if (PlacedTime < 0) {
-      // Force placement with eviction (IMS rule).
-      PlacedTime = EStart;
-      if (PrevTime[static_cast<size_t>(Node)] >= 0)
-        PlacedTime = std::max(PlacedTime,
-                              PrevTime[static_cast<size_t>(Node)] + 1);
-      if (PlacedTime > TimeCap)
-        return false;
-      // Table collisions plus, with a topology, routing/adjacency victims.
-      auto VictimsAt = [&](int U) {
-        std::vector<int> V = Tables.conflicts(G, Node, PlacedTime, U);
-        for (int W :
-             Tables.topoConflicts(G, Node, PlacedTime, U, Time, Unit))
-          if (std::find(V.begin(), V.end(), W) == V.end())
-            V.push_back(W);
-        return V;
-      };
-      PlacedUnit = 0;
-      size_t BestConflicts = SIZE_MAX;
-      for (int U = 0; U < Machine.type(R).Count; ++U) {
-        size_t C = VictimsAt(U).size();
-        if (C < BestConflicts) {
-          BestConflicts = C;
-          PlacedUnit = U;
-        }
-      }
-      for (int Victim : VictimsAt(PlacedUnit)) {
-        Unschedule(Victim);
-        ++Remaining;
-      }
-    }
-
-    Tables.place(G, Node, PlacedTime, PlacedUnit);
-    Time[static_cast<size_t>(Node)] = PlacedTime;
-    Unit[static_cast<size_t>(Node)] = PlacedUnit;
-    PrevTime[static_cast<size_t>(Node)] = PlacedTime;
-    Tables.commitRoutes(G, Node, Time, Unit);
-    --Remaining;
-
-    // Evict scheduled neighbours whose dependence is now violated.
-    for (const DdgEdge &E : G.edges()) {
-      if (E.Src == E.Dst)
-        continue;
-      if (E.Src == Node) {
-        int TDst = Time[static_cast<size_t>(E.Dst)];
-        if (TDst >= 0 && TDst < PlacedTime + E.Latency - T * E.Distance) {
-          Unschedule(E.Dst);
-          ++Remaining;
-        }
-      } else if (E.Dst == Node) {
-        int TSrc = Time[static_cast<size_t>(E.Src)];
-        if (TSrc >= 0 && PlacedTime < TSrc + E.Latency - T * E.Distance) {
-          Unschedule(E.Src);
-          ++Remaining;
-        }
-      }
-    }
-    for (const DdgEdge &E : G.edges())
-      if (E.Src == Node && E.Dst == Node && 0 < E.Latency - T * E.Distance)
-        return false; // T below the self-recurrence bound.
+    if (!P.placeInWindow(Node, EStart, WindowHi, Late) &&
+        !P.forcePlace(Node, EStart))
+      return false;
+    if (!P.evictViolated(Node, /*AlsoPreds=*/true))
+      return false;
   }
 
   // Late placement can leave everything shifted; normalize to start >= 0
   // (dependences are shift-invariant).
-  int MinTime = *std::min_element(Time.begin(), Time.end());
-  if (MinTime > 0) {
+  Out = P.take();
+  auto Earliest = std::min_element(Out.StartTime.begin(), Out.StartTime.end());
+  if (Earliest != Out.StartTime.end() && *Earliest > 0) {
     // Align the earliest instruction to its offset-preserving residue so
     // the mapping stays valid: shift by a multiple of T.
-    int Shift = (MinTime / T) * T;
-    for (int &V : Time)
+    int Shift = (*Earliest / T) * T;
+    for (int &V : Out.StartTime)
       V -= Shift;
   }
-
-  Out.T = T;
-  Out.StartTime = std::move(Time);
-  Out.Mapping = std::move(Unit);
   return true;
 }
 
 } // namespace
 
-SlackResult swp::slackModuloSchedule(const Ddg &G,
-                                     const MachineModel &Machine,
-                                     const SlackOptions &Opts) {
-  SlackResult Result;
-  Result.TDep = recurrenceMii(G);
-  Result.TRes = Machine.resourceMii(G);
-  Result.TLowerBound = std::max({1, Result.TDep, Result.TRes});
-  for (int T = Result.TLowerBound;
-       T <= Result.TLowerBound + Opts.MaxTSlack; ++T) {
-    if (!Machine.moduloFeasible(G, T))
-      continue;
-    ModuloSchedule S;
-    if (scheduleAtT(G, Machine, T, Opts.BudgetRatio * G.numNodes(), S)) {
-      Result.Schedule = std::move(S);
-      break;
-    }
-  }
-  return Result;
+SchedulerResult swp::slackModuloSchedule(const Ddg &G,
+                                         const MachineModel &Machine,
+                                         const SlackOptions &Opts) {
+  return heuristicSweep(G, Machine, Opts.MaxTSlack, slackAtT);
 }

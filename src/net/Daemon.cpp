@@ -8,6 +8,7 @@
 #include "swp/textio/Parser.h"
 
 #include <algorithm>
+#include <iterator>
 
 using namespace swp;
 using namespace swp::net;
@@ -122,18 +123,14 @@ void Daemon::stop() {
   if (AcceptThread.joinable())
     AcceptThread.join();
   Listener.close();
-  for (;;) {
-    std::thread T;
-    {
-      std::lock_guard<std::mutex> Lock(ConnMutex);
-      if (ConnThreads.empty())
-        break;
-      T = std::move(ConnThreads.front());
-      ConnThreads.pop_front();
-    }
-    if (T.joinable())
-      T.join();
+  // The accept thread is gone, so no connection thread starts after this.
+  std::list<ConnThread> Open;
+  {
+    std::lock_guard<std::mutex> Lock(ConnMutex);
+    Open.splice(Open.end(), ConnThreads);
   }
+  for (ConnThread &C : Open)
+    C.Thread.join();
   if (!Opts.SnapshotDir.empty())
     (void)saveSnapshot();
 }
@@ -164,6 +161,10 @@ DaemonStats Daemon::stats() const {
   }
   S.Admission = Admission.stats();
   {
+    std::lock_guard<std::mutex> Lock(ConnMutex);
+    S.HeldConnectionThreads = ConnThreads.size();
+  }
+  {
     std::lock_guard<std::mutex> Lock(ServicesMutex);
     S.Service = RetiredStats;
     for (const ServiceEntry &E : Services)
@@ -187,6 +188,8 @@ std::string Daemon::statsText() const {
             std::to_string(S.SnapshotEntriesLoaded)});
   D.addRow({"snapshot corrupt shards",
             std::to_string(S.SnapshotCorruptShards)});
+  D.addRow({"connection threads held",
+            std::to_string(S.HeldConnectionThreads)});
   TextTable A;
   A.setHeader({"Admission", "Value"});
   A.addRow({"admitted", std::to_string(S.Admission.Admitted)});
@@ -314,16 +317,36 @@ void Daemon::bumpCounter(std::uint64_t DaemonStats::*Field) {
   ++(Counters.*Field);
 }
 
+void Daemon::reapFinishedConnections() {
+  std::list<ConnThread> Finished;
+  {
+    std::lock_guard<std::mutex> Lock(ConnMutex);
+    for (auto It = ConnThreads.begin(); It != ConnThreads.end();) {
+      auto Next = std::next(It);
+      if (It->Done.load())
+        Finished.splice(Finished.end(), ConnThreads, It);
+      It = Next;
+    }
+  }
+  for (ConnThread &C : Finished)
+    C.Thread.join();
+}
+
 void Daemon::acceptLoop() {
   while (!StopFlag.load()) {
+    // A finished connection's thread keeps its stack mapped until joined.
+    reapFinishedConnections();
     Expected<Socket> Conn = Listener.accept(0.1);
     if (!Conn.ok())
       continue; // Timeout slice (or transient accept error): poll StopFlag.
     bumpCounter(&DaemonStats::Connections);
     std::lock_guard<std::mutex> Lock(ConnMutex);
-    ConnThreads.emplace_back(
-        [this, C = std::make_shared<Socket>(std::move(*Conn))]() mutable {
-          handleConnection(std::move(*C));
+    ConnThread &C = ConnThreads.emplace_back();
+    C.Thread = std::thread(
+        [this, &Done = C.Done,
+         Sock = std::make_shared<Socket>(std::move(*Conn))]() mutable {
+          handleConnection(std::move(*Sock));
+          Done.store(true);
         });
   }
 }

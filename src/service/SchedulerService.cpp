@@ -2,7 +2,6 @@
 
 #include "swp/service/SchedulerService.h"
 
-#include "swp/core/Verifier.h"
 #include "swp/heuristics/IterativeModulo.h"
 #include "swp/heuristics/SlackModulo.h"
 #include "swp/sat/SatScheduler.h"
@@ -189,27 +188,22 @@ SchedulerResult swp::portfolioSchedule(const Ddg &G,
 
   // Heuristic leg.  IMS and slack scheduling finish in microseconds on
   // corpus-sized loops, so they always win the race to a first incumbent;
-  // the better of the two becomes the upper bound.
+  // the better of the two becomes the upper bound.  Their sweeps verify
+  // what they return; a rejected schedule (never expected) leaves its leg
+  // empty and is reported through VerifyFailed.
   ImsOptions ImsOpts;
   ImsOpts.MaxTSlack = Opts.MaxTSlack;
-  ImsResult Ims = iterativeModuloSchedule(G, Machine, ImsOpts);
-  ModuloSchedule Incumbent;
-  if (Ims.found())
-    Incumbent = Ims.Schedule;
-  bool HeurVerifyFailed = false;
+  SchedulerResult Ims = iterativeModuloSchedule(G, Machine, ImsOpts);
+  ModuloSchedule Incumbent = Ims.Schedule;
+  bool HeurVerifyFailed = Ims.VerifyFailed;
   if (!Opts.Cancel.cancelled()) {
     SlackOptions SlackOpts;
     SlackOpts.MaxTSlack = Opts.MaxTSlack;
-    SlackResult Slack = slackModuloSchedule(G, Machine, SlackOpts);
+    SchedulerResult Slack = slackModuloSchedule(G, Machine, SlackOpts);
+    HeurVerifyFailed = HeurVerifyFailed || Slack.VerifyFailed;
     if (Slack.found() &&
         (Incumbent.T == 0 || Slack.Schedule.T < Incumbent.T))
-      Incumbent = Slack.Schedule;
-  }
-  if (Incumbent.T > 0 && Opts.VerifySchedules &&
-      !verifySchedule(G, Machine, Incumbent).Ok) {
-    // Never expected; drop the incumbent and let the ILP leg stand alone.
-    HeurVerifyFailed = true;
-    Incumbent = ModuloSchedule();
+      Incumbent = std::move(Slack.Schedule);
   }
 
   if (Incumbent.T > 0 && Incumbent.T == Ims.TLowerBound) {
@@ -264,26 +258,23 @@ SchedulerResult swp::runHeuristicLadder(const Ddg &G,
     R.TotalSeconds = Total.seconds();
     return R;
   }
+  // Slack first, then IMS; each sweep verifies the schedule it returns.
   SlackOptions SlackOpts;
   SlackOpts.MaxTSlack = MaxTSlack;
-  SlackResult Slack = slackModuloSchedule(G, Machine, SlackOpts);
-  if (Slack.found() && verifySchedule(G, Machine, Slack.Schedule).Ok) {
-    R.Schedule = Slack.Schedule;
-    R.Fallback = FallbackRung::SlackModulo;
-    R.TDep = Slack.TDep;
-    R.TRes = Slack.TRes;
-    R.TLowerBound = Slack.TLowerBound;
-  } else {
+  SchedulerResult Rung = slackModuloSchedule(G, Machine, SlackOpts);
+  FallbackRung Which = FallbackRung::SlackModulo;
+  if (!Rung.found()) {
     ImsOptions ImsOpts;
     ImsOpts.MaxTSlack = MaxTSlack;
-    ImsResult Ims = iterativeModuloSchedule(G, Machine, ImsOpts);
-    R.TDep = Ims.TDep;
-    R.TRes = Ims.TRes;
-    R.TLowerBound = Ims.TLowerBound;
-    if (Ims.found() && verifySchedule(G, Machine, Ims.Schedule).Ok) {
-      R.Schedule = Ims.Schedule;
-      R.Fallback = FallbackRung::IterativeModulo;
-    }
+    Rung = iterativeModuloSchedule(G, Machine, ImsOpts);
+    Which = FallbackRung::IterativeModulo;
+  }
+  R.TDep = Rung.TDep;
+  R.TRes = Rung.TRes;
+  R.TLowerBound = Rung.TLowerBound;
+  if (Rung.found()) {
+    R.Schedule = std::move(Rung.Schedule);
+    R.Fallback = Which;
   }
   // T_lb comes from fault-free analysis, so a rung schedule sitting on it
   // is rate-optimal by construction.

@@ -106,11 +106,11 @@ TEST(CgraEngines, HeuristicsProduceVerifiedMappings) {
   CgraCorpusOptions COpts;
   COpts.NumLoops = 10;
   for (const Ddg &G : generateCgraCorpus(M, COpts)) {
-    ImsResult Ims = iterativeModuloSchedule(G, M);
+    SchedulerResult Ims = iterativeModuloSchedule(G, M);
     ASSERT_TRUE(Ims.found()) << G.name();
     VerifyResult VI = verifySchedule(G, M, Ims.Schedule);
     EXPECT_TRUE(VI.Ok) << G.name() << ": " << VI.Error;
-    SlackResult Sl = slackModuloSchedule(G, M);
+    SchedulerResult Sl = slackModuloSchedule(G, M);
     ASSERT_TRUE(Sl.found()) << G.name();
     VerifyResult VS = verifySchedule(G, M, Sl.Schedule);
     EXPECT_TRUE(VS.Ok) << G.name() << ": " << VS.Error;
@@ -130,11 +130,11 @@ TEST(CgraEngines, HeuristicsNeverBeatProvenOptimum) {
     SchedulerResult Ilp = scheduleLoop(G, M, Opts);
     if (!Ilp.ProvenRateOptimal || !Ilp.found())
       continue;
-    ImsResult Ims = iterativeModuloSchedule(G, M);
+    SchedulerResult Ims = iterativeModuloSchedule(G, M);
     if (Ims.found()) {
       EXPECT_GE(Ims.Schedule.T, Ilp.Schedule.T) << G.name();
     }
-    SlackResult Sl = slackModuloSchedule(G, M);
+    SchedulerResult Sl = slackModuloSchedule(G, M);
     if (Sl.found()) {
       EXPECT_GE(Sl.Schedule.T, Ilp.Schedule.T) << G.name();
     }
@@ -149,9 +149,10 @@ TEST(CgraEngines, EnumerativeDeclinesTopologyMachines) {
   G.addNode("a", 0, 1);
   G.addNode("b", 0, 1);
   G.addEdge(0, 1, 0);
-  EnumResult R = enumerativeSchedule(G, M);
+  SchedulerResult R = enumerativeSchedule(G, M);
   EXPECT_FALSE(R.found());
   EXPECT_FALSE(R.ProvenRateOptimal);
+  EXPECT_EQ(R.Error.code(), StatusCode::InvalidInput);
 }
 
 TEST(CgraEngines, SlackForcedPlacementRejectsSelfCollidingRoute) {
@@ -179,7 +180,7 @@ TEST(CgraEngines, SlackForcedPlacementRejectsSelfCollidingRoute) {
   Ddg G = generateRandomCgraLoop(M, X, LoopOpts);
   SlackOptions SlackOpts;
   SlackOpts.MaxTSlack = 4;
-  SlackResult Sl = slackModuloSchedule(G, M, SlackOpts);
+  SchedulerResult Sl = slackModuloSchedule(G, M, SlackOpts);
   if (Sl.found()) {
     VerifyResult V = verifySchedule(G, M, Sl.Schedule);
     EXPECT_TRUE(V.Ok) << "T=" << Sl.Schedule.T << ": " << V.Error;

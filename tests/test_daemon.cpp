@@ -4,9 +4,11 @@
 // parity with a local service, warm-restart cache identity through the
 // snapshot layer, load shedding and degradation levels on the wire,
 // malformed-input error responses that keep the connection alive, corrupt
-// frames that tear it down, injected socket faults, and the shutdown
-// handshake.  Every daemon runs on its own socket path and the solves are
-// node-limited, so the suite is deterministic and fast.
+// frames that tear it down, injected socket faults, the shutdown
+// handshake, a saturated admission window under concurrent clients, and
+// the joining of finished connection threads.  Every daemon runs on its
+// own socket path and the solves are node-limited, so the suite is
+// deterministic and fast.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,9 +21,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/socket.h>
@@ -180,6 +185,75 @@ TEST_F(DaemonTest, SaturationShedsWithAWellFormedResponse) {
   DaemonStats S = D.stats();
   EXPECT_EQ(S.Admission.Shed, 1u);
   EXPECT_EQ(S.Service.CacheSize, 0u) << "shed requests must never be cached";
+  D.stop();
+}
+
+TEST_F(DaemonTest, SaturatedWindowAnswersEveryRequestInProtocol) {
+  // A one-slot admission window under three concurrent clients: every
+  // request gets a well-formed answer, solved or shed with a reason, and
+  // none is lost to the transport.
+  MachineModel M = ppc604Like();
+  Ddg G = smallLoop();
+  DaemonOptions O = daemonOptions("saturated");
+  O.Service.UseCache = false; // Every admitted request is a real solve.
+  O.Admission.MaxInFlight = 1;
+  Daemon D(O);
+  ASSERT_TRUE(D.start().isOk());
+
+  constexpr int Clients = 3, PerClient = 4;
+  std::atomic<int> Solved{0}, Shed{0}, ShedWithoutReason{0}, Other{0},
+      TransportErrors{0};
+  std::vector<std::thread> Threads;
+  for (int C = 0; C < Clients; ++C)
+    Threads.emplace_back([&] {
+      Expected<DaemonClient> Conn = DaemonClient::connect(O.SocketPath, 10.0);
+      for (int I = 0; I < PerClient; ++I) {
+        if (!Conn.ok()) {
+          ++TransportErrors;
+          continue;
+        }
+        Expected<ScheduleResponseMsg> R = Conn->schedule(requestFor(M, G));
+        if (!R.ok())
+          ++TransportErrors;
+        else if (R->Outcome == ResponseOutcome::Solved)
+          ++Solved;
+        else if (R->Outcome == ResponseOutcome::Shed)
+          ++(R->Reason.empty() ? ShedWithoutReason : Shed);
+        else
+          ++Other;
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(TransportErrors.load(), 0);
+  EXPECT_EQ(Other.load(), 0);
+  EXPECT_EQ(ShedWithoutReason.load(), 0);
+  EXPECT_EQ(Solved.load() + Shed.load(), Clients * PerClient);
+  D.stop();
+}
+
+TEST_F(DaemonTest, FinishedConnectionThreadsAreJoined) {
+  DaemonOptions O = daemonOptions("reap");
+  Daemon D(O);
+  ASSERT_TRUE(D.start().isOk());
+  for (int I = 0; I < 50; ++I) {
+    Expected<DaemonClient> C = DaemonClient::connect(O.SocketPath, 10.0);
+    ASSERT_TRUE(C.ok());
+    ASSERT_TRUE(C->statsText().ok());
+  } // Each client closes its connection here.
+
+  // The accept loop joins a finished connection's thread within one of
+  // its 0.1 s polls; nothing else may keep holding them.
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  DaemonStats S = D.stats();
+  while (S.HeldConnectionThreads > 0 &&
+         std::chrono::steady_clock::now() < Deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    S = D.stats();
+  }
+  EXPECT_EQ(S.Connections, 50u);
+  EXPECT_EQ(S.HeldConnectionThreads, 0u);
+  EXPECT_NE(D.statsText().find("connection threads held"), std::string::npos);
   D.stop();
 }
 

@@ -227,17 +227,13 @@ TEST(DriverFaults, BnbNodeFaultSurfacesTypedError) {
   ASSERT_TRUE(FaultInjector::instance().configure("bnb-node:1", 0, nullptr));
   SchedulerOptions Opts = fastOptions();
   Opts.LpRoundingProbe = false;
-  ModuloSchedule Out;
-  SearchStop Stop = SearchStop::None;
-  Status Error;
-  MilpStatus St =
-      scheduleAtT(G, M, T, Opts, Out, nullptr, nullptr, &Stop, &Error);
+  TStepResult R = ilpStepAtT(G, M, T, Opts);
   FaultInjector::instance().reset();
-  EXPECT_EQ(St, MilpStatus::Error);
-  EXPECT_EQ(Stop, SearchStop::Fault);
-  EXPECT_EQ(Error.code(), StatusCode::FaultInjected);
-  EXPECT_EQ(Error.phase(), "milp");
-  EXPECT_EQ(Error.t(), T);
+  EXPECT_EQ(R.Attempt.Status, MilpStatus::Error);
+  EXPECT_EQ(R.Attempt.StopReason, SearchStop::Fault);
+  EXPECT_EQ(R.Error.code(), StatusCode::FaultInjected);
+  EXPECT_EQ(R.Error.phase(), "milp");
+  EXPECT_EQ(R.Error.t(), T);
 }
 
 TEST(DriverFaults, AllocFaultReportsResourceExhausted) {
@@ -245,16 +241,12 @@ TEST(DriverFaults, AllocFaultReportsResourceExhausted) {
   MachineModel M = ppc604Like();
   Ddg G = generateRandomLoop(M, 11, {});
   ASSERT_TRUE(FaultInjector::instance().configure("alloc:1", 0, nullptr));
-  ModuloSchedule Out;
-  SearchStop Stop = SearchStop::None;
-  Status Error;
-  MilpStatus St = scheduleAtT(G, M, 64, fastOptions(), Out, nullptr, nullptr,
-                              &Stop, &Error);
+  TStepResult R = ilpStepAtT(G, M, 64, fastOptions());
   FaultInjector::instance().reset();
-  EXPECT_EQ(St, MilpStatus::Error);
-  EXPECT_EQ(Stop, SearchStop::Fault);
-  EXPECT_EQ(Error.code(), StatusCode::ResourceExhausted);
-  EXPECT_EQ(Error.phase(), "model-build");
+  EXPECT_EQ(R.Attempt.Status, MilpStatus::Error);
+  EXPECT_EQ(R.Attempt.StopReason, SearchStop::Fault);
+  EXPECT_EQ(R.Error.code(), StatusCode::ResourceExhausted);
+  EXPECT_EQ(R.Error.phase(), "model-build");
 }
 
 TEST(DriverFaults, InvalidInputIsTypedWithoutInjection) {
@@ -270,14 +262,10 @@ TEST(DriverFaults, InvalidInputIsTypedWithoutInjection) {
   EXPECT_FALSE(R.FaultsSeen) << "a bad input is not a fault";
   EXPECT_TRUE(R.Attempts.empty());
 
-  ModuloSchedule Out;
-  Status Error;
   Ddg G = generateRandomLoop(M, 11, {});
-  EXPECT_EQ(scheduleAtT(G, M, 0, fastOptions(), Out, nullptr, nullptr,
-                        nullptr, &Error),
-            MilpStatus::Error)
-      << "T below 1 is invalid";
-  EXPECT_EQ(Error.code(), StatusCode::InvalidInput);
+  TStepResult Step = ilpStepAtT(G, M, 0, fastOptions());
+  EXPECT_EQ(Step.Attempt.Status, MilpStatus::Error) << "T below 1 is invalid";
+  EXPECT_EQ(Step.Error.code(), StatusCode::InvalidInput);
 }
 
 //===----------------------------------------------------------------------===//
@@ -292,9 +280,10 @@ TEST(SweepAccounting, ScriptedStepsFollowTheProofRules) {
   ASSERT_TRUE(M.moduloFeasible(G, TLb + 1));
   // A schedule at T_lb + 1 that really verifies, and a copy the verifier
   // rejects.
-  ModuloSchedule Good;
-  MilpStatus GoodSt = scheduleAtT(G, M, TLb + 1, fastOptions(), Good);
-  ASSERT_TRUE(GoodSt == MilpStatus::Optimal || GoodSt == MilpStatus::Feasible);
+  TStepResult GoodStep = ilpStepAtT(G, M, TLb + 1, fastOptions());
+  ASSERT_TRUE(GoodStep.Attempt.Status == MilpStatus::Optimal ||
+              GoodStep.Attempt.Status == MilpStatus::Feasible);
+  ModuloSchedule Good = GoodStep.Schedule;
   ASSERT_TRUE(verifySchedule(G, M, Good).Ok);
   ModuloSchedule Rejected = Good;
   Rejected.StartTime[0] = -1;

@@ -20,7 +20,9 @@ MilpStatus solveAt(const Ddg &G, const MachineModel &M, int T,
   SchedulerOptions Opts;
   Opts.Mapping = Mapping;
   Opts.TimeLimitPerT = 30.0;
-  return scheduleAtT(G, M, T, Opts, Out);
+  TStepResult R = ilpStepAtT(G, M, T, Opts);
+  Out = std::move(R.Schedule);
+  return R.Attempt.Status;
 }
 
 } // namespace

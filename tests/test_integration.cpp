@@ -76,12 +76,12 @@ TEST_P(IntegrationPropertyTest, IlpVerifiesAndIsRateOptimalOnRandomLoops) {
   EXPECT_TRUE(R.ProvenRateOptimal);
 
   // Cross-check rate optimality against exhaustive search.
-  EnumResult E = enumerativeSchedule(G, M);
+  SchedulerResult E = enumerativeSchedule(G, M);
   ASSERT_TRUE(E.found()) << G.name();
   EXPECT_EQ(R.Schedule.T, E.Schedule.T) << G.name();
 
   // And the heuristic may only be worse.
-  ImsResult H = iterativeModuloSchedule(G, M);
+  SchedulerResult H = iterativeModuloSchedule(G, M);
   ASSERT_TRUE(H.found()) << G.name();
   EXPECT_GE(H.Schedule.T, R.Schedule.T) << G.name();
 }

@@ -134,7 +134,7 @@ TEST(MultiFunction, EnumerativeAgreesWithIlp) {
   MachineModel M = ppc604MultiFunction();
   Ddg G = divMulLoop();
   SchedulerResult I = scheduleLoop(G, M);
-  EnumResult E = enumerativeSchedule(G, M);
+  SchedulerResult E = enumerativeSchedule(G, M);
   ASSERT_TRUE(I.found());
   ASSERT_TRUE(E.found());
   EXPECT_EQ(I.Schedule.T, E.Schedule.T);
@@ -144,7 +144,7 @@ TEST(MultiFunction, EnumerativeAgreesWithIlp) {
 TEST(MultiFunction, ImsHandlesSharedUnit) {
   MachineModel M = ppc604MultiFunction();
   Ddg G = divMulLoop();
-  ImsResult R = iterativeModuloSchedule(G, M);
+  SchedulerResult R = iterativeModuloSchedule(G, M);
   ASSERT_TRUE(R.found());
   VerifyResult V = verifySchedule(G, M, R.Schedule);
   EXPECT_TRUE(V.Ok) << V.Error;
@@ -203,7 +203,7 @@ TEST_P(MultiFunctionPropertyTest, RandomMixedLoopsScheduleAndVerify) {
   VerifyResult V = verifySchedule(G, M, R.Schedule);
   EXPECT_TRUE(V.Ok) << V.Error;
 
-  EnumResult E = enumerativeSchedule(G, M);
+  SchedulerResult E = enumerativeSchedule(G, M);
   if (E.found() && E.ProvenRateOptimal && R.ProvenRateOptimal) {
     EXPECT_EQ(E.Schedule.T, R.Schedule.T) << G.name();
   }

@@ -256,7 +256,7 @@ TEST(DriverCancellation, PreCancelledTokenShortCircuits) {
 
 TEST(DriverCancellation, ScheduleAtTReportsCancelledStop) {
   // Bypass scheduleLoop's per-T token check and hit the one inside the
-  // branch-and-bound node loop: scheduleAtT must surface Cancelled.
+  // branch-and-bound node loop: the ILP step must surface Cancelled.
   MachineModel M = ppc604Like();
   Ddg G = generateRandomLoop(M, 99, {});
   int T = std::max({1, recurrenceMii(G), M.resourceMii(G)});
@@ -267,15 +267,10 @@ TEST(DriverCancellation, ScheduleAtTReportsCancelledStop) {
   SchedulerOptions Opts;
   Opts.Cancel = Src.token();
   Opts.LpRoundingProbe = false; // Force the search into branch and bound.
-  ModuloSchedule Out;
-  double Seconds = 0.0;
-  std::int64_t Nodes = 0;
-  SearchStop Stop = SearchStop::None;
-  MilpStatus Status = scheduleAtT(G, M, T, Opts, Out, &Seconds, &Nodes,
-                                  &Stop);
-  EXPECT_EQ(Status, MilpStatus::Unknown);
-  EXPECT_EQ(Stop, SearchStop::Cancelled);
-  EXPECT_EQ(Nodes, 0);
+  TAttempt A = ilpStepAtT(G, M, T, Opts).Attempt;
+  EXPECT_EQ(A.Status, MilpStatus::Unknown);
+  EXPECT_EQ(A.StopReason, SearchStop::Cancelled);
+  EXPECT_EQ(A.Nodes, 0);
 }
 
 TEST(DriverCancellation, SimplexPivotLoopHonorsToken) {
@@ -428,11 +423,11 @@ TEST(SchedulerService, PortfolioAgreesWithSerialIlp) {
     EXPECT_TRUE(verifySchedule(G, M, P.Schedule).Ok) << G.name();
     EXPECT_GE(P.Schedule.T, P.TLowerBound) << G.name();
     // The portfolio can never be worse than its heuristic legs.
-    ImsResult Ims = iterativeModuloSchedule(G, M);
+    SchedulerResult Ims = iterativeModuloSchedule(G, M);
     if (Ims.found()) {
       EXPECT_LE(P.Schedule.T, Ims.Schedule.T) << G.name();
     }
-    SlackResult Slack = slackModuloSchedule(G, M);
+    SchedulerResult Slack = slackModuloSchedule(G, M);
     if (Slack.found()) {
       EXPECT_LE(P.Schedule.T, Slack.Schedule.T) << G.name();
     }

@@ -92,7 +92,7 @@ TEST(Replay, AcceptsIlpSchedules) {
 TEST(Replay, AcceptsImsSchedules) {
   MachineModel M = ppc604Like();
   for (const Ddg &G : classicKernels()) {
-    ImsResult R = iterativeModuloSchedule(G, M);
+    SchedulerResult R = iterativeModuloSchedule(G, M);
     ASSERT_TRUE(R.found()) << G.name();
     std::string Err;
     EXPECT_TRUE(replaySchedule(G, M, R.Schedule, 8, &Err))

@@ -15,7 +15,7 @@ using namespace swp;
 TEST(Slack, SchedulesMotivatingLoop) {
   Ddg G = motivatingLoop();
   MachineModel M = exampleNonPipelinedMachine();
-  SlackResult R = slackModuloSchedule(G, M);
+  SchedulerResult R = slackModuloSchedule(G, M);
   ASSERT_TRUE(R.found());
   EXPECT_GE(R.Schedule.T, R.TLowerBound);
   VerifyResult V = verifySchedule(G, M, R.Schedule);
@@ -25,7 +25,7 @@ TEST(Slack, SchedulesMotivatingLoop) {
 TEST(Slack, SchedulesAllClassicKernels) {
   MachineModel M = ppc604Like();
   for (const Ddg &G : classicKernels()) {
-    SlackResult R = slackModuloSchedule(G, M);
+    SchedulerResult R = slackModuloSchedule(G, M);
     ASSERT_TRUE(R.found()) << G.name();
     VerifyResult V = verifySchedule(G, M, R.Schedule);
     EXPECT_TRUE(V.Ok) << G.name() << ": " << V.Error;
@@ -35,7 +35,7 @@ TEST(Slack, SchedulesAllClassicKernels) {
 TEST(Slack, NeverBeatsIlp) {
   MachineModel M = ppc604Like();
   for (const Ddg &G : classicKernels()) {
-    SlackResult H = slackModuloSchedule(G, M);
+    SchedulerResult H = slackModuloSchedule(G, M);
     SchedulerResult I = scheduleLoop(G, M);
     if (!H.found() || !I.found() || !I.ProvenRateOptimal)
       continue;
@@ -45,7 +45,7 @@ TEST(Slack, NeverBeatsIlp) {
 
 TEST(Slack, HandlesHazardAndMultiFunctionMachines) {
   Ddg G = motivatingLoop();
-  SlackResult R1 = slackModuloSchedule(G, exampleHazardMachine());
+  SchedulerResult R1 = slackModuloSchedule(G, exampleHazardMachine());
   ASSERT_TRUE(R1.found());
   EXPECT_TRUE(verifySchedule(G, exampleHazardMachine(), R1.Schedule).Ok);
 
@@ -56,10 +56,22 @@ TEST(Slack, HandlesHazardAndMultiFunctionMachines) {
   int Mu = G2.addNode("mul", 2, 4);
   G2.addEdge(Ld, Dv, 0);
   G2.addEdge(Dv, Mu, 0);
-  SlackResult R2 = slackModuloSchedule(G2, MF);
+  SchedulerResult R2 = slackModuloSchedule(G2, MF);
   ASSERT_TRUE(R2.found());
   EXPECT_TRUE(verifySchedule(G2, MF, R2.Schedule).Ok)
       << verifySchedule(G2, MF, R2.Schedule).Error;
+}
+
+TEST(Slack, EmptyLoopNormalizesNothing) {
+  // A loop without nodes passes the sweep's validation; the start-time
+  // normalization must not read the smallest of no start times (the
+  // sanitizer builds stop on that read).
+  Ddg G("empty");
+  MachineModel M = ppc604Like();
+  SchedulerResult R = slackModuloSchedule(G, M);
+  ASSERT_TRUE(R.found());
+  EXPECT_EQ(R.Schedule.T, 1);
+  EXPECT_TRUE(R.Schedule.StartTime.empty());
 }
 
 TEST(Slack, TendsToShorterLifetimesThanWorstCase) {
@@ -73,7 +85,7 @@ TEST(Slack, TendsToShorterLifetimesThanWorstCase) {
     int C = G.addNode("c" + std::to_string(I), 1, 1);
     G.addEdge(P, C, 0);
   }
-  SlackResult R = slackModuloSchedule(G, M);
+  SchedulerResult R = slackModuloSchedule(G, M);
   ASSERT_TRUE(R.found());
   EXPECT_TRUE(verifySchedule(G, M, R.Schedule).Ok);
   EXPECT_LE(maxLive(G, R.Schedule), 3);
@@ -87,7 +99,7 @@ TEST_P(SlackPropertyTest, VerifiesOnRandomLoops) {
   Opts.MaxNodes = 10;
   Ddg G = generateRandomLoop(
       M, static_cast<std::uint64_t>(GetParam()) * 179424673ULL + 41, Opts);
-  SlackResult R = slackModuloSchedule(G, M);
+  SchedulerResult R = slackModuloSchedule(G, M);
   ASSERT_TRUE(R.found()) << G.name();
   VerifyResult V = verifySchedule(G, M, R.Schedule);
   EXPECT_TRUE(V.Ok) << V.Error;

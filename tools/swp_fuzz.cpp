@@ -9,7 +9,9 @@
 //   - the portfolio race.
 //
 // Every schedule any path produces is checked by the static verifier AND
-// replayed on the cycle-accurate dynamic simulator; the paths are then
+// replayed on the cycle-accurate dynamic simulator, and every result whose
+// sweep's own verifier rejected a schedule (VerifyFailed) is a finding in
+// every mode; the paths are then
 // cross-checked against each other (a heuristic can never beat a proven
 // rate-optimal T, two proven ILP runs must agree, a clean full-window
 // infeasibility proof means the heuristics find nothing either).  Machine
@@ -238,6 +240,18 @@ void checkSchedule(Findings &F, std::uint64_t Seed, const MachineModel &M,
                  std::to_string(S.T) + ": " + SimErr);
 }
 
+/// Checks one result a sweep returned: a verifier rejection inside the
+/// sweep (VerifyFailed) is a finding, and a found schedule goes through
+/// checkSchedule.
+void checkResult(Findings &F, std::uint64_t Seed, const MachineModel &M,
+                 const Ddg &G, const SchedulerResult &R, const char *Path) {
+  if (R.VerifyFailed)
+    F.report(Seed, M, G,
+             std::string(Path) + ": the sweep's verifier rejected a schedule");
+  if (R.found())
+    checkSchedule(F, Seed, M, G, R.Schedule, Path);
+}
+
 /// True when \p R is a clean full-window infeasibility proof: every T in
 /// [T_lb, T_lb + MaxTSlack] proven infeasible with nothing censored.
 bool cleanFullProof(const SchedulerResult &R, int MaxTSlack) {
@@ -300,10 +314,10 @@ void fuzzOne(const FuzzOptions &Opts, std::uint64_t InstanceSeed,
 
   ImsOptions ImsOpts;
   ImsOpts.MaxTSlack = Opts.MaxTSlack;
-  ImsResult Ims = iterativeModuloSchedule(G, Machine, ImsOpts);
+  SchedulerResult Ims = iterativeModuloSchedule(G, Machine, ImsOpts);
   SlackOptions SlackOpts;
   SlackOpts.MaxTSlack = Opts.MaxTSlack;
-  SlackResult Slack = slackModuloSchedule(G, Machine, SlackOpts);
+  SchedulerResult Slack = slackModuloSchedule(G, Machine, SlackOpts);
   SchedulerResult Portfolio = portfolioSchedule(G, Machine, Ilp);
 
   // Faulted runs must end in a typed state, never a silent empty result:
@@ -317,18 +331,11 @@ void fuzzOne(const FuzzOptions &Opts, std::uint64_t InstanceSeed,
     FaultInjector::instance().reset();
   }
 
-  if (WithProbe.found())
-    checkSchedule(F, InstanceSeed, Machine, G, WithProbe.Schedule,
-                  "ilp+probe");
-  if (NoProbe.found())
-    checkSchedule(F, InstanceSeed, Machine, G, NoProbe.Schedule, "ilp");
-  if (Ims.found())
-    checkSchedule(F, InstanceSeed, Machine, G, Ims.Schedule, "ims");
-  if (Slack.found())
-    checkSchedule(F, InstanceSeed, Machine, G, Slack.Schedule, "slack");
-  if (Portfolio.found())
-    checkSchedule(F, InstanceSeed, Machine, G, Portfolio.Schedule,
-                  "portfolio");
+  checkResult(F, InstanceSeed, Machine, G, WithProbe, "ilp+probe");
+  checkResult(F, InstanceSeed, Machine, G, NoProbe, "ilp");
+  checkResult(F, InstanceSeed, Machine, G, Ims, "ims");
+  checkResult(F, InstanceSeed, Machine, G, Slack, "slack");
+  checkResult(F, InstanceSeed, Machine, G, Portfolio, "portfolio");
 
   // Cross-path consistency.  Proofs from faulted runs were already
   // downgraded by the driver, so every claim below must hold even when
@@ -337,6 +344,8 @@ void fuzzOne(const FuzzOptions &Opts, std::uint64_t InstanceSeed,
     // Re-derive the ground truth fault-free for the proof checks.
     WithProbe = scheduleLoop(G, Machine, Ilp);
     NoProbe = scheduleLoop(G, Machine, NoProbeOpts);
+    checkResult(F, InstanceSeed, Machine, G, WithProbe, "ilp+probe (clean)");
+    checkResult(F, InstanceSeed, Machine, G, NoProbe, "ilp (clean)");
   }
   if (WithProbe.ProvenRateOptimal && NoProbe.ProvenRateOptimal &&
       WithProbe.Schedule.T != NoProbe.Schedule.T)
@@ -390,8 +399,7 @@ void fuzzOne(const FuzzOptions &Opts, std::uint64_t InstanceSeed,
     std::vector<Ddg> Batch{G, G, G};
     std::vector<SchedulerResult> Results = Service.scheduleAll(Batch);
     for (const SchedulerResult &SR : Results) {
-      if (SR.found())
-        checkSchedule(F, InstanceSeed, Machine, G, SR.Schedule, "service");
+      checkResult(F, InstanceSeed, Machine, G, SR, "service");
       if (SR.Schedule.T != Results.front().Schedule.T)
         F.report(InstanceSeed, Machine, G,
                  "service resubmission changed the answer");
@@ -440,10 +448,8 @@ SchedulerResult ilpVsSatBody(const FuzzOptions &Opts,
     FaultInjector::instance().reset();
   }
 
-  if (Ilp.found())
-    checkSchedule(F, InstanceSeed, Machine, G, Ilp.Schedule, "ilp");
-  if (Sat.found())
-    checkSchedule(F, InstanceSeed, Machine, G, Sat.Schedule, "sat");
+  checkResult(F, InstanceSeed, Machine, G, Ilp, "ilp");
+  checkResult(F, InstanceSeed, Machine, G, Sat, "sat");
 
   // Proof cross-checks run on fault-free ground truth (a faulted run
   // already downgraded its claims; the re-solve proves it downgraded
@@ -451,6 +457,8 @@ SchedulerResult ilpVsSatBody(const FuzzOptions &Opts,
   if (WithFaults) {
     Ilp = scheduleLoop(G, Machine, SOpts);
     Sat = satScheduleLoop(G, Machine, SOpts);
+    checkResult(F, InstanceSeed, Machine, G, Ilp, "ilp (clean)");
+    checkResult(F, InstanceSeed, Machine, G, Sat, "sat (clean)");
   }
   if (Ilp.Error.isOk() && Sat.Error.isOk() &&
       Ilp.TLowerBound != Sat.TLowerBound)
@@ -531,14 +539,12 @@ void fuzzCgra(const FuzzOptions &Opts, std::uint64_t InstanceSeed,
   // the shared body's proof checks).
   ImsOptions ImsOpts;
   ImsOpts.MaxTSlack = Opts.MaxTSlack;
-  ImsResult Ims = iterativeModuloSchedule(G, Machine, ImsOpts);
-  if (Ims.found())
-    checkSchedule(F, InstanceSeed, Machine, G, Ims.Schedule, "cgra-ims");
+  SchedulerResult Ims = iterativeModuloSchedule(G, Machine, ImsOpts);
+  checkResult(F, InstanceSeed, Machine, G, Ims, "cgra-ims");
   SlackOptions SlackOpts;
   SlackOpts.MaxTSlack = Opts.MaxTSlack;
-  SlackResult Slack = slackModuloSchedule(G, Machine, SlackOpts);
-  if (Slack.found())
-    checkSchedule(F, InstanceSeed, Machine, G, Slack.Schedule, "cgra-slack");
+  SchedulerResult Slack = slackModuloSchedule(G, Machine, SlackOpts);
+  checkResult(F, InstanceSeed, Machine, G, Slack, "cgra-slack");
 
   SchedulerResult Ilp = ilpVsSatBody(Opts, InstanceSeed, Machine, G, F);
   if (Ilp.ProvenRateOptimal) {
@@ -622,10 +628,8 @@ void fuzzWarmstart(const FuzzOptions &Opts, std::uint64_t InstanceSeed,
     FaultInjector::instance().reset();
   }
 
-  if (Warm.found())
-    checkSchedule(F, InstanceSeed, Machine, G, Warm.Schedule, "warm");
-  if (Cold.found())
-    checkSchedule(F, InstanceSeed, Machine, G, Cold.Schedule, "cold");
+  checkResult(F, InstanceSeed, Machine, G, Warm, "warm");
+  checkResult(F, InstanceSeed, Machine, G, Cold, "cold");
 
   // Cross-checks run on fault-free ground truth, as in the other modes: a
   // faulted run must already have downgraded any claim the clean runs
@@ -633,6 +637,8 @@ void fuzzWarmstart(const FuzzOptions &Opts, std::uint64_t InstanceSeed,
   if (WithFaults) {
     Warm = scheduleLoop(G, Machine, WarmOpts);
     Cold = scheduleLoop(G, Machine, ColdOpts);
+    checkResult(F, InstanceSeed, Machine, G, Warm, "warm (clean)");
+    checkResult(F, InstanceSeed, Machine, G, Cold, "cold (clean)");
   }
   if (Warm.Error.isOk() && Cold.Error.isOk() &&
       Warm.TLowerBound != Cold.TLowerBound)

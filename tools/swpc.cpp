@@ -582,28 +582,21 @@ int main(int Argc, char **Argv) {
   if (wantArtifact(Prints, "dot"))
     std::printf("%s\n", toDot(Loop).c_str());
 
-  // Every scheduler answers as one SchedulerResult; the heuristics fill
-  // its schedule, T_lb and (enum) proof flag.
+  // Every scheduler is a step of the shared sweep and answers as one
+  // SchedulerResult.
   SchedulerResult R;
   if (Scheduler == "portfolio") {
     R = portfolioSchedule(Loop, Machine, SchedOpts);
   } else if (Exact) {
     R = exactSchedule(Loop, Machine, SchedOpts, Engine);
   } else if (Scheduler == "ims") {
-    ImsResult H = iterativeModuloSchedule(Loop, Machine);
-    R.Schedule = std::move(H.Schedule);
-    R.TLowerBound = H.TLowerBound;
+    R = iterativeModuloSchedule(Loop, Machine);
   } else if (Scheduler == "slack") {
-    SlackResult H = slackModuloSchedule(Loop, Machine);
-    R.Schedule = std::move(H.Schedule);
-    R.TLowerBound = H.TLowerBound;
+    R = slackModuloSchedule(Loop, Machine);
   } else if (Scheduler == "enum") {
     EnumOptions Opts;
     Opts.TimeLimitPerT = TimeLimit;
-    EnumResult H = enumerativeSchedule(Loop, Machine, Opts);
-    R.Schedule = std::move(H.Schedule);
-    R.TLowerBound = H.TLowerBound;
-    R.ProvenRateOptimal = H.ProvenRateOptimal;
+    R = enumerativeSchedule(Loop, Machine, Opts);
   } else {
     return usage(Argv[0]);
   }
