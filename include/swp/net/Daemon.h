@@ -12,7 +12,13 @@
 ///
 /// Requests flow
 ///
-///     frame -> parse (textio) -> admission -> keyed service -> response
+///     frame -> machine -> parse loop (textio) -> admission -> keyed service
+///           -> response
+///
+/// where the machine step matches the request's machine bytes against the
+/// live services' canonical machine texts and parses (and canonicalizes)
+/// the text only when none matches; the keyed service answers a cache hit
+/// on the connection thread and sends only a miss to its worker pool.
 ///
 /// with the AdmissionController degrading under load (reduced exact
 /// effort, then heuristic-ladder-only, then shed) and per-tenant deadline
@@ -23,8 +29,9 @@
 ///
 /// Services are keyed by (canonical machine text, engine, portfolio) in a
 /// small LRU, all sharing one ResultCache; the cache persists to
-/// SnapshotDir via swp/service/CachePersist at stop, every SnapshotEvery
-/// completions, and loads (tolerating corrupt shards) at start — so a
+/// SnapshotDir via swp/service/CachePersist at stop and, once SnapshotEvery
+/// completions have accumulated, from the accept thread (never on a
+/// response path), and loads (tolerating corrupt shards) at start — so a
 /// restarted daemon serves warm hits identical to its pre-restart solves.
 ///
 //===----------------------------------------------------------------------===//
@@ -56,7 +63,9 @@ struct DaemonOptions {
   AdmissionOptions Admission;
   /// Cache snapshot directory; empty disables persistence.
   std::string SnapshotDir;
-  /// Save a snapshot every N completed requests (0 = only at stop).
+  /// Save a snapshot every N completed requests (0 = only at stop).  The
+  /// accept thread runs a due save within its 0.1 s poll; saves that come
+  /// due before it runs coalesce into one.
   std::uint64_t SnapshotEvery = 0;
   /// Per-connection frame read/write timeout in seconds.
   double IoTimeoutSeconds = 5.0;
@@ -76,6 +85,9 @@ struct DaemonStats {
   std::uint64_t SnapshotSaves = 0;
   std::uint64_t SnapshotEntriesLoaded = 0;
   std::uint64_t SnapshotCorruptShards = 0;
+  /// Requests whose machine text matched no live service's canonical text,
+  /// so the daemon parsed it.
+  std::uint64_t MachineTextsParsed = 0;
   /// Connection threads not yet joined: the live connections plus any
   /// finished ones the accept loop has not reaped yet.
   std::uint64_t HeldConnectionThreads = 0;
@@ -122,10 +134,18 @@ private:
   /// connection loop; also the unit the daemon tests drive in-process).
   ScheduleResponseMsg handleSchedule(const ScheduleRequestMsg &Req);
 
-  std::shared_ptr<SchedulerService> serviceFor(const MachineModel &Machine,
+  /// The live service whose canonical machine text is \p MachineText byte
+  /// for byte.  When there is none, a new service takes over *\p MakeFrom
+  /// (whose printMachine text \p MachineText must be), or with \p MakeFrom
+  /// null the result is null.
+  std::shared_ptr<SchedulerService> serviceFor(const std::string &MachineText,
                                                ExactEngine Engine,
-                                               bool Portfolio);
+                                               bool Portfolio,
+                                               MachineModel *MakeFrom);
   void acceptLoop();
+  /// Runs a periodic snapshot save once SnapshotEvery completions have
+  /// accumulated since the last one.
+  void saveSnapshotIfDue();
   /// Joins the connection threads whose connection has ended.
   void reapFinishedConnections();
   void handleConnection(Socket Conn);
@@ -151,7 +171,11 @@ private:
 
   /// Keyed services, MRU first.
   struct ServiceEntry {
-    std::string Key;
+    ExactEngine Engine;
+    bool Portfolio;
+    /// printMachine of the service's model.  The text is a parse fixed
+    /// point, so a request carrying these bytes parses to this key too.
+    std::string MachineText;
     std::shared_ptr<SchedulerService> Svc;
   };
   mutable std::mutex ServicesMutex;

@@ -10,6 +10,9 @@
 ///
 ///     queue -> [result cache] -> portfolio/ILP solve -> stats
 ///
+/// schedule() probes the cache on the caller's thread first, so a hit
+/// never queues; only a miss reaches the pool.
+///
 /// Portfolio mode races the cheap heuristics (iterative-modulo and slack
 /// scheduling) against the rate-optimal ILP per loop: the heuristic leg
 /// runs first (it is orders of magnitude faster, so it always wins the
@@ -36,10 +39,12 @@
 
 #include "swp/core/Driver.h"
 #include "swp/machine/MachineModel.h"
+#include "swp/service/Fingerprint.h"
 #include "swp/service/ResultCache.h"
 #include "swp/service/ServiceStats.h"
 #include "swp/service/ThreadPool.h"
 #include "swp/support/Cancellation.h"
+#include "swp/support/Stopwatch.h"
 
 #include <future>
 #include <memory>
@@ -187,8 +192,11 @@ public:
   /// Enqueues one loop; the future resolves with its SchedulerResult.
   std::future<SchedulerResult> submit(Ddg G);
 
-  /// Enqueues one loop with per-job effort overrides.
-  std::future<SchedulerResult> submit(Ddg G, JobOptions Job);
+  /// Schedules one loop with per-job effort overrides and waits for it.  A
+  /// cached loop is answered on the caller's thread; a miss runs on the
+  /// pool, whose worker probes the cache once more under the same key (an
+  /// identical job may have finished meanwhile) before it solves.
+  SchedulerResult schedule(Ddg G, JobOptions Job = {});
 
   /// Schedules every loop of \p Loops; results are returned in input
   /// order (the whole batch runs through the pool concurrently).
@@ -208,7 +216,24 @@ public:
   const std::shared_ptr<ResultCache> &cacheHandle() const { return Cache; }
 
 private:
-  SchedulerResult scheduleOne(const Ddg &G, const JobOptions &Job);
+  /// One job's effective solve options and cache key.
+  struct PreparedJob {
+    SchedulerOptions Sched;
+    double Deadline = 0.0;
+    /// Unset when the service runs without a cache.
+    Fingerprint Key;
+  };
+
+  /// Folds \p Job's overrides into the service options, then fingerprints
+  /// the result, so a degraded solve never aliases a full-effort entry.
+  PreparedJob prepareJob(const Ddg &G, const JobOptions &Job) const;
+  /// Probes the cache for \p Job; on a hit fills \p R and counts the
+  /// completed job.
+  bool answerFromCache(const PreparedJob &Job, SchedulerResult &R,
+                       const Stopwatch &Latency);
+  /// The pool worker's body: probe the cache, else solve, insert, count.
+  SchedulerResult scheduleOne(const Ddg &G, const PreparedJob &Job,
+                              const Stopwatch &Latency);
 
   MachineModel Machine;
   ServiceOptions Opts;

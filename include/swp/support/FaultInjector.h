@@ -110,19 +110,21 @@ public:
 private:
   FaultInjector() = default;
 
+  /// Polls read the configuration while configure() and reset() may
+  /// rewrite it, so every field is atomic.
   struct SiteState {
     /// Fire the first Budget polls (-1 = unlimited / unused).
     std::atomic<std::int64_t> Budget{0};
     /// Independent fire probability (used when Budget == -1).
-    double Prob = 0.0;
+    std::atomic<double> Prob{0.0};
     std::atomic<std::uint64_t> Polls{0};
     std::atomic<std::uint64_t> Fires{0};
-    bool Enabled = false;
+    std::atomic<bool> Enabled{false};
   };
 
   SiteState Sites[NumFaultSites];
   std::atomic<bool> Armed{false};
-  std::uint64_t Seed = 0;
+  std::atomic<std::uint64_t> Seed{0};
 };
 
 } // namespace swp

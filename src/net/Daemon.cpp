@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <optional>
 
 using namespace swp;
 using namespace swp::net;
@@ -188,6 +189,7 @@ std::string Daemon::statsText() const {
             std::to_string(S.SnapshotEntriesLoaded)});
   D.addRow({"snapshot corrupt shards",
             std::to_string(S.SnapshotCorruptShards)});
+  D.addRow({"machine texts parsed", std::to_string(S.MachineTextsParsed)});
   D.addRow({"connection threads held",
             std::to_string(S.HeldConnectionThreads)});
   TextTable A;
@@ -203,26 +205,25 @@ std::string Daemon::statsText() const {
   return D.render() + "\n" + A.render() + "\n" + S.Service.render();
 }
 
-std::shared_ptr<SchedulerService> Daemon::serviceFor(
-    const MachineModel &Machine, ExactEngine Engine, bool Portfolio) {
-  // Canonical machine text keys the service: two requests whose machine
-  // sections parse to the same model share one service however they were
-  // formatted.
-  std::string Key = strFormat("%s|%d|", exactEngineName(Engine),
-                              Portfolio ? 1 : 0) +
-                    printMachine(Machine);
+std::shared_ptr<SchedulerService>
+Daemon::serviceFor(const std::string &MachineText, ExactEngine Engine,
+                   bool Portfolio, MachineModel *MakeFrom) {
   std::lock_guard<std::mutex> Lock(ServicesMutex);
   for (auto It = Services.begin(); It != Services.end(); ++It) {
-    if (It->Key == Key) {
+    if (It->Engine == Engine && It->Portfolio == Portfolio &&
+        It->MachineText == MachineText) {
       Services.splice(Services.begin(), Services, It);
       return Services.front().Svc;
     }
   }
+  if (!MakeFrom)
+    return nullptr;
   ServiceOptions SO = Opts.Service;
   SO.Engine = Engine;
   SO.Portfolio = Portfolio;
-  auto Svc = std::make_shared<SchedulerService>(Machine, SO, Cache);
-  Services.push_front(ServiceEntry{std::move(Key), Svc});
+  auto Svc = std::make_shared<SchedulerService>(std::move(*MakeFrom), SO,
+                                                Cache);
+  Services.push_front(ServiceEntry{Engine, Portfolio, MachineText, Svc});
   if (Services.size() > std::max<std::size_t>(Opts.MaxServices, 1)) {
     // Retire the LRU service; its counters fold into the aggregate and
     // in-flight jobs keep it alive through their shared_ptr.
@@ -243,13 +244,24 @@ ScheduleResponseMsg Daemon::handleSchedule(const ScheduleRequestMsg &Req) {
     Resp.Reason = "unknown scheduler '" + Req.Scheduler + "'";
     return Resp;
   }
-  Expected<MachineModel> Machine = parseMachineText(Req.MachineText);
-  if (!Machine.ok()) {
-    Resp.Outcome = ResponseOutcome::Error;
-    Resp.Reason = "machine: " + Machine.status().str();
-    return Resp;
+  // Machine bytes equal to a live service's canonical text route straight
+  // to that service and its model; any other text is parsed here and
+  // canonicalized only if a new service has to be made for it.
+  std::shared_ptr<SchedulerService> Svc =
+      serviceFor(Req.MachineText, Engine, Portfolio, nullptr);
+  std::optional<MachineModel> Parsed;
+  if (!Svc) {
+    bumpCounter(&DaemonStats::MachineTextsParsed);
+    Expected<MachineModel> Machine = parseMachineText(Req.MachineText);
+    if (!Machine.ok()) {
+      Resp.Outcome = ResponseOutcome::Error;
+      Resp.Reason = "machine: " + Machine.status().str();
+      return Resp;
+    }
+    Parsed.emplace(std::move(*Machine));
   }
-  Expected<Ddg> Loop = parseLoopText(Req.LoopText, *Machine);
+  const MachineModel &Machine = Svc ? Svc->machine() : *Parsed;
+  Expected<Ddg> Loop = parseLoopText(Req.LoopText, Machine);
   if (!Loop.ok()) {
     Resp.Outcome = ResponseOutcome::Error;
     Resp.Reason = "loop: " + Loop.status().str();
@@ -272,15 +284,18 @@ ScheduleResponseMsg Daemon::handleSchedule(const ScheduleRequestMsg &Req) {
     // Saturated: the heuristic ladder answers directly, bypassing the
     // service so the degraded result can never be memoized as the
     // full-effort answer.
-    R = runHeuristicLadder(*Loop, *Machine, Opts.Service.Sched.MaxTSlack);
+    R = runHeuristicLadder(*Loop, Machine, Opts.Service.Sched.MaxTSlack);
   } else {
     JobOptions Job;
     if (Req.DeadlineSeconds > 0)
       Job.DeadlineSeconds = Req.DeadlineSeconds;
     Job = Admission.degrade(Job, D.Level);
-    std::shared_ptr<SchedulerService> Svc =
-        serviceFor(*Machine, Engine, Portfolio);
-    R = Svc->submit(*Loop, Job).get();
+    // Canonical machine text keys the service: two requests whose machine
+    // sections parse to the same model share one service however they were
+    // formatted.
+    if (!Svc)
+      Svc = serviceFor(printMachine(*Parsed), Engine, Portfolio, &*Parsed);
+    R = Svc->schedule(std::move(*Loop), Job);
   }
 
   Resp.HasResult = true;
@@ -298,18 +313,19 @@ ScheduleResponseMsg Daemon::handleSchedule(const ScheduleRequestMsg &Req) {
 }
 
 void Daemon::noteCompletion() {
-  bool Save = false;
+  std::lock_guard<std::mutex> Lock(StatsMutex);
+  ++CompletionsSinceSnapshot;
+}
+
+void Daemon::saveSnapshotIfDue() {
   {
     std::lock_guard<std::mutex> Lock(StatsMutex);
-    ++CompletionsSinceSnapshot;
-    if (Opts.SnapshotEvery > 0 && !Opts.SnapshotDir.empty() &&
-        CompletionsSinceSnapshot >= Opts.SnapshotEvery) {
-      CompletionsSinceSnapshot = 0;
-      Save = true;
-    }
+    if (Opts.SnapshotEvery == 0 || Opts.SnapshotDir.empty() ||
+        CompletionsSinceSnapshot < Opts.SnapshotEvery)
+      return;
+    CompletionsSinceSnapshot = 0;
   }
-  if (Save)
-    (void)saveSnapshot();
+  (void)saveSnapshot();
 }
 
 void Daemon::bumpCounter(std::uint64_t DaemonStats::*Field) {
@@ -336,6 +352,8 @@ void Daemon::acceptLoop() {
   while (!StopFlag.load()) {
     // A finished connection's thread keeps its stack mapped until joined.
     reapFinishedConnections();
+    // Periodic saves run here, so no response waits for a save's fsyncs.
+    saveSnapshotIfDue();
     Expected<Socket> Conn = Listener.accept(0.1);
     if (!Conn.ok())
       continue; // Timeout slice (or transient accept error): poll StopFlag.

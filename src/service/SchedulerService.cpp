@@ -56,6 +56,18 @@ bool mergeCrossEngineProof(SchedulerResult &Winner,
   return true;
 }
 
+/// A search limit or a fault cut at least one attempt's proof short (the
+/// paper's "10/30" situation).
+bool censored(const SchedulerResult &R) {
+  for (const TAttempt &A : R.Attempts)
+    if (A.StopReason == SearchStop::TimeLimit ||
+        A.StopReason == SearchStop::NodeLimit ||
+        A.StopReason == SearchStop::LpStall ||
+        A.StopReason == SearchStop::Fault)
+      return true;
+  return false;
+}
+
 SchedulerResult raceExact(const Ddg &G, const MachineModel &Machine,
                           const SchedulerOptions &Opts, ExactRaceInfo *Info) {
   // Each leg gets its own source nested under the caller's token, so the
@@ -296,16 +308,31 @@ SchedulerService::SchedulerService(MachineModel M, ServiceOptions O,
 SchedulerService::~SchedulerService() = default;
 
 std::future<SchedulerResult> SchedulerService::submit(Ddg G) {
-  return submit(std::move(G), JobOptions());
-}
-
-std::future<SchedulerResult> SchedulerService::submit(Ddg G, JobOptions Job) {
   {
     std::lock_guard<std::mutex> Lock(StatsMutex);
     ++Counters.Submitted;
   }
-  return Pool.submit(
-      [this, Loop = std::move(G), Job] { return scheduleOne(Loop, Job); });
+  return Pool.submit([this, Loop = std::move(G)] {
+    Stopwatch Latency;
+    return scheduleOne(Loop, prepareJob(Loop, JobOptions()), Latency);
+  });
+}
+
+SchedulerResult SchedulerService::schedule(Ddg G, JobOptions Job) {
+  Stopwatch Latency;
+  {
+    std::lock_guard<std::mutex> Lock(StatsMutex);
+    ++Counters.Submitted;
+  }
+  PreparedJob Prepared = prepareJob(G, Job);
+  SchedulerResult R;
+  if (answerFromCache(Prepared, R, Latency))
+    return R;
+  return Pool
+      .submit([this, Loop = std::move(G), Prepared = std::move(Prepared)] {
+        return scheduleOne(Loop, Prepared, Stopwatch());
+      })
+      .get();
 }
 
 std::vector<SchedulerResult>
@@ -333,157 +360,156 @@ ServiceStats SchedulerService::stats() const {
   return S;
 }
 
-SchedulerResult SchedulerService::scheduleOne(const Ddg &G,
-                                              const JobOptions &Job) {
-  Stopwatch Latency;
-  // Fold the per-job overrides into the effective options before
-  // fingerprinting, so a degraded solve can never alias (or poison) the
-  // cache entry of a full-effort one.
-  SchedulerOptions BaseSched = Opts.Sched;
+SchedulerService::PreparedJob
+SchedulerService::prepareJob(const Ddg &G, const JobOptions &Job) const {
+  PreparedJob P;
+  P.Sched = Opts.Sched;
   if (Job.TimeLimitPerT > 0)
-    BaseSched.TimeLimitPerT = Job.TimeLimitPerT;
+    P.Sched.TimeLimitPerT = Job.TimeLimitPerT;
   if (Job.MaxTSlack >= 0)
-    BaseSched.MaxTSlack = Job.MaxTSlack;
-  const double Deadline =
+    P.Sched.MaxTSlack = Job.MaxTSlack;
+  P.Deadline =
       Job.DeadlineSeconds >= 0 ? Job.DeadlineSeconds : Opts.DeadlinePerLoop;
+  if (Opts.UseCache)
+    P.Key = fingerprintJob(G, Machine, P.Sched, Opts.Portfolio, P.Deadline,
+                           static_cast<int>(Opts.Engine));
+  return P;
+}
 
-  Fingerprint Key;
+bool SchedulerService::answerFromCache(const PreparedJob &Job,
+                                       SchedulerResult &R,
+                                       const Stopwatch &Latency) {
+  if (!Opts.UseCache || !Cache->lookup(Job.Key, R))
+    return false;
+  // The cached copy stores CacheHit = false, so a warm hit differs from its
+  // cold solve only in this flag.  Its effort was counted when it was first
+  // solved.
+  R.CacheHit = true;
+  std::lock_guard<std::mutex> Lock(StatsMutex);
+  ++Counters.Completed;
+  ++Counters.CacheHits;
+  if (R.Cancelled)
+    ++Counters.Cancellations;
+  if (censored(R))
+    ++Counters.CensoredProofs;
+  Counters.Latency.add(Latency.seconds());
+  return true;
+}
+
+SchedulerResult SchedulerService::scheduleOne(const Ddg &G,
+                                              const PreparedJob &Job,
+                                              const Stopwatch &Latency) {
   SchedulerResult R;
-  bool Hit = false;
-  if (Opts.UseCache) {
-    Key = fingerprintJob(G, Machine, BaseSched, Opts.Portfolio, Deadline,
-                         static_cast<int>(Opts.Engine));
-    Hit = Cache->lookup(Key, R);
-    // The cached copy stores CacheHit = false, so a warm hit differs from
-    // its cold solve only in this flag.
-    R.CacheHit = Hit;
-  }
+  if (answerFromCache(Job, R, Latency))
+    return R;
 
   PortfolioOutcome Outcome = PortfolioOutcome::NothingFound;
   ExactRaceInfo Race;
-  bool RanExact = false;
-  bool RanPortfolio = false;
   // Faults seen by ANY watchdog attempt, even when a clean retry answered
   // (the final R.FaultsSeen then stays false so the result is cacheable).
   bool SawFaults = false;
-  if (!Hit) {
-    // Watchdog: re-run a solve killed by a transient fault.  Transient
-    // means an injected/typed error that is not invalid input, or a
-    // cancellation that neither cancelAll() nor the real per-loop deadline
-    // explains (i.e. an injected deadline-expiry fault).
-    for (int Attempt = 0;; ++Attempt) {
-      // Fault injection: the per-loop deadline expires immediately.
-      bool DeadlineFault =
-          FaultInjector::instance().shouldFire(FaultSite::Deadline);
-      Stopwatch JobWatch;
-      CancellationSource JobCancel(GlobalCancel.token());
-      if (Deadline > 0)
-        JobCancel.setDeadlineAfter(Deadline);
-      if (DeadlineFault)
-        JobCancel.cancel();
-      SchedulerOptions SOpts = BaseSched;
-      SOpts.Cancel = JobCancel.token();
-      if (Opts.Portfolio) {
-        R = portfolioSchedule(G, Machine, SOpts, &Outcome, Opts.Engine,
-                              &Race);
-        RanPortfolio = true;
-        RanExact = true;
-      } else {
-        R = exactSchedule(G, Machine, SOpts, Opts.Engine, &Race);
-        RanExact = true;
-      }
-      R.Retries = Attempt;
-      SawFaults = SawFaults || R.FaultsSeen;
-      if (R.found() || Attempt >= Opts.WatchdogRetries)
-        break;
-      bool RealDeadline = Deadline > 0 && JobWatch.seconds() >= Deadline;
-      bool TransientError =
-          !R.Error.isOk() && R.Error.code() != StatusCode::InvalidInput;
-      bool SpuriousCancel = R.Cancelled && !RealDeadline &&
-                            !GlobalCancel.token().cancelled();
-      if (!TransientError && !SpuriousCancel)
-        break;
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          Opts.RetryBackoff * static_cast<double>(1 << std::min(Attempt, 8))));
-    }
+  // Watchdog: re-run a solve killed by a transient fault.  Transient means
+  // an injected/typed error that is not invalid input, or a cancellation
+  // that neither cancelAll() nor the real per-loop deadline explains (i.e.
+  // an injected deadline-expiry fault).
+  for (int Attempt = 0;; ++Attempt) {
+    // Fault injection: the per-loop deadline expires immediately.
+    bool DeadlineFault =
+        FaultInjector::instance().shouldFire(FaultSite::Deadline);
+    Stopwatch JobWatch;
+    CancellationSource JobCancel(GlobalCancel.token());
+    if (Job.Deadline > 0)
+      JobCancel.setDeadlineAfter(Job.Deadline);
+    if (DeadlineFault)
+      JobCancel.cancel();
+    SchedulerOptions SOpts = Job.Sched;
+    SOpts.Cancel = JobCancel.token();
+    if (Opts.Portfolio)
+      R = portfolioSchedule(G, Machine, SOpts, &Outcome, Opts.Engine, &Race);
+    else
+      R = exactSchedule(G, Machine, SOpts, Opts.Engine, &Race);
+    R.Retries = Attempt;
+    SawFaults = SawFaults || R.FaultsSeen;
+    if (R.found() || Attempt >= Opts.WatchdogRetries)
+      break;
+    bool RealDeadline =
+        Job.Deadline > 0 && JobWatch.seconds() >= Job.Deadline;
+    bool TransientError =
+        !R.Error.isOk() && R.Error.code() != StatusCode::InvalidInput;
+    bool SpuriousCancel =
+        R.Cancelled && !RealDeadline && !GlobalCancel.token().cancelled();
+    if (!TransientError && !SpuriousCancel)
+      break;
+    std::this_thread::sleep_for(std::chrono::duration<double>(
+        Opts.RetryBackoff * static_cast<double>(1 << std::min(Attempt, 8))));
+  }
 
-    // Fallback ladder: the primary path produced no schedule for a reason
-    // other than a clean full-window infeasibility proof.  Degrade to the
-    // heuristics (verified, like every schedule the service hands out);
-    // when even they fail the caller gets the explicit unfound result with
-    // its SearchStop chain — never an abort, hang, or empty answer.
-    bool CleanProof = R.Error.isOk() && !R.Cancelled && !R.FaultsSeen;
-    for (const TAttempt &A : R.Attempts)
-      CleanProof = CleanProof && A.StopReason == SearchStop::None;
-    if (Opts.FallbackLadder && !R.found() && !CleanProof &&
-        R.Error.code() != StatusCode::InvalidInput &&
-        !GlobalCancel.token().cancelled()) {
-      SchedulerResult Rung =
-          runHeuristicLadder(G, Machine, BaseSched.MaxTSlack);
-      if (Rung.found()) {
-        R.Schedule = Rung.Schedule;
-        R.Fallback = Rung.Fallback;
-        if (R.TLowerBound == 0) {
-          R.TDep = Rung.TDep;
-          R.TRes = Rung.TRes;
-          R.TLowerBound = Rung.TLowerBound;
-        }
-        // A rung schedule sitting on the fault-free T_lb is rate-optimal by
-        // construction even though the ILP search was not trustworthy.
-        R.ProvenRateOptimal = Rung.ProvenRateOptimal;
+  // Fallback ladder: the primary path produced no schedule for a reason
+  // other than a clean full-window infeasibility proof.  Degrade to the
+  // heuristics (verified, like every schedule the service hands out); when
+  // even they fail the caller gets the explicit unfound result with its
+  // SearchStop chain — never an abort, hang, or empty answer.
+  bool CleanProof = R.Error.isOk() && !R.Cancelled && !R.FaultsSeen;
+  for (const TAttempt &A : R.Attempts)
+    CleanProof = CleanProof && A.StopReason == SearchStop::None;
+  if (Opts.FallbackLadder && !R.found() && !CleanProof &&
+      R.Error.code() != StatusCode::InvalidInput &&
+      !GlobalCancel.token().cancelled()) {
+    SchedulerResult Rung = runHeuristicLadder(G, Machine, Job.Sched.MaxTSlack);
+    if (Rung.found()) {
+      R.Schedule = Rung.Schedule;
+      R.Fallback = Rung.Fallback;
+      if (R.TLowerBound == 0) {
+        R.TDep = Rung.TDep;
+        R.TRes = Rung.TRes;
+        R.TLowerBound = Rung.TLowerBound;
       }
+      // A rung schedule sitting on the fault-free T_lb is rate-optimal by
+      // construction even though the ILP search was not trustworthy.
+      R.ProvenRateOptimal = Rung.ProvenRateOptimal;
     }
   }
 
-  bool Censored = false, WallClockCensored = R.Cancelled;
-  for (const TAttempt &A : R.Attempts) {
-    Censored = Censored || A.StopReason == SearchStop::TimeLimit ||
-               A.StopReason == SearchStop::NodeLimit ||
-               A.StopReason == SearchStop::LpStall ||
-               A.StopReason == SearchStop::Fault;
+  bool WallClockCensored = R.Cancelled;
+  for (const TAttempt &A : R.Attempts)
     WallClockCensored =
         WallClockCensored || A.StopReason == SearchStop::TimeLimit;
-  }
   // Memoize only results that a cold re-solve would reproduce: cancelled
   // or time-limit-censored answers depend on machine load at solve time,
   // and fault-window results on injector state (the cache rechecks that).
   // Node-limit and LP-stall censoring is deterministic and caches fine.
-  if (!Hit && Opts.UseCache && !WallClockCensored && !R.FaultsSeen)
-    Cache->insert(Key, R);
+  if (Opts.UseCache && !WallClockCensored && !R.FaultsSeen)
+    Cache->insert(Job.Key, R);
 
   {
     std::lock_guard<std::mutex> Lock(StatsMutex);
     ++Counters.Completed;
-    if (Hit)
-      ++Counters.CacheHits;
-    else if (Opts.UseCache)
+    if (Opts.UseCache)
       ++Counters.CacheMisses;
     if (R.Cancelled)
       ++Counters.Cancellations;
-    if (Censored)
+    if (censored(R))
       ++Counters.CensoredProofs;
-    if (!Hit) {
-      // Only fresh solves spent LP effort; cache hits replay a recorded
-      // result whose effort was already counted when it was first solved.
-      Counters.LpPivots += static_cast<std::uint64_t>(
-          std::max<std::int64_t>(R.TotalLp.Pivots, 0));
-      Counters.LpRefactorizations += static_cast<std::uint64_t>(
-          std::max<std::int64_t>(R.TotalLp.Refactorizations, 0));
-      Counters.LpSolves += static_cast<std::uint64_t>(
-          std::max<std::int64_t>(R.TotalLp.Solves, 0));
-      Counters.LpWarmSolves += static_cast<std::uint64_t>(
-          std::max<std::int64_t>(R.TotalLp.WarmSolves, 0));
-      if (R.FaultsSeen || SawFaults)
-        ++Counters.FaultedJobs;
-      if (!R.Error.isOk())
-        ++Counters.TypedErrors;
-      Counters.WatchdogRetries += static_cast<std::uint64_t>(R.Retries);
-      if (R.Fallback == FallbackRung::SlackModulo)
-        ++Counters.FallbackSlackWins;
-      else if (R.Fallback == FallbackRung::IterativeModulo)
-        ++Counters.FallbackImsWins;
-    }
-    if (RanExact && Race.Ran) {
+    // Only fresh solves spent effort; cache hits replay a recorded result
+    // whose effort was already counted when it was first solved.
+    Counters.LpPivots += static_cast<std::uint64_t>(
+        std::max<std::int64_t>(R.TotalLp.Pivots, 0));
+    Counters.LpRefactorizations += static_cast<std::uint64_t>(
+        std::max<std::int64_t>(R.TotalLp.Refactorizations, 0));
+    Counters.LpSolves += static_cast<std::uint64_t>(
+        std::max<std::int64_t>(R.TotalLp.Solves, 0));
+    Counters.LpWarmSolves += static_cast<std::uint64_t>(
+        std::max<std::int64_t>(R.TotalLp.WarmSolves, 0));
+    if (R.FaultsSeen || SawFaults)
+      ++Counters.FaultedJobs;
+    if (!R.Error.isOk())
+      ++Counters.TypedErrors;
+    Counters.WatchdogRetries += static_cast<std::uint64_t>(R.Retries);
+    if (R.Fallback == FallbackRung::SlackModulo)
+      ++Counters.FallbackSlackWins;
+    else if (R.Fallback == FallbackRung::IterativeModulo)
+      ++Counters.FallbackImsWins;
+    if (Race.Ran) {
       Counters.SatConflicts += static_cast<std::uint64_t>(
           std::max<std::int64_t>(Race.SatConflicts, 0));
       if (Race.ProofUpgraded)
@@ -495,7 +521,7 @@ SchedulerResult SchedulerService::scheduleOne(const Ddg &G,
           ++Counters.RaceIlpWins;
       }
     }
-    if (RanPortfolio) {
+    if (Opts.Portfolio) {
       switch (Outcome) {
       case PortfolioOutcome::HeuristicWon:
         ++Counters.PortfolioHeuristicWins;

@@ -71,8 +71,8 @@ void FaultInjector::reset() {
   std::lock_guard<std::mutex> Lock(ConfigMutex);
   Armed.store(false, std::memory_order_relaxed);
   for (SiteState &S : Sites) {
-    S.Enabled = false;
-    S.Prob = 0.0;
+    S.Enabled.store(false, std::memory_order_relaxed);
+    S.Prob.store(0.0, std::memory_order_relaxed);
     S.Budget.store(0, std::memory_order_relaxed);
     S.Polls.store(0, std::memory_order_relaxed);
     S.Fires.store(0, std::memory_order_relaxed);
@@ -82,10 +82,7 @@ void FaultInjector::reset() {
 bool FaultInjector::configure(const std::string &Spec, std::uint64_t NewSeed,
                               std::string *Err) {
   reset();
-  {
-    std::lock_guard<std::mutex> Lock(ConfigMutex);
-    Seed = NewSeed;
-  }
+  Seed.store(NewSeed, std::memory_order_relaxed);
   auto Fail = [&](const std::string &Msg) {
     reset();
     if (Err)
@@ -140,12 +137,12 @@ bool FaultInjector::configure(const std::string &Spec, std::uint64_t NewSeed,
     std::lock_guard<std::mutex> Lock(ConfigMutex);
     SiteState &S = Sites[SiteIx];
     if (Probabilistic) {
-      S.Prob = Prob;
+      S.Prob.store(Prob, std::memory_order_relaxed);
       S.Budget.store(-1, std::memory_order_relaxed);
     } else {
       S.Budget.store(Count, std::memory_order_relaxed);
     }
-    S.Enabled = true;
+    S.Enabled.store(true, std::memory_order_relaxed);
     Any = true;
   }
 
@@ -158,7 +155,7 @@ bool FaultInjector::shouldFire(FaultSite Site) {
   if (!armed())
     return false;
   SiteState &S = Sites[static_cast<int>(Site)];
-  if (!S.Enabled)
+  if (!S.Enabled.load(std::memory_order_relaxed))
     return false;
   std::uint64_t Poll = S.Polls.fetch_add(1, std::memory_order_relaxed);
 
@@ -171,10 +168,11 @@ bool FaultInjector::shouldFire(FaultSite Site) {
            S.Budget.fetch_sub(1, std::memory_order_relaxed) > 0;
   } else {
     // Probability mode: deterministic per (seed, site, poll index).
-    std::uint64_t H = mix(Seed ^ mix((static_cast<std::uint64_t>(
-                                          static_cast<int>(Site)) << 32) ^
-                                     Poll));
-    Fire = (H >> 11) * (1.0 / 9007199254740992.0) < S.Prob;
+    const std::uint64_t SitePoll =
+        (static_cast<std::uint64_t>(static_cast<int>(Site)) << 32) ^ Poll;
+    std::uint64_t H = mix(Seed.load(std::memory_order_relaxed) ^ mix(SitePoll));
+    Fire = (H >> 11) * (1.0 / 9007199254740992.0) <
+           S.Prob.load(std::memory_order_relaxed);
   }
   if (Fire)
     S.Fires.fetch_add(1, std::memory_order_relaxed);

@@ -5,10 +5,12 @@
 // snapshot layer, load shedding and degradation levels on the wire,
 // malformed-input error responses that keep the connection alive, corrupt
 // frames that tear it down, injected socket faults, the shutdown
-// handshake, a saturated admission window under concurrent clients, and
-// the joining of finished connection threads.  Every daemon runs on its
-// own socket path and the solves are node-limited, so the suite is
-// deterministic and fast.
+// handshake, a saturated admission window under concurrent clients, the
+// joining of finished connection threads, the two fast paths (cache hits
+// answered on the connection thread, machine texts matched to a live
+// service without a parse), and periodic snapshot saves.  Every daemon
+// runs on its own socket path and the solves are node-limited, so the
+// suite is deterministic and fast.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,20 +46,34 @@ std::string socketPathFor(const char *Name) {
   return "/tmp/swpd-ut-" + std::to_string(::getpid()) + "-" + Name + ".sock";
 }
 
-/// Small 4-op loop over the ppc604-like machine: load -> add -> add ->
-/// store with one loop-carried edge.  ILP-solvable in milliseconds.
-Ddg smallLoop() {
+/// Small loop over the ppc604-like machine: load -> \p Adds chained adds ->
+/// store, with one loop-carried edge.  ILP-solvable in milliseconds; each
+/// \p Adds gives a structurally distinct loop.
+Ddg smallLoop(int Adds = 2) {
   Ddg G;
-  G.setName("daemon-loop");
-  int A = G.addNode("ld", 3, 2);
-  int B = G.addNode("add1", 0, 1);
-  int C = G.addNode("add2", 0, 1);
-  int D = G.addNode("st", 3, 2);
-  G.addEdge(A, B, 0);
-  G.addEdge(B, C, 0);
-  G.addEdge(C, D, 0);
-  G.addEdge(D, A, 1);
+  G.setName("daemon-loop-" + std::to_string(Adds));
+  const int Ld = G.addNode("ld", 3, 2);
+  int Prev = Ld;
+  for (int I = 1; I <= Adds; ++I) {
+    const int Add = G.addNode("add" + std::to_string(I), 0, 1);
+    G.addEdge(Prev, Add, 0);
+    Prev = Add;
+  }
+  const int St = G.addNode("st", 3, 2);
+  G.addEdge(Prev, St, 0);
+  G.addEdge(St, Ld, 1);
   return G;
+}
+
+/// Polls \p D until it has saved \p Saves snapshots; false after 2 s.
+bool waitForSnapshotSaves(const Daemon &D, std::uint64_t Saves) {
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (D.stats().SnapshotSaves < Saves) {
+    if (std::chrono::steady_clock::now() >= Deadline)
+      return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return true;
 }
 
 /// Deterministic solver knobs: only the node limit may censor.
@@ -112,7 +128,7 @@ TEST_F(DaemonTest, SolvesMatchALocalService) {
   EXPECT_FALSE(Resp->Result.CacheHit);
 
   SchedulerService Local(M, fastService());
-  SchedulerResult Want = Local.submit(G).get();
+  SchedulerResult Want = Local.schedule(G);
   ASSERT_TRUE(Want.found());
   EXPECT_EQ(Resp->Result.Schedule.T, Want.Schedule.T);
   EXPECT_EQ(Resp->Result.Schedule.StartTime, Want.Schedule.StartTime);
@@ -127,42 +143,156 @@ TEST_F(DaemonTest, SolvesMatchALocalService) {
 
 TEST_F(DaemonTest, RestartServesWarmHitsIdenticalToColdSolves) {
   MachineModel M = ppc604Like();
-  Ddg G = smallLoop();
   DaemonOptions O = daemonOptions("restart");
   O.SnapshotDir = "/tmp/swpd-ut-" + std::to_string(::getpid()) + "-snap";
   fs::remove_all(O.SnapshotDir);
+  constexpr int N = 4;
 
-  ScheduleResponseMsg Cold;
+  std::vector<ScheduleResponseMsg> Cold;
   {
     Daemon D(O);
     ASSERT_TRUE(D.start().isOk());
     Expected<DaemonClient> C = DaemonClient::connect(O.SocketPath, 10.0);
     ASSERT_TRUE(C.ok());
-    Expected<ScheduleResponseMsg> R = C->schedule(requestFor(M, G));
-    ASSERT_TRUE(R.ok()) << R.status().str();
-    ASSERT_EQ(R->Outcome, ResponseOutcome::Solved);
-    Cold = *R;
+    for (int I = 1; I <= N; ++I) {
+      Expected<ScheduleResponseMsg> R =
+          C->schedule(requestFor(M, smallLoop(I)));
+      ASSERT_TRUE(R.ok()) << R.status().str();
+      ASSERT_EQ(R->Outcome, ResponseOutcome::Solved);
+      EXPECT_FALSE(R->Result.CacheHit);
+      Cold.push_back(*R);
+    }
     D.stop(); // Saves the snapshot.
   }
-  EXPECT_FALSE(Cold.Result.CacheHit);
 
   Daemon D2(O);
   ASSERT_TRUE(D2.start().isOk());
-  EXPECT_GE(D2.stats().SnapshotEntriesLoaded, 1u);
+  EXPECT_EQ(D2.stats().SnapshotEntriesLoaded, static_cast<std::uint64_t>(N));
   Expected<DaemonClient> C2 = DaemonClient::connect(O.SocketPath, 10.0);
   ASSERT_TRUE(C2.ok());
-  Expected<ScheduleResponseMsg> Warm = C2->schedule(requestFor(M, G));
-  ASSERT_TRUE(Warm.ok()) << Warm.status().str();
-  ASSERT_EQ(Warm->Outcome, ResponseOutcome::Solved);
-  EXPECT_TRUE(Warm->Result.CacheHit);
+  for (int I = 1; I <= N; ++I) {
+    Expected<ScheduleResponseMsg> Warm =
+        C2->schedule(requestFor(M, smallLoop(I)));
+    ASSERT_TRUE(Warm.ok()) << Warm.status().str();
+    ASSERT_EQ(Warm->Outcome, ResponseOutcome::Solved);
+    EXPECT_TRUE(Warm->Result.CacheHit);
+    // Identical to the pre-restart cold solve, bit for bit, modulo the
+    // hit marker itself.
+    SchedulerResult A = Cold[static_cast<std::size_t>(I - 1)].Result;
+    SchedulerResult B = Warm->Result;
+    A.CacheHit = B.CacheHit = false;
+    EXPECT_EQ(schedulerResultBytes(A), schedulerResultBytes(B)) << I;
+  }
+  // The connection thread answered every hit: nothing ever queued.
+  ServiceStats S = D2.stats().Service;
+  EXPECT_EQ(S.QueueHighWater, 0);
+  EXPECT_EQ(S.CacheHits, static_cast<std::uint64_t>(N));
+  EXPECT_EQ(S.Completed, static_cast<std::uint64_t>(N));
+  EXPECT_EQ(S.Submitted, static_cast<std::uint64_t>(N));
 
-  // Identical to the pre-restart cold solve, bit for bit, modulo the
-  // hit marker itself.
-  SchedulerResult A = Cold.Result, B = Warm->Result;
-  A.CacheHit = B.CacheHit = false;
-  EXPECT_EQ(schedulerResultBytes(A), schedulerResultBytes(B));
+  // A miss still runs on the pool.
+  Expected<ScheduleResponseMsg> Miss =
+      C2->schedule(requestFor(M, smallLoop(N + 1)));
+  ASSERT_TRUE(Miss.ok()) << Miss.status().str();
+  EXPECT_EQ(Miss->Outcome, ResponseOutcome::Solved);
+  EXPECT_FALSE(Miss->Result.CacheHit);
+  S = D2.stats().Service;
+  EXPECT_EQ(S.QueueHighWater, 1);
+  EXPECT_EQ(S.CacheMisses, 1u);
+  EXPECT_EQ(S.Completed, static_cast<std::uint64_t>(N + 1));
   D2.stop();
   fs::remove_all(O.SnapshotDir);
+}
+
+TEST_F(DaemonTest, CanonicalMachineTextSkipsTheMachineParse) {
+  MachineModel M = ppc604Like();
+  Ddg G = smallLoop();
+  DaemonOptions O = daemonOptions("machinetext");
+  // One live service: a request keyed any other way would retire it.
+  O.MaxServices = 1;
+  Daemon D(O);
+  ASSERT_TRUE(D.start().isOk());
+  Expected<DaemonClient> C = DaemonClient::connect(O.SocketPath, 10.0);
+  ASSERT_TRUE(C.ok());
+
+  // printMachine text: only the first request parses it.
+  for (int I = 0; I < 5; ++I) {
+    Expected<ScheduleResponseMsg> R = C->schedule(requestFor(M, G));
+    ASSERT_TRUE(R.ok()) << R.status().str();
+    EXPECT_EQ(R->Outcome, ResponseOutcome::Solved);
+    EXPECT_EQ(R->Result.CacheHit, I > 0);
+  }
+  EXPECT_EQ(D.stats().MachineTextsParsed, 1u);
+
+  // The same machine with a comment line: parsed every time, and answered
+  // by the same service from the same cache entry.
+  ScheduleRequestMsg Commented = requestFor(M, G);
+  Commented.MachineText = "# not canonical\n" + Commented.MachineText;
+  for (int I = 0; I < 5; ++I) {
+    Expected<ScheduleResponseMsg> R = C->schedule(Commented);
+    ASSERT_TRUE(R.ok()) << R.status().str();
+    EXPECT_EQ(R->Outcome, ResponseOutcome::Solved);
+    EXPECT_TRUE(R->Result.CacheHit);
+  }
+  EXPECT_EQ(D.stats().MachineTextsParsed, 6u);
+  // The live service is still the canonical text's: its bytes still route
+  // without a parse.
+  Expected<ScheduleResponseMsg> Again = C->schedule(requestFor(M, G));
+  ASSERT_TRUE(Again.ok());
+  EXPECT_TRUE(Again->Result.CacheHit);
+  EXPECT_EQ(D.stats().MachineTextsParsed, 6u);
+
+  // A malformed machine text after good ones still gets an Error.
+  ScheduleRequestMsg Bad = requestFor(M, G);
+  Bad.MachineText = "not a machine\n";
+  Expected<ScheduleResponseMsg> R = C->schedule(Bad);
+  ASSERT_TRUE(R.ok());
+  EXPECT_EQ(R->Outcome, ResponseOutcome::Error);
+  EXPECT_NE(R->Reason.find("machine"), std::string::npos);
+  EXPECT_EQ(D.stats().MachineTextsParsed, 7u);
+  EXPECT_NE(D.statsText().find("machine texts parsed"), std::string::npos);
+  D.stop();
+}
+
+TEST_F(DaemonTest, PeriodicSnapshotsSaveOffTheResponsePath) {
+  MachineModel M = ppc604Like();
+  DaemonOptions O = daemonOptions("periodic");
+  const std::string Base =
+      "/tmp/swpd-ut-" + std::to_string(::getpid()) + "-periodic";
+  O.SnapshotDir = Base;
+  O.SnapshotEvery = 2;
+  fs::remove_all(Base);
+  fs::remove_all(Base + "-copy");
+  {
+    Daemon D(O);
+    ASSERT_TRUE(D.start().isOk());
+    Expected<DaemonClient> C = DaemonClient::connect(O.SocketPath, 10.0);
+    ASSERT_TRUE(C.ok());
+    for (int I = 1; I <= 4; ++I) {
+      Expected<ScheduleResponseMsg> R =
+          C->schedule(requestFor(M, smallLoop(I)));
+      ASSERT_TRUE(R.ok()) << R.status().str();
+      ASSERT_EQ(R->Outcome, ResponseOutcome::Solved);
+      // Every second completion makes a save due; the accept thread runs
+      // it.  Waiting keeps the two saves from coalescing.
+      if (I % 2 == 0) {
+        ASSERT_TRUE(waitForSnapshotSaves(D, static_cast<std::uint64_t>(I / 2)))
+            << "no periodic save after " << I << " completions";
+      }
+    }
+    // The second periodic save came due after all four completions.  Copy
+    // what it wrote before stop() saves again.
+    fs::copy(Base, Base + "-copy", fs::copy_options::recursive);
+    D.stop();
+  }
+  DaemonOptions O2 = daemonOptions("periodic2");
+  O2.SnapshotDir = Base + "-copy";
+  Daemon D2(O2);
+  ASSERT_TRUE(D2.start().isOk());
+  EXPECT_EQ(D2.stats().SnapshotEntriesLoaded, 4u);
+  D2.stop();
+  fs::remove_all(Base);
+  fs::remove_all(Base + "-copy");
 }
 
 TEST_F(DaemonTest, SaturationShedsWithAWellFormedResponse) {

@@ -17,6 +17,7 @@
 #include "swp/machine/Catalog.h"
 #include "swp/service/Fingerprint.h"
 #include "swp/service/ResultCache.h"
+#include "swp/service/ResultCodec.h"
 #include "swp/service/SchedulerService.h"
 #include "swp/service/ServiceStats.h"
 #include "swp/service/ThreadPool.h"
@@ -56,6 +57,55 @@ std::vector<Ddg> corpusSlice(int NumLoops) {
   CorpusOptions Opts;
   Opts.NumLoops = NumLoops;
   return generateCorpus(M, Opts);
+}
+
+/// \p R's bytes with its wall-clock fields cleared: two services' solves of
+/// one loop compare equal, warm or cold.
+std::vector<std::uint8_t> timelessBytes(SchedulerResult R) {
+  R.TotalSeconds = 0.0;
+  for (TAttempt &A : R.Attempts)
+    A.Seconds = 0.0;
+  return schedulerResultBytes(R);
+}
+
+/// The counters of \p S that depend neither on timing nor on whether a job
+/// passed through the pool (QueueHighWater does).
+std::vector<std::uint64_t> jobCounters(const ServiceStats &S) {
+  return {S.Submitted,
+          S.Completed,
+          S.CacheHits,
+          S.CacheMisses,
+          S.CacheSize,
+          S.CacheEvictions,
+          S.Cancellations,
+          S.CensoredProofs,
+          S.PortfolioHeuristicWins,
+          S.PortfolioIlpWins,
+          S.PortfolioFallbacks,
+          S.RaceIlpWins,
+          S.RaceSatWins,
+          S.CrossEngineProofUpgrades,
+          S.SatConflicts,
+          S.FaultedJobs,
+          S.TypedErrors,
+          S.WatchdogRetries,
+          S.FallbackSlackWins,
+          S.FallbackImsWins,
+          S.DispatchFaults,
+          S.LpPivots,
+          S.LpRefactorizations,
+          S.LpSolves,
+          S.LpWarmSolves,
+          S.Latency.Count};
+}
+
+std::vector<std::uint64_t> counterDelta(const ServiceStats &After,
+                                        const ServiceStats &Before) {
+  std::vector<std::uint64_t> D = jobCounters(After);
+  const std::vector<std::uint64_t> B = jobCounters(Before);
+  for (std::size_t I = 0; I < D.size(); ++I)
+    D[I] -= B[I];
+  return D;
 }
 
 } // namespace
@@ -521,6 +571,59 @@ TEST(SchedulerService, DeadlineCancelsHardLoop) {
   SchedulerResult R = Svc.submit(G).get();
   EXPECT_TRUE(R.Cancelled);
   EXPECT_EQ(Svc.stats().Cancellations, 1u);
+}
+
+TEST(SchedulerService, ScheduleMatchesSubmitColdAndWarm) {
+  // schedule() answers a hit on the caller's thread and sends a miss to the
+  // pool; both must give what submit() gives, byte for byte and counter for
+  // counter, on a cold pass and on a warm one.
+  MachineModel M = ppc604Like();
+  // Distinct loops only, so that the cold pass misses on every one.
+  std::vector<Ddg> Corpus;
+  std::vector<Fingerprint> Seen;
+  for (Ddg &G : corpusSlice(24)) {
+    const Fingerprint F = fingerprintDdg(G);
+    if (std::find(Seen.begin(), Seen.end(), F) != Seen.end())
+      continue;
+    Seen.push_back(F);
+    Corpus.push_back(std::move(G));
+  }
+  ServiceOptions SvcOpts;
+  SvcOpts.Jobs = 2;
+  SvcOpts.Sched = deterministicOptions();
+  SchedulerService BySchedule(M, SvcOpts);
+  SchedulerService BySubmit(M, SvcOpts);
+  for (const bool Warm : {false, true}) {
+    const ServiceStats ScheduleBefore = BySchedule.stats();
+    const ServiceStats SubmitBefore = BySubmit.stats();
+    for (const Ddg &G : Corpus) {
+      SchedulerResult A = BySchedule.schedule(G);
+      SchedulerResult B = BySubmit.submit(G).get();
+      EXPECT_EQ(A.CacheHit, Warm) << G.name();
+      EXPECT_EQ(timelessBytes(A), timelessBytes(B)) << G.name();
+    }
+    EXPECT_EQ(counterDelta(BySchedule.stats(), ScheduleBefore),
+              counterDelta(BySubmit.stats(), SubmitBefore))
+        << (Warm ? "warm pass" : "cold pass");
+  }
+  EXPECT_EQ(BySchedule.stats().CacheHits, Corpus.size());
+
+  // A degraded job folds its overrides into its key: it misses the warm
+  // full-effort entry, answers as a service configured with that effort
+  // does, and then hits its own entry.
+  JobOptions Narrow;
+  Narrow.MaxTSlack = 0;
+  ServiceOptions NarrowOpts = SvcOpts;
+  NarrowOpts.Sched.MaxTSlack = Narrow.MaxTSlack;
+  SchedulerService Reference(M, NarrowOpts);
+  for (const Ddg &G : Corpus) {
+    SchedulerResult D = BySchedule.schedule(G, Narrow);
+    EXPECT_FALSE(D.CacheHit)
+        << G.name() << ": a degraded job aliased the full-effort entry";
+    EXPECT_EQ(timelessBytes(D), timelessBytes(Reference.submit(G).get()))
+        << G.name();
+    EXPECT_TRUE(BySchedule.schedule(G, Narrow).CacheHit) << G.name();
+  }
 }
 
 TEST(ServiceStats, RendersCountersAndHistogram) {

@@ -55,6 +55,9 @@ TEST(MachineParser, RoundTripsCatalogMachines) {
     MachineModel Parsed;
     std::string Err;
     ASSERT_TRUE(parseMachine(Text, Parsed, Err)) << Orig.name() << ": " << Err;
+    // swpd routes a request whose machine bytes equal a live service's
+    // printMachine text without parsing it, which relies on this.
+    EXPECT_EQ(printMachine(Parsed), Text) << "print is a fixed point";
     ASSERT_EQ(Parsed.numTypes(), Orig.numTypes());
     for (int R = 0; R < Orig.numTypes(); ++R) {
       EXPECT_EQ(Parsed.type(R).Name, Orig.type(R).Name);

@@ -13,7 +13,8 @@
 //                          start, saved at stop and every --snapshot-every
 //                          completions)
 //   --snapshot-every N     snapshot cadence in completed requests (0 =
-//                          only at stop)
+//                          only at stop); the accept thread runs a due
+//                          save, so no response waits for it
 //   --cache-capacity N     per-shard LRU capacity of the result cache
 //   --max-in-flight N      admission: shed beyond N concurrent requests
 //   --reduced-at N         admission: reduced exact effort from N in flight
