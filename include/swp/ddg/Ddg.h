@@ -94,6 +94,8 @@ public:
 
   /// Node ids whose OpClass equals \p OpClass, in id order.
   std::vector<int> nodesOfClass(int OpClass) const;
+  /// The same ids, written into \p Out (its capacity kept).
+  void nodesOfClass(int OpClass, std::vector<int> &Out) const;
 
   /// \returns true when every zero-distance cycle is absent (a loop body
   /// with a same-iteration dependence cycle is malformed) and all node /

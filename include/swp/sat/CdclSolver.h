@@ -96,7 +96,7 @@ struct SatStats {
 /// The solver.  Not thread-safe; one instance per scheduling job.  Its
 /// storage is recycled: a destroyed solver parks its store, reset, in a
 /// per-thread slot, and the next solver built on that thread takes it
-/// (DESIGN.md Section 10, "Storage reuse").
+/// (swp/support/ThreadSpare.h; DESIGN.md Section 10, "Storage reuse").
 class CdclSolver {
 public:
   CdclSolver();

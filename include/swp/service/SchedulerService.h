@@ -189,7 +189,8 @@ public:
   SchedulerService(const SchedulerService &) = delete;
   SchedulerService &operator=(const SchedulerService &) = delete;
 
-  /// Enqueues one loop; the future resolves with its SchedulerResult.
+  /// Enqueues one loop; the future resolves with its SchedulerResult.  Its
+  /// latency, and its queue wait, count from this call.
   std::future<SchedulerResult> submit(Ddg G);
 
   /// Schedules one loop with per-job effort overrides and waits for it.  A
@@ -228,12 +229,14 @@ private:
   /// the result, so a degraded solve never aliases a full-effort entry.
   PreparedJob prepareJob(const Ddg &G, const JobOptions &Job) const;
   /// Probes the cache for \p Job; on a hit fills \p R and counts the
-  /// completed job.
+  /// completed job, which waited \p QueueWait seconds for a worker.
   bool answerFromCache(const PreparedJob &Job, SchedulerResult &R,
-                       const Stopwatch &Latency);
+                       const Stopwatch &Latency, double QueueWait);
   /// The pool worker's body: probe the cache, else solve, insert, count.
+  /// \p Latency started when the job was submitted; the worker took it
+  /// \p QueueWait seconds later.
   SchedulerResult scheduleOne(const Ddg &G, const PreparedJob &Job,
-                              const Stopwatch &Latency);
+                              const Stopwatch &Latency, double QueueWait);
 
   MachineModel Machine;
   ServiceOptions Opts;

@@ -101,6 +101,9 @@ struct ServiceStats {
   /// ... of which started from a carried/seeded basis (warm starts: B&B
   /// children off the parent basis, cross-T carries, probe-to-search).
   std::uint64_t LpWarmSolves = 0;
+  /// Seconds pooled jobs spent queued before a worker took them, summed
+  /// (a hit answered on the caller's thread waits for none).
+  double QueueWaitSeconds = 0.0;
   LatencyHistogram Latency;
 
   /// Renders counters and the latency histogram as aligned text tables.

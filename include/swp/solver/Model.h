@@ -18,8 +18,13 @@
 #ifndef SWP_SOLVER_MODEL_H
 #define SWP_SOLVER_MODEL_H
 
+#include "swp/support/ThreadSpare.h"
+
 #include <cassert>
+#include <cstddef>
 #include <limits>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,6 +65,12 @@ public:
   /// Merges duplicate variables and drops zero coefficients.
   void normalize();
 
+  /// Removes every term and the constant, keeping the capacity.
+  void clear() {
+    Terms.clear();
+    Constant = 0.0;
+  }
+
   const std::vector<LinTerm> &terms() const { return Terms; }
   double constant() const { return Constant; }
   bool empty() const { return Terms.empty(); }
@@ -91,14 +102,32 @@ struct ModelVar {
   int BranchPriority = 0;
 };
 
-/// A linear constraint Expr (<=,>=,=) Rhs.
+/// A read-only view of one model row's terms: normalized (sorted by
+/// variable, merged, no zero coefficients) and constant-free.
+class RowExpr {
+public:
+  explicit RowExpr(std::span<const LinTerm> Terms) : Terms(Terms) {}
+
+  std::span<const LinTerm> terms() const { return Terms; }
+
+private:
+  std::span<const LinTerm> Terms;
+};
+
+/// A view of the linear constraint Expr (<=,>=,=) Rhs; valid while its
+/// model lives and gains no rows.
 struct ModelConstraint {
-  LinExpr Expr;
+  RowExpr Expr;
   CmpKind Cmp;
   double Rhs;
 };
 
 /// A mixed-integer linear program; the objective is minimized.
+///
+/// Rows are stored flat: one term array, and per row its term range, its
+/// comparison and its right-hand side.  The storage is recycled through
+/// the thread's spare (swp/support/ThreadSpare.h): a destroyed model parks
+/// it, and the next model built on the thread starts with its capacity.
 class MilpModel {
 public:
   static constexpr double Inf = std::numeric_limits<double>::infinity();
@@ -112,7 +141,7 @@ public:
   /// Marks \p Var's upper bound row as implied by other constraints.
   void setUbRowRedundant(VarId Var) {
     assert(Var >= 0 && Var < numVars() && "bad var id");
-    Vars[Var].UbRowRedundant = true;
+    S->Vars[static_cast<std::size_t>(Var)].UbRowRedundant = true;
   }
 
   /// Fixes \p Var to \p Value (Lb = Ub = Value).  Used for symmetry
@@ -120,33 +149,59 @@ public:
   /// column away before the solver ever prices it.
   void fixVar(VarId Var, double Value) {
     assert(Var >= 0 && Var < numVars() && "bad var id");
-    Vars[Var].Lb = Value;
-    Vars[Var].Ub = Value;
+    S->Vars[static_cast<std::size_t>(Var)].Lb = Value;
+    S->Vars[static_cast<std::size_t>(Var)].Ub = Value;
   }
 
   /// Sets \p Var's branching priority class (lower branches first).
   void setBranchPriority(VarId Var, int Priority) {
     assert(Var >= 0 && Var < numVars() && "bad var id");
-    Vars[Var].BranchPriority = Priority;
+    S->Vars[static_cast<std::size_t>(Var)].BranchPriority = Priority;
   }
 
-  /// Adds the constraint \p Expr \p Cmp \p Rhs.  The expression's constant
-  /// is folded into the right-hand side.
-  void addConstraint(LinExpr Expr, CmpKind Cmp, double Rhs);
+  /// Adds the constraint \p Expr \p Cmp \p Rhs.  \p Expr is normalized in
+  /// place and its terms are copied into the model, so one expression can
+  /// be cleared and refilled for every row; its constant is folded into
+  /// the right-hand side.
+  void addConstraint(LinExpr &Expr, CmpKind Cmp, double Rhs);
+  void addConstraint(LinExpr &&Expr, CmpKind Cmp, double Rhs) {
+    addConstraint(Expr, Cmp, Rhs);
+  }
+
+  /// A cleared expression held in the model's storage, for building rows
+  /// without allocating: fill it and pass it to addConstraint.
+  LinExpr &scratchRow() {
+    S->Scratch.clear();
+    return S->Scratch;
+  }
 
   /// Sets the (minimized) objective.  An empty objective makes every
   /// feasible point optimal — used for pure feasibility checks.
   void setObjective(LinExpr Expr);
 
-  int numVars() const { return static_cast<int>(Vars.size()); }
-  int numConstraints() const { return static_cast<int>(Constraints.size()); }
+  /// Adds \p Coef * \p Var to the objective (normalized again).
+  void addObjectiveTerm(VarId Var, double Coef);
 
-  const ModelVar &var(VarId Id) const { return Vars[Id]; }
-  const std::vector<ModelVar> &vars() const { return Vars; }
-  const std::vector<ModelConstraint> &constraints() const {
-    return Constraints;
+  int numVars() const { return static_cast<int>(S->Vars.size()); }
+  int numConstraints() const { return static_cast<int>(S->Rows.size()); }
+
+  const ModelVar &var(VarId Id) const {
+    return S->Vars[static_cast<std::size_t>(Id)];
   }
-  const LinExpr &objective() const { return Objective; }
+  const std::vector<ModelVar> &vars() const { return S->Vars; }
+
+  /// Row \p R as a view.
+  ModelConstraint row(int R) const {
+    const Row &Rw = S->Rows[static_cast<std::size_t>(R)];
+    return {RowExpr({S->Terms.data() + Rw.Begin, S->Terms.data() + Rw.End}),
+            Rw.Cmp, Rw.Rhs};
+  }
+  /// Every row as a view, for range-for and indexing.
+  auto constraints() const {
+    return std::views::iota(0, numConstraints()) |
+           std::views::transform([this](int R) { return row(R); });
+  }
+  const LinExpr &objective() const { return S->Objective; }
 
   /// \returns the value of \p Expr under assignment \p X.
   static double evaluate(const LinExpr &Expr, const std::vector<double> &X);
@@ -158,15 +213,31 @@ public:
   /// False when construction recorded a structural error (empty variable
   /// domain, non-finite bound or coefficient); the solver refuses invalid
   /// models with a typed error instead of computing on garbage.
-  bool valid() const { return BuildError.empty(); }
+  bool valid() const { return S->BuildError.empty(); }
   /// First construction error ("" when valid()).
-  const std::string &buildError() const { return BuildError; }
+  const std::string &buildError() const { return S->BuildError; }
 
 private:
-  std::vector<ModelVar> Vars;
-  std::vector<ModelConstraint> Constraints;
-  LinExpr Objective;
-  std::string BuildError;
+  /// Row R's terms are Terms[Begin, End).
+  struct Row {
+    int Begin;
+    int End;
+    CmpKind Cmp;
+    double Rhs;
+  };
+  struct Store {
+    std::vector<ModelVar> Vars;
+    std::vector<LinTerm> Terms;
+    std::vector<Row> Rows;
+    LinExpr Objective;
+    /// The expression scratchRow() hands out.
+    LinExpr Scratch;
+    std::string BuildError;
+
+    void reset();
+    std::size_t capacityBytes() const;
+  };
+  Recycled<Store> S;
 };
 
 } // namespace swp

@@ -63,6 +63,9 @@ PresolveInfo presolveModel(const MilpModel &M, const std::vector<double> &Lb,
 /// Convenience overload using the model's own bounds.
 PresolveInfo presolveModel(const MilpModel &M);
 
+/// The same, written into \p Out, whose vectors keep their capacity.
+void presolveModel(const MilpModel &M, PresolveInfo &Out);
+
 } // namespace swp
 
 #endif // SWP_SOLVER_PRESOLVE_H

@@ -36,9 +36,11 @@
 #include "swp/solver/Model.h"
 #include "swp/solver/Presolve.h"
 #include "swp/support/Cancellation.h"
+#include "swp/support/ThreadSpare.h"
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace swp {
@@ -79,10 +81,68 @@ struct LpStats {
   std::int64_t totalPivots() const { return Pivots + DualPivots; }
 };
 
+/// SparseLp's vectors, recycled across workspaces on a thread
+/// (swp/support/ThreadSpare.h).
+struct SparseLpStore {
+  /// One nonzero of a matrix column or of an eta.
+  struct Entry {
+    int Row;
+    double Val;
+  };
+  /// One product-form eta: the identity with column Row replaced by Pivot
+  /// at Row and the off-pivot entries EtaPool[Begin, End).
+  struct Eta {
+    int Row;
+    double Pivot;
+    int Begin;
+    int End;
+  };
+
+  PresolveInfo Pre;
+  /// Column-major (CSC) sparse matrix over kept rows: column C's entries
+  /// are ColEntries[ColStart[C], ColStart[C + 1]), ascending by row;
+  /// logicals are unit columns.
+  std::vector<int> ColStart;
+  std::vector<Entry> ColEntries;
+  std::vector<double> Rhs;
+  std::vector<CmpKind> RowCmp;
+  std::vector<double> Cost; // Objective coefficient per column.
+
+  // Basis state, persisted across solve() calls.
+  std::vector<LpBasisStatus> St; // Per column.
+  std::vector<int> Basis;        // Basic column per row.
+  /// The eta file: headers in application order over one entry pool,
+  /// cleared (capacity kept) at every refactorization.
+  std::vector<Eta> Etas;
+  std::vector<Entry> EtaPool;
+  std::vector<double> XB; // Basic variable value per row.
+
+  // Per-solve state and scratch.
+  std::vector<double> EffLb, EffUb; // Per column.
+  std::vector<double> WorkY, WorkPi, WorkD, WorkPrice;
+  /// The model's own bounds, for solve() without bound arguments.
+  std::vector<double> ModelLb, ModelUb;
+  /// Next free slot per CSC column (construction) or per row candidate
+  /// list (factorize()).
+  std::vector<int> Fill;
+  /// factorize(): placed rows, the new basis, candidate columns, singleton
+  /// counts, per-row candidate lists (RowCandList[RowCandStart[R],
+  /// RowCandStart[R + 1])), retired columns, singleton stacks and the
+  /// back wing's (column, row) pairs.
+  std::vector<char> RowDone, Used;
+  std::vector<int> NewBasis, Cands, RowCount, ColCount, RowCandStart,
+      RowCandList, RowStack, ColStack;
+  std::vector<std::pair<int, int>> Back;
+
+  void reset();
+  std::size_t capacityBytes() const;
+};
+
 /// A reusable LP workspace bound to one MilpModel.  The model must outlive
 /// the workspace and must not change while it is in use.  Not thread-safe;
-/// one workspace per search.
-class SparseLp {
+/// one workspace per search.  Its vectors come from, and return to, the
+/// thread's spare SparseLpStore.
+class SparseLp : private SpareBacked<SparseLpStore> {
 public:
   explicit SparseLp(const MilpModel &M);
 
@@ -98,16 +158,17 @@ public:
   LpResult solve(const CancellationToken &Cancel = {});
 
   /// Per-structural-variable basis statuses after the last solve — the
-  /// carryable part of the basis (logical statuses are re-derived).
-  std::vector<LpBasisStatus> structuralBasis() const;
+  /// carryable part of the basis (logical statuses are re-derived).  Empty
+  /// before the first solve; valid until the next solve() or seedBasis().
+  std::span<const LpBasisStatus> structuralBasis() const;
 
   /// Seeds the next solve()'s starting basis from per-structural hints (as
   /// produced by structuralBasis(), possibly on a *different* model and
   /// mapped by the caller).  Hinted-basic columns are crashed into the
   /// basis where they pivot cleanly; rows left uncovered keep their
-  /// logicals.  A short vector seeds a prefix; out-of-range hints are
+  /// logicals.  A short span seeds a prefix; out-of-range hints are
   /// ignored.
-  void seedBasis(const std::vector<LpBasisStatus> &StructuralHints);
+  void seedBasis(std::span<const LpBasisStatus> StructuralHints);
 
   /// True when presolve already proved the model (under its own bounds)
   /// infeasible; solve() then answers without pivoting.
@@ -125,20 +186,6 @@ public:
   void setRefactorInterval(int K) { RefactorInterval = K < 1 ? 1 : K; }
 
 private:
-  /// One nonzero of a matrix column or of an eta.
-  struct Entry {
-    int Row;
-    double Val;
-  };
-  /// One product-form eta: the identity with column Row replaced by Pivot
-  /// at Row and the off-pivot entries EtaPool[Begin, End).
-  struct Eta {
-    int Row;
-    double Pivot;
-    int Begin;
-    int End;
-  };
-
   int numCols() const { return NumStruct + NumRows; }
   std::span<const Entry> column(int C) const {
     return {ColEntries.data() + ColStart[static_cast<size_t>(C)],
@@ -162,7 +209,7 @@ private:
   bool factorize();
   void computeXB();
   void sanitizeStatuses();
-  bool priceReducedCosts(std::vector<double> &D) const;
+  bool priceReducedCosts(std::vector<double> &D);
   double infeasibilityOf(int Row) const;
   double totalInfeasibility() const;
 
@@ -175,43 +222,24 @@ private:
                   LpBasisStatus LeaveStatus, const std::vector<double> &Y);
 
   const MilpModel *Model;
-  PresolveInfo Pre;
   int NumStruct = 0;
   int NumRows = 0;
-  /// Column-major (CSC) sparse matrix over kept rows: column C's entries
-  /// are ColEntries[ColStart[C], ColStart[C + 1]), ascending by row;
-  /// logicals are unit columns.
-  std::vector<int> ColStart;
-  std::vector<Entry> ColEntries;
-  std::vector<double> Rhs;
-  std::vector<CmpKind> RowCmp;
-  std::vector<double> Cost; // Objective coefficient per column.
   bool CostEmpty = true;
 
-  // Basis state, persisted across solve() calls.
-  std::vector<LpBasisStatus> St; // Per column.
-  std::vector<int> Basis;        // Basic column per row.
-  /// The eta file: headers in application order over one entry pool,
-  /// cleared (capacity kept) at every refactorization.
-  std::vector<Eta> Etas;
-  std::vector<Entry> EtaPool;
   /// Etas [0, BaseEtas) are the factorization itself; only updates appended
   /// beyond it count against RefactorInterval.
   int BaseEtas = 0;
-  std::vector<double> XB; // Basic variable value per row.
   bool HaveBasis = false;
   bool NeedRefactor = false;
   int RefactorInterval = 64;
 
   // Per-solve state.
-  std::vector<double> EffLb, EffUb; // Per column.
   CancellationToken Cancel;
   int Iterations = 0;
   int MaxIterations = 0;
   int Stalled = 0;
   int BlandThreshold = 0;
   LpStatus AbortWhy = LpStatus::IterLimit;
-  std::vector<double> WorkY, WorkPi, WorkD;
 
   LpStats Stats;
 };

@@ -19,6 +19,50 @@ namespace {
 
 enum class ProbeOutcome { Found, NotFound, LpInfeasible };
 
+/// ilpStepAtT's vectors, recycled across steps on a thread
+/// (swp/support/ThreadSpare.h): the formulation handles, the basis hints
+/// mapped from the previous T, and the rounding probe's offsets, stage
+/// indices, per-type coloring inputs, candidate and dive bounds.  reset()
+/// leaves Vars alone: buildScheduleModel rebuilds it in place.
+struct StepStore {
+  FormulationVars Vars;
+  std::vector<LpBasisStatus> Hints;
+  std::vector<int> Offsets, K, Ops, TypeOffsets;
+  std::vector<const ReservationTable *> Tables;
+  ModuloSchedule Candidate;
+  std::vector<double> DiveLb, DiveUb;
+  std::vector<char> FixedOp;
+
+  void reset() {
+    for (std::vector<int> *V : {&Offsets, &K, &Ops, &TypeOffsets})
+      V->clear();
+    Hints.clear();
+    Tables.clear();
+    Candidate.StartTime.clear();
+    Candidate.Mapping.clear();
+    DiveLb.clear();
+    DiveUb.clear();
+    FixedOp.clear();
+  }
+  std::size_t capacityBytes() const {
+    std::size_t Sum = heapBytes(Vars.A) + heapBytes(Vars.K) +
+                      heapBytes(Vars.Color) + heapBytes(Vars.Buffers) +
+                      heapBytes(Vars.Pairs) + heapBytes(Vars.CMax) +
+                      heapBytes(Vars.Inst) + heapBytes(Vars.Route) +
+                      heapBytes(Hints) + heapBytes(Tables) +
+                      heapBytes(Candidate.StartTime) +
+                      heapBytes(Candidate.Mapping) + heapBytes(DiveLb) +
+                      heapBytes(DiveUb) + heapBytes(FixedOp);
+    for (const std::vector<VarId> &Row : Vars.A)
+      Sum += heapBytes(Row);
+    for (const std::vector<VarId> &Row : Vars.Inst)
+      Sum += heapBytes(Row);
+    for (const std::vector<int> *V : {&Offsets, &K, &Ops, &TypeOffsets})
+      Sum += heapBytes(*V);
+    return Sum;
+  }
+};
+
 int ceilDiv(int A, int B) {
   return A >= 0 ? (A + B - 1) / B : -((-A) / B);
 }
@@ -27,11 +71,12 @@ int ceilDiv(int A, int B) {
 /// Bellman-Ford over the k-difference constraints, the mapping by first-fit
 /// circular-arc coloring.  \returns false when either step fails.
 bool completeSchedule(const Ddg &G, const MachineModel &Machine, int T,
-                      MappingKind Mapping, const std::vector<int> &Offsets,
-                      ModuloSchedule &Out) {
+                      MappingKind Mapping, StepStore &S, ModuloSchedule &Out) {
   const int N = G.numNodes();
+  const std::vector<int> &Offsets = S.Offsets;
   // K vector: k_j - k_i >= ceil((lat - T*m + off_i - off_j) / T).
-  std::vector<int> K(static_cast<size_t>(N), 0);
+  std::vector<int> &K = S.K;
+  K.assign(static_cast<size_t>(N), 0);
   for (int Pass = 0; Pass <= N; ++Pass) {
     bool Changed = false;
     for (const DdgEdge &E : G.edges()) {
@@ -61,12 +106,15 @@ bool completeSchedule(const Ddg &G, const MachineModel &Machine, int T,
     return true;
 
   Out.Mapping.assign(static_cast<size_t>(N), 0);
+  std::vector<int> &Ops = S.Ops;
+  std::vector<int> &TypeOffsets = S.TypeOffsets;
+  std::vector<const ReservationTable *> &Tables = S.Tables;
   for (int R = 0; R < Machine.numTypes(); ++R) {
-    std::vector<int> Ops = G.nodesOfClass(R);
+    G.nodesOfClass(R, Ops);
+    TypeOffsets.clear();
+    Tables.clear();
     if (Ops.empty())
       continue;
-    std::vector<int> TypeOffsets;
-    std::vector<const ReservationTable *> Tables;
     for (int Op : Ops) {
       TypeOffsets.push_back(Offsets[static_cast<size_t>(Op)]);
       Tables.push_back(&Machine.tableFor(G.node(Op)));
@@ -92,9 +140,10 @@ bool completeSchedule(const Ddg &G, const MachineModel &Machine, int T,
 /// on — static rounding alone is hostage to that tie-break.
 ProbeOutcome lpRoundingProbe(const Ddg &G, const MachineModel &Machine, int T,
                              MappingKind Mapping, const MilpModel &M,
-                             SparseLp &Workspace, const FormulationVars &Vars,
+                             SparseLp &Workspace, StepStore &S,
                              const CancellationToken &Cancel,
                              ModuloSchedule &Out) {
+  const FormulationVars &Vars = S.Vars;
   LpResult Lp = Workspace.solve(Cancel);
   if (Lp.Status == LpStatus::Infeasible)
     return ProbeOutcome::LpInfeasible;
@@ -105,8 +154,9 @@ ProbeOutcome lpRoundingProbe(const Ddg &G, const MachineModel &Machine, int T,
   // Two rounding variants: argmax of the A column, and the rounded
   // expected offset sum_t t*a[t][i].
   auto tryRound = [&](const std::vector<double> &X) {
+    std::vector<int> &Offsets = S.Offsets;
     for (int Variant = 0; Variant < 2; ++Variant) {
-      std::vector<int> Offsets(static_cast<size_t>(N), 0);
+      Offsets.assign(static_cast<size_t>(N), 0);
       for (int I = 0; I < N; ++I) {
         if (Variant == 0) {
           double BestVal = -1.0;
@@ -129,11 +179,10 @@ ProbeOutcome lpRoundingProbe(const Ddg &G, const MachineModel &Machine, int T,
                                               std::llround(Expect))));
         }
       }
-      ModuloSchedule Candidate;
-      if (!completeSchedule(G, Machine, T, Mapping, Offsets, Candidate))
+      if (!completeSchedule(G, Machine, T, Mapping, S, S.Candidate))
         continue;
-      if (verifySchedule(G, Machine, Candidate).Ok) {
-        Out = std::move(Candidate);
+      if (verifySchedule(G, Machine, S.Candidate).Ok) {
+        Out = S.Candidate;
         return true;
       }
     }
@@ -148,13 +197,16 @@ ProbeOutcome lpRoundingProbe(const Ddg &G, const MachineModel &Machine, int T,
   // local — the model is untouched and the caller's branch-and-bound
   // re-solves under its own bound vectors, warm from wherever the dive
   // ended.
-  std::vector<double> Lb(static_cast<size_t>(M.numVars()));
-  std::vector<double> Ub(static_cast<size_t>(M.numVars()));
+  std::vector<double> &Lb = S.DiveLb;
+  std::vector<double> &Ub = S.DiveUb;
+  Lb.resize(static_cast<size_t>(M.numVars()));
+  Ub.resize(static_cast<size_t>(M.numVars()));
   for (int I = 0; I < M.numVars(); ++I) {
     Lb[static_cast<size_t>(I)] = M.var(I).Lb;
     Ub[static_cast<size_t>(I)] = M.var(I).Ub;
   }
-  std::vector<char> FixedOp(static_cast<size_t>(N), 0);
+  std::vector<char> &FixedOp = S.FixedOp;
+  FixedOp.assign(static_cast<size_t>(N), 0);
   int Misses = 0;
   for (int Round = 0; Round < 2 * N; ++Round) {
     int BestOp = -1;
@@ -206,11 +258,10 @@ ProbeOutcome lpRoundingProbe(const Ddg &G, const MachineModel &Machine, int T,
 /// per-pair overlap/sign variables, per-type CMax, per-edge buffers) carry
 /// their basis status across; everything else starts at its lower bound.
 /// Purely a crash-basis hint — seedBasis repairs whatever doesn't pivot.
-std::vector<LpBasisStatus> mapBasisAcrossT(const TWarmContext &Old, int NewT,
-                                           const FormulationVars &NewVars,
-                                           int NewNumVars) {
-  std::vector<LpBasisStatus> Hints(static_cast<size_t>(NewNumVars),
-                                   LpBasisStatus::AtLower);
+void mapBasisAcrossT(const TWarmContext &Old, int NewT,
+                     const FormulationVars &NewVars, int NewNumVars,
+                     std::vector<LpBasisStatus> &Hints) {
+  Hints.assign(static_cast<size_t>(NewNumVars), LpBasisStatus::AtLower);
   auto Put = [&](VarId To, VarId From) {
     if (To < 0 || From < 0)
       return;
@@ -242,25 +293,19 @@ std::vector<LpBasisStatus> mapBasisAcrossT(const TWarmContext &Old, int NewT,
        E < N; ++E)
     Put(NewVars.Buffers[E], Old.Vars.Buffers[E]);
 
-  if (!NewVars.Pairs.empty() && !Old.Vars.Pairs.empty()) {
-    std::unordered_map<std::uint64_t, const FormulationVars::PairVarIds *>
-        OldPairs;
-    OldPairs.reserve(Old.Vars.Pairs.size());
-    auto Key = [](int I, int J) {
-      return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(I))
-              << 32) |
-             static_cast<std::uint32_t>(J);
-    };
-    for (const FormulationVars::PairVarIds &P : Old.Vars.Pairs)
-      OldPairs[Key(P.OpI, P.OpJ)] = &P;
-    for (const FormulationVars::PairVarIds &P : NewVars.Pairs) {
-      auto It = OldPairs.find(Key(P.OpI, P.OpJ));
-      if (It == OldPairs.end())
-        continue;
-      Put(P.Overlap, It->second->Overlap);
-      Put(P.Sign, It->second->Sign);
+  // Every T lists the same (OpI, OpJ) pairs in the same order, so a pair
+  // carries to the one at its position (nothing carries if the lists
+  // differ).
+  auto SamePair = [](const FormulationVars::PairVarIds &A,
+                     const FormulationVars::PairVarIds &B) {
+    return A.OpI == B.OpI && A.OpJ == B.OpJ;
+  };
+  if (std::equal(NewVars.Pairs.begin(), NewVars.Pairs.end(),
+                 Old.Vars.Pairs.begin(), Old.Vars.Pairs.end(), SamePair))
+    for (size_t P = 0; P < NewVars.Pairs.size(); ++P) {
+      Put(NewVars.Pairs[P].Overlap, Old.Vars.Pairs[P].Overlap);
+      Put(NewVars.Pairs[P].Sign, Old.Vars.Pairs[P].Sign);
     }
-  }
 
   // Instance-mapping variables are T-independent, so their layout matches
   // across candidate T whenever both models took the topology path.
@@ -288,7 +333,6 @@ std::vector<LpBasisStatus> mapBasisAcrossT(const TWarmContext &Old, int NewT,
         Put(R.Y, It->second);
     }
   }
-  return Hints;
 }
 
 } // namespace
@@ -344,7 +388,8 @@ TStepResult swp::ilpStepAtT(const Ddg &G, const MachineModel &Machine, int T,
   // symmetric model because its warm start is lifted from an un-rotated
   // schedule.
   FOpts.BreakRotation = !Optimizing;
-  FormulationVars Vars;
+  Recycled<StepStore> Store;
+  FormulationVars &Vars = Store->Vars;
   MilpModel M = buildScheduleModel(G, Machine, T, FOpts, Vars);
 
   MilpOptions MOpts;
@@ -375,8 +420,10 @@ TStepResult swp::ilpStepAtT(const Ddg &G, const MachineModel &Machine, int T,
   // node of this T; presolve runs once here.  Seeded from the previous T's
   // final basis when the caller carries a context.
   SparseLp Workspace(M);
-  if (Warm && Warm->valid() && M.valid())
-    Workspace.seedBasis(mapBasisAcrossT(*Warm, T, Vars, M.numVars()));
+  if (Warm && Warm->valid() && M.valid()) {
+    mapBasisAcrossT(*Warm, T, Vars, M.numVars(), Store->Hints);
+    Workspace.seedBasis(Store->Hints);
+  }
   auto Finish = [&](MilpStatus S) {
     A.Status = S;
     A.Seconds = Watch.seconds();
@@ -386,9 +433,12 @@ TStepResult swp::ilpStepAtT(const Ddg &G, const MachineModel &Machine, int T,
     A.Lp.Solves += WS.Solves;
     A.Lp.WarmSolves += WS.WarmSolves;
     if (Warm && M.valid()) {
+      // The context takes this T's handles; the store keeps the previous
+      // T's for its capacity.
       Warm->T = T;
-      Warm->Vars = Vars;
-      Warm->Basis = Workspace.structuralBasis();
+      std::swap(Warm->Vars, Vars);
+      const std::span<const LpBasisStatus> Basis = Workspace.structuralBasis();
+      Warm->Basis.assign(Basis.begin(), Basis.end());
     }
     return std::move(R);
   };
@@ -407,7 +457,7 @@ TStepResult swp::ilpStepAtT(const Ddg &G, const MachineModel &Machine, int T,
     if (Opts.TimeLimitPerT < 1e8)
       ProbeDeadline.setDeadlineAfter(Opts.TimeLimitPerT * 0.25);
     ProbeOutcome Probe =
-        lpRoundingProbe(G, Machine, T, Opts.Mapping, M, Workspace, Vars,
+        lpRoundingProbe(G, Machine, T, Opts.Mapping, M, Workspace, *Store,
                         ProbeDeadline.token(), R.Schedule);
     if (Probe == ProbeOutcome::LpInfeasible) {
       if (Faulted()) {

@@ -13,14 +13,46 @@ using namespace swp;
 
 namespace {
 
-/// The start-time expression t_i = T*k_i + sum_t t*a[t][i] (paper Eq. 7).
-LinExpr startTimeExpr(const FormulationVars &Vars, int T, int I) {
-  LinExpr E;
-  E.add(Vars.K[static_cast<size_t>(I)], static_cast<double>(T));
+/// Appends \p Scale times the start-time expression t_i = T*k_i + sum_t
+/// t*a[t][i] (paper Eq. 7) to \p E, term by term in that order.
+void addStartTime(LinExpr &E, const FormulationVars &Vars, int T, int I,
+                  double Scale) {
+  E.add(Vars.K[static_cast<size_t>(I)], static_cast<double>(T) * Scale);
   for (int Slot = 1; Slot < T; ++Slot)
     E.add(Vars.A[static_cast<size_t>(Slot)][static_cast<size_t>(I)],
-          static_cast<double>(Slot));
-  return E;
+          static_cast<double>(Slot) * Scale);
+}
+
+/// buildScheduleModel's scratch, recycled across models on a thread.
+struct BuildScratch {
+  /// The ops of one FU type.
+  std::vector<int> Ops;
+  /// Per offset delta: do two ops on one unit collide there?
+  std::vector<char> ConflictDelta;
+
+  void reset() {
+    Ops.clear();
+    ConflictDelta.clear();
+  }
+  std::size_t capacityBytes() const {
+    return heapBytes(Ops) + heapBytes(ConflictDelta);
+  }
+};
+
+/// Clears \p V for a new model, keeping the capacity of every container.
+void resetVars(FormulationVars &V, int T, int N, int NumTypes, bool Topo) {
+  V.A.resize(static_cast<size_t>(T));
+  for (std::vector<VarId> &Row : V.A)
+    Row.assign(static_cast<size_t>(N), 0);
+  V.K.clear();
+  V.Color.assign(static_cast<size_t>(N), -1);
+  V.Buffers.clear();
+  V.Pairs.clear();
+  V.CMax.assign(static_cast<size_t>(NumTypes), -1);
+  V.Inst.resize(Topo ? static_cast<size_t>(N) : 0);
+  for (std::vector<VarId> &Row : V.Inst)
+    Row.clear();
+  V.Route.clear();
 }
 
 int defaultKMax(const Ddg &G, int MaxRho) {
@@ -51,17 +83,11 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
                         Machine.topologyConstrains();
   const Topology *Topo = TopoPath ? Machine.topology() : nullptr;
   MilpModel M;
-  Vars = FormulationVars();
-  Vars.A.assign(static_cast<size_t>(T), std::vector<VarId>());
-  Vars.K.clear();
-  Vars.Color.assign(static_cast<size_t>(N), -1);
-  Vars.CMax.assign(static_cast<size_t>(Machine.numTypes()), -1);
-  if (TopoPath)
-    Vars.Inst.assign(static_cast<size_t>(N), std::vector<VarId>());
+  resetVars(Vars, T, N, Machine.numTypes(), TopoPath);
+  Recycled<BuildScratch> Scratch;
+  std::vector<int> &Ops = Scratch->Ops;
 
   // a[t][i] and k[i].
-  for (int Slot = 0; Slot < T; ++Slot)
-    Vars.A[static_cast<size_t>(Slot)].resize(static_cast<size_t>(N));
   // Rotating a schedule so the anchor lands on pattern step 0 can carry
   // each stage index up by one, so an anchored model needs one more stage
   // of headroom to stay feasibility-equivalent.
@@ -92,7 +118,7 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
   if (TopoPath) {
     for (int I = 0; I < N; ++I) {
       const int Count = Machine.type(G.node(I).OpClass).Count;
-      LinExpr Sum;
+      LinExpr &Sum = M.scratchRow();
       for (int U = 0; U < Count; ++U) {
         VarId V = M.addBinary();
         M.setBranchPriority(V, 2);
@@ -105,7 +131,7 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
         }
       }
       if (Count > 1)
-        M.addConstraint(std::move(Sum), CmpKind::EQ, 1.0);
+        M.addConstraint(Sum, CmpKind::EQ, 1.0);
     }
   }
 
@@ -138,17 +164,18 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
 
   // Each instruction initiates exactly once in the pattern (Eq. 9/23).
   for (int I = 0; I < N; ++I) {
-    LinExpr Sum;
+    LinExpr &Sum = M.scratchRow();
     for (int Slot = 0; Slot < T; ++Slot)
       Sum.add(Vars.A[static_cast<size_t>(Slot)][static_cast<size_t>(I)], 1.0);
-    M.addConstraint(std::move(Sum), CmpKind::EQ, 1.0);
+    M.addConstraint(Sum, CmpKind::EQ, 1.0);
   }
 
   // Dependences: t_j - t_i >= latency - T*m_ij (Eq. 4/8).
   for (const DdgEdge &E : G.edges()) {
-    LinExpr Expr = startTimeExpr(Vars, T, E.Dst);
-    Expr.addScaled(startTimeExpr(Vars, T, E.Src), -1.0);
-    M.addConstraint(std::move(Expr), CmpKind::GE,
+    LinExpr &Expr = M.scratchRow();
+    addStartTime(Expr, Vars, T, E.Dst, 1.0);
+    addStartTime(Expr, Vars, T, E.Src, -1.0);
+    M.addConstraint(Expr, CmpKind::GE,
                     static_cast<double>(E.Latency - T * E.Distance));
   }
 
@@ -166,11 +193,11 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
       VarId B = M.addVar(1.0, static_cast<double>(BMax), VarKind::Integer);
       M.setBranchPriority(B, 4);
       Vars.Buffers.push_back(B);
-      LinExpr Row;
+      LinExpr &Row = M.scratchRow();
       Row.add(B, static_cast<double>(T));
-      Row.addScaled(startTimeExpr(Vars, T, E.Dst), -1.0);
-      Row.addScaled(startTimeExpr(Vars, T, E.Src), 1.0);
-      M.addConstraint(std::move(Row), CmpKind::GE,
+      addStartTime(Row, Vars, T, E.Dst, -1.0);
+      addStartTime(Row, Vars, T, E.Src, 1.0);
+      M.addConstraint(Row, CmpKind::GE,
                       static_cast<double>(T * E.Distance));
       Objective.add(B, 1.0);
     }
@@ -180,7 +207,7 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
   // Per-type blocks: capacity, then mapping.
   for (int R = 0; R < Machine.numTypes(); ++R) {
     const FuType &Ty = Machine.type(R);
-    std::vector<int> Ops = G.nodesOfClass(R);
+    G.nodesOfClass(R, Ops);
     const int NumOps = static_cast<int>(Ops.size());
     if (NumOps == 0)
       continue;
@@ -195,7 +222,7 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
                              Machine.tableFor(G.node(Op)).numStages());
       for (int Stage = 0; Stage < MaxStages; ++Stage) {
         for (int Slot = 0; Slot < T; ++Slot) {
-          LinExpr Usage;
+          LinExpr &Usage = M.scratchRow();
           for (int Op : Ops) {
             const ReservationTable &Table = Machine.tableFor(G.node(Op));
             if (Stage >= Table.numStages())
@@ -205,7 +232,7 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
                               [static_cast<size_t>(Op)],
                         1.0);
           }
-          M.addConstraint(std::move(Usage), CmpKind::LE,
+          M.addConstraint(Usage, CmpKind::LE,
                           static_cast<double>(Ty.Count));
         }
       }
@@ -222,14 +249,14 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
 
     // Offset deltas at which two ops on one unit collide, per variant pair
     // (ops of one variant share a table; multi-function ops differ).
-    auto ConflictDeltaFor = [&](int OpI, int OpJ) {
-      std::vector<bool> Deltas(static_cast<size_t>(T));
+    std::vector<char> &ConflictDelta = Scratch->ConflictDelta;
+    auto FillConflictDelta = [&](int OpI, int OpJ) {
+      ConflictDelta.resize(static_cast<size_t>(T));
       const ReservationTable &TI = Machine.tableFor(G.node(OpI));
       const ReservationTable &TJ = Machine.tableFor(G.node(OpJ));
       for (int Delta = 0; Delta < T; ++Delta)
-        Deltas[static_cast<size_t>(Delta)] =
+        ConflictDelta[static_cast<size_t>(Delta)] =
             tablesConflictAtOffset(TI, TJ, Delta, T);
-      return Deltas;
     };
 
     if (Ty.Count == 1) {
@@ -239,9 +266,9 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
         for (int BIx = AIx + 1; BIx < NumOps; ++BIx) {
           int OpI = Ops[static_cast<size_t>(AIx)];
           int OpJ = Ops[static_cast<size_t>(BIx)];
-          std::vector<bool> ConflictDelta = ConflictDeltaFor(OpI, OpJ);
+          FillConflictDelta(OpI, OpJ);
           for (int P = 0; P < T; ++P) {
-            LinExpr Row;
+            LinExpr &Row = M.scratchRow();
             Row.add(Vars.A[static_cast<size_t>(P)][static_cast<size_t>(OpI)],
                     1.0);
             bool Any = false;
@@ -253,7 +280,7 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
               Any = true;
             }
             if (Any)
-              M.addConstraint(std::move(Row), CmpKind::LE, 1.0);
+              M.addConstraint(Row, CmpKind::LE, 1.0);
           }
         }
       }
@@ -272,9 +299,9 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
           VarId O = M.addBinary();
           M.setBranchPriority(O, 3);
           Vars.Pairs.push_back({OpI, OpJ, O, -1});
-          std::vector<bool> ConflictDelta = ConflictDeltaFor(OpI, OpJ);
+          FillConflictDelta(OpI, OpJ);
           for (int P = 0; P < T; ++P) {
-            LinExpr Row;
+            LinExpr &Row = M.scratchRow();
             Row.add(O, 1.0);
             Row.add(Vars.A[static_cast<size_t>(P)][static_cast<size_t>(OpI)],
                     -1.0);
@@ -287,16 +314,16 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
               Any = true;
             }
             if (Any)
-              M.addConstraint(std::move(Row), CmpKind::GE, -1.0);
+              M.addConstraint(Row, CmpKind::GE, -1.0);
           }
           for (int U = 0; U < Ty.Count; ++U) {
-            LinExpr Row;
+            LinExpr &Row = M.scratchRow();
             Row.add(Vars.Inst[static_cast<size_t>(OpI)][static_cast<size_t>(U)],
                     1.0);
             Row.add(Vars.Inst[static_cast<size_t>(OpJ)][static_cast<size_t>(U)],
                     1.0);
             Row.add(O, 1.0);
-            M.addConstraint(std::move(Row), CmpKind::LE, 2.0);
+            M.addConstraint(Row, CmpKind::LE, 2.0);
           }
         }
       }
@@ -320,9 +347,9 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
       CMax = M.addVar(1.0, RCount, VarKind::Continuous);
       Vars.CMax[static_cast<size_t>(R)] = CMax;
       for (int Op : Ops) {
-        LinExpr E;
+        LinExpr &E = M.scratchRow();
         E.add(CMax, 1.0).add(Vars.Color[static_cast<size_t>(Op)], -1.0);
-        M.addConstraint(std::move(E), CmpKind::GE, 0.0);
+        M.addConstraint(E, CmpKind::GE, 0.0);
       }
     }
 
@@ -335,11 +362,11 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
         M.setBranchPriority(O, 3);
         M.setBranchPriority(W, 3);
         Vars.Pairs.push_back({OpI, OpJ, O, W});
-        std::vector<bool> ConflictDelta = ConflictDeltaFor(OpI, OpJ);
+        FillConflictDelta(OpI, OpJ);
 
         // o_ij >= a[p][i] + sum_{q conflicting with p} a[q][j] - 1.
         for (int P = 0; P < T; ++P) {
-          LinExpr Row;
+          LinExpr &Row = M.scratchRow();
           Row.add(O, 1.0);
           Row.add(Vars.A[static_cast<size_t>(P)][static_cast<size_t>(OpI)],
                   -1.0);
@@ -352,7 +379,7 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
             Any = true;
           }
           if (Any)
-            M.addConstraint(std::move(Row), CmpKind::GE, -1.0);
+            M.addConstraint(Row, CmpKind::GE, -1.0);
         }
 
         // |c_i - c_j| >= 1 when o_ij = 1 (Hu's linearization, Eqs. 12-14):
@@ -367,20 +394,17 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
         VarId CJ = Vars.Color[static_cast<size_t>(OpJ)];
         const double UbI = std::min(RCount, static_cast<double>(AIx + 1));
         const double UbJ = std::min(RCount, static_cast<double>(BIx + 1));
-        LinExpr E1;
+        LinExpr &E1 = M.scratchRow();
         E1.add(CI, 1.0).add(CJ, -1.0).add(W, UbJ).add(O, -UbJ);
-        M.addConstraint(std::move(E1), CmpKind::GE, 1.0 - UbJ);
-        LinExpr E2;
+        M.addConstraint(E1, CmpKind::GE, 1.0 - UbJ);
+        LinExpr &E2 = M.scratchRow();
         E2.add(CJ, 1.0).add(CI, -1.0).add(W, -UbI).add(O, -UbI);
-        M.addConstraint(std::move(E2), CmpKind::GE, 1.0 - 2.0 * UbI);
+        M.addConstraint(E2, CmpKind::GE, 1.0 - 2.0 * UbI);
       }
     }
 
-    if (UseColoringObjective && CMax >= 0) {
-      LinExpr Obj = M.objective();
-      Obj.add(CMax, 1.0 / RCount);
-      M.setObjective(std::move(Obj));
-    }
+    if (UseColoringObjective && CMax >= 0)
+      M.addObjectiveTerm(CMax, 1.0 / RCount);
   }
 
   if (TopoPath) {
@@ -406,20 +430,21 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
         for (int V = 0; V < Machine.type(Rj).Count; ++V) {
           const int GV = Base[static_cast<size_t>(Rj)] + V;
           if (!Topo->feedAllowed(GU, GV)) {
-            LinExpr Row;
+            LinExpr &Row = M.scratchRow();
             Row.add(XVar(E.Src, U), 1.0).add(XVar(E.Dst, V), 1.0);
-            M.addConstraint(std::move(Row), CmpKind::LE, 1.0);
+            M.addConstraint(Row, CmpKind::LE, 1.0);
             continue;
           }
           const int Rho = Topo->routePenalty(GU, GV);
           if (Rho == 0)
             continue;
           // t_j - t_i >= L + rho - T*m - rho*(2 - x_iu - x_jv).
-          LinExpr Row = startTimeExpr(Vars, T, E.Dst);
-          Row.addScaled(startTimeExpr(Vars, T, E.Src), -1.0);
+          LinExpr &Row = M.scratchRow();
+          addStartTime(Row, Vars, T, E.Dst, 1.0);
+          addStartTime(Row, Vars, T, E.Src, -1.0);
           Row.add(XVar(E.Src, U), -static_cast<double>(Rho));
           Row.add(XVar(E.Dst, V), -static_cast<double>(Rho));
-          M.addConstraint(std::move(Row), CmpKind::GE,
+          M.addConstraint(Row, CmpKind::GE,
                           static_cast<double>(E.Latency - T * E.Distance -
                                               Rho));
         }
@@ -472,10 +497,10 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
           if (SelfCollides)
             M.fixVar(Y, 0.0);
           for (int V : Consumers) {
-            LinExpr Row;
+            LinExpr &Row = M.scratchRow();
             Row.add(Y, 1.0);
             Row.add(XVar(E.Src, U), -1.0).add(XVar(E.Dst, V), -1.0);
-            M.addConstraint(std::move(Row), CmpKind::GE, -1.0);
+            M.addConstraint(Row, CmpKind::GE, -1.0);
           }
         }
       }
@@ -504,7 +529,7 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
               int Q = ((P + Col1 - Col2) % T + T) % T;
               if (E1.Src == E2.Src && Q != P)
                 continue; // One producer has one offset; row is vacuous.
-              LinExpr Row;
+              LinExpr &Row = M.scratchRow();
               Row.add(Vars.A[static_cast<size_t>(P)]
                             [static_cast<size_t>(E1.Src)],
                       1.0);
@@ -512,7 +537,7 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
                             [static_cast<size_t>(E2.Src)],
                       1.0);
               Row.add(A1.Y, 1.0).add(A2.Y, 1.0);
-              M.addConstraint(std::move(Row), CmpKind::LE, 3.0);
+              M.addConstraint(Row, CmpKind::LE, 3.0);
             }
           }
         }
@@ -527,7 +552,7 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
     // uses the (b-1)-th.
     for (int R = 0; R < Machine.numTypes(); ++R) {
       const FuType &Ty = Machine.type(R);
-      std::vector<int> Ops = G.nodesOfClass(R);
+      G.nodesOfClass(R, Ops);
       const int NumOps = static_cast<int>(Ops.size());
       if (NumOps == 0 || Ty.Count < 2)
         continue;
@@ -542,11 +567,11 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
               M.fixVar(XVar(Ops[0], Cur), 0.0);
               continue;
             }
-            LinExpr Row;
+            LinExpr &Row = M.scratchRow();
             Row.add(XVar(Ops[static_cast<size_t>(AIx)], Cur), 1.0);
             for (int Earlier = 0; Earlier < AIx; ++Earlier)
               Row.add(XVar(Ops[static_cast<size_t>(Earlier)], Prev), -1.0);
-            M.addConstraint(std::move(Row), CmpKind::LE, 0.0);
+            M.addConstraint(Row, CmpKind::LE, 0.0);
           }
         }
       }

@@ -6,10 +6,15 @@ using namespace swp;
 
 std::vector<int> Ddg::nodesOfClass(int OpClass) const {
   std::vector<int> Result;
+  nodesOfClass(OpClass, Result);
+  return Result;
+}
+
+void Ddg::nodesOfClass(int OpClass, std::vector<int> &Out) const {
+  Out.clear();
   for (int I = 0; I < numNodes(); ++I)
     if (Nodes[static_cast<size_t>(I)].OpClass == OpClass)
-      Result.push_back(I);
-  return Result;
+      Out.push_back(I);
 }
 
 bool Ddg::isWellFormed(int NumOpClasses) const {

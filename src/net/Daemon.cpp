@@ -64,6 +64,7 @@ void mergeServiceStats(ServiceStats &A, const ServiceStats &B) {
   A.FallbackSlackWins += B.FallbackSlackWins;
   A.FallbackImsWins += B.FallbackImsWins;
   A.DispatchFaults += B.DispatchFaults;
+  A.QueueWaitSeconds += B.QueueWaitSeconds;
   for (int I = 0; I < LatencyHistogram::NumBuckets; ++I)
     A.Latency.Buckets[static_cast<std::size_t>(I)] +=
         B.Latency.Buckets[static_cast<std::size_t>(I)];

@@ -4,6 +4,7 @@
 
 #include "swp/support/FaultInjector.h"
 #include "swp/support/Stopwatch.h"
+#include "swp/support/ThreadSpare.h"
 
 #include <algorithm>
 #include <cmath>
@@ -28,10 +29,6 @@ double luby(double Y, int X) {
     X = X % Size;
   }
   return std::pow(Y, Seq);
-}
-
-template <typename T> std::size_t heapBytes(const std::vector<T> &V) {
-  return V.capacity() * sizeof(T);
 }
 
 } // namespace
@@ -91,56 +88,7 @@ struct CdclSolver::Impl {
   /// Assignment of the last Sat answer.
   std::vector<std::int8_t> Model;
 
-  // -- Storage reuse (DESIGN.md Section 10) -------------------------------
-
-  /// A store that keeps more capacity than this is freed, not parked.
-  static constexpr std::size_t MaxParkedBytes = std::size_t(1) << 20;
-
-  /// The calling thread's spare store.  Trivially destructible, so a
-  /// solver destroyed while its thread exits can still read it.
-  struct Slot {
-    Impl *Parked = nullptr;
-    /// Set once the thread's exit has freed the parked store.
-    bool Closed = false;
-  };
-  static Slot &slot() {
-    thread_local constinit Slot S;
-    return S;
-  }
-
-  /// Frees the parked store at thread exit and closes the slot, so a
-  /// solver destroyed later on the thread frees its own store.
-  struct SlotReaper {
-    ~SlotReaper() {
-      Slot &S = slot();
-      delete S.Parked;
-      S.Parked = nullptr;
-      S.Closed = true;
-    }
-  };
-
-  /// The thread's parked store if there is one, else a new one.
-  static Impl *acquire() {
-    Slot &S = slot();
-    if (Impl *Spare = S.Parked) {
-      S.Parked = nullptr;
-      return Spare;
-    }
-    return new Impl;
-  }
-
-  /// Parks \p Store, reset, in the thread's empty slot; frees it when the
-  /// slot is full or closed or the store exceeds MaxParkedBytes.
-  static void release(Impl *Store) {
-    Slot &S = slot();
-    if (S.Parked || S.Closed || Store->capacityBytes() > MaxParkedBytes) {
-      delete Store;
-      return;
-    }
-    thread_local SlotReaper Reaper; // Constructed by the thread's first park.
-    Store->reset();
-    S.Parked = Store;
-  }
+  // -- Storage reuse (ThreadSpare, DESIGN.md Sections 10 and 12) ----------
 
   /// Heap bytes the store's vectors hold, in use or not.
   std::size_t capacityBytes() const {
@@ -409,9 +357,9 @@ const char *swp::satStatusName(SatStatus S) {
   return "?";
 }
 
-CdclSolver::CdclSolver() : P(Impl::acquire()) {}
+CdclSolver::CdclSolver() : P(ThreadSpare<Impl>::acquire()) {}
 
-CdclSolver::~CdclSolver() { Impl::release(P); }
+CdclSolver::~CdclSolver() { ThreadSpare<Impl>::release(P); }
 
 int CdclSolver::newVars(int Count) {
   const int First = NumVars;

@@ -312,9 +312,10 @@ std::future<SchedulerResult> SchedulerService::submit(Ddg G) {
     std::lock_guard<std::mutex> Lock(StatsMutex);
     ++Counters.Submitted;
   }
-  return Pool.submit([this, Loop = std::move(G)] {
-    Stopwatch Latency;
-    return scheduleOne(Loop, prepareJob(Loop, JobOptions()), Latency);
+  return Pool.submit([this, Loop = std::move(G), Latency = Stopwatch()] {
+    const double QueueWait = Latency.seconds();
+    return scheduleOne(Loop, prepareJob(Loop, JobOptions()), Latency,
+                       QueueWait);
   });
 }
 
@@ -326,11 +327,12 @@ SchedulerResult SchedulerService::schedule(Ddg G, JobOptions Job) {
   }
   PreparedJob Prepared = prepareJob(G, Job);
   SchedulerResult R;
-  if (answerFromCache(Prepared, R, Latency))
+  if (answerFromCache(Prepared, R, Latency, 0.0))
     return R;
   return Pool
-      .submit([this, Loop = std::move(G), Prepared = std::move(Prepared)] {
-        return scheduleOne(Loop, Prepared, Stopwatch());
+      .submit([this, Loop = std::move(G), Prepared = std::move(Prepared),
+               Latency] {
+        return scheduleOne(Loop, Prepared, Latency, Latency.seconds());
       })
       .get();
 }
@@ -378,7 +380,8 @@ SchedulerService::prepareJob(const Ddg &G, const JobOptions &Job) const {
 
 bool SchedulerService::answerFromCache(const PreparedJob &Job,
                                        SchedulerResult &R,
-                                       const Stopwatch &Latency) {
+                                       const Stopwatch &Latency,
+                                       double QueueWait) {
   if (!Opts.UseCache || !Cache->lookup(Job.Key, R))
     return false;
   // The cached copy stores CacheHit = false, so a warm hit differs from its
@@ -392,15 +395,17 @@ bool SchedulerService::answerFromCache(const PreparedJob &Job,
     ++Counters.Cancellations;
   if (censored(R))
     ++Counters.CensoredProofs;
+  Counters.QueueWaitSeconds += QueueWait;
   Counters.Latency.add(Latency.seconds());
   return true;
 }
 
 SchedulerResult SchedulerService::scheduleOne(const Ddg &G,
                                               const PreparedJob &Job,
-                                              const Stopwatch &Latency) {
+                                              const Stopwatch &Latency,
+                                              double QueueWait) {
   SchedulerResult R;
-  if (answerFromCache(Job, R, Latency))
+  if (answerFromCache(Job, R, Latency, QueueWait))
     return R;
 
   PortfolioOutcome Outcome = PortfolioOutcome::NothingFound;
@@ -536,6 +541,7 @@ SchedulerResult SchedulerService::scheduleOne(const Ddg &G,
         break;
       }
     }
+    Counters.QueueWaitSeconds += QueueWait;
     Counters.Latency.add(Latency.seconds());
   }
   return R;

@@ -81,6 +81,8 @@ std::string ServiceStats::render() const {
          strFormat("%.1f%%", 100.0 * static_cast<double>(LpWarmSolves) /
                                  static_cast<double>(LpSolves))});
   }
+  Counters.addRow({"queue wait total",
+                   strFormat("%.3fms", QueueWaitSeconds * 1e3)});
   Counters.addRow({"mean latency",
                    strFormat("%.3fms", Latency.meanSeconds() * 1e3)});
   Counters.addRow({"max latency",

@@ -8,24 +8,117 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
 
 using namespace swp;
 
 namespace {
 
+/// One saved bound pair on the propagation trail.
+struct PropEntry {
+  int Var;
+  double OldLb, OldUb;
+};
+
+/// A <=-normalized row prepared for propagation, with its terms split by
+/// convexity group.  For a group ("exactly one of these binaries"), the
+/// row's minimum activity over *integer* points is the minimum coefficient
+/// among the group's still-open members — far tighter than per-variable
+/// interval arithmetic, which prices every member at its lower bound
+/// simultaneously.  On the scheduling models this turns the dependence
+/// rows into genuine time-window propagation: the offset sum of an op is
+/// bracketed by its open slots, the stage difference k_j - k_i rounds up
+/// to the ceil'd Bellman-Ford weight, and slots that would violate a row
+/// get eliminated one by one.
+///
+/// Rows are offset ranges into SearchStore's pools: the ungrouped terms
+/// are PropTerms[UngroupedBegin, UngroupedEnd) and the segments
+/// PropSegs[SegBegin, SegEnd).
+struct PropRow {
+  int UngroupedBegin, UngroupedEnd;
+  int SegBegin, SegEnd;
+  double Rhs;
+};
+/// One group's part of a row: the members present in the row,
+/// PropTerms[PresentBegin, PresentEnd), and the members absent from it
+/// (coefficient 0 there), PropAbsent[AbsentBegin, AbsentEnd).
+struct PropSeg {
+  int PresentBegin, PresentEnd;
+  int AbsentBegin, AbsentEnd;
+};
+
+/// Search's vectors, recycled across searches on a thread
+/// (swp/support/ThreadSpare.h).
+struct SearchStore {
+  std::vector<double> Lb, Ub;
+  /// "Exactly one of these binaries" rows (convexity/assignment rows),
+  /// detected once up front: group G's members are
+  /// GroupMembers[GroupStart[G], GroupStart[G + 1]); GroupOf maps a var to
+  /// its group or -1.
+  std::vector<int> GroupStart, GroupMembers, GroupOf;
+  std::vector<PropRow> PropRows;
+  std::vector<PropSeg> PropSegs;
+  std::vector<LinTerm> PropTerms;
+  std::vector<int> PropAbsent;
+  /// addPropRow scratch: group -> segment index within the row, and the
+  /// row's present members.
+  std::vector<int> SegIx;
+  std::vector<char> InRow;
+  /// propagateRow scratch: per-segment (min contribution, decided).
+  std::vector<std::pair<double, bool>> SegMin;
+  /// Bound changes to undo, one DFS node's above another's.
+  std::vector<PropEntry> Trail;
+  /// Each open node's structural basis, NumVars statuses per node.
+  std::vector<LpBasisStatus> BasisStack;
+  /// branchOnGroup's open members and saved bounds, per open call.
+  std::vector<int> OpenStack;
+  std::vector<double> SavedStack;
+  /// acceptIncumbent's rounded copy of an LP point.
+  std::vector<double> Snapped;
+
+  void reset() {
+    for (std::vector<double> *V : {&Lb, &Ub, &SavedStack, &Snapped})
+      V->clear();
+    for (std::vector<int> *V :
+         {&GroupStart, &GroupMembers, &GroupOf, &PropAbsent, &SegIx,
+          &OpenStack})
+      V->clear();
+    PropRows.clear();
+    PropSegs.clear();
+    PropTerms.clear();
+    InRow.clear();
+    SegMin.clear();
+    Trail.clear();
+    BasisStack.clear();
+  }
+  std::size_t capacityBytes() const {
+    std::size_t Sum = heapBytes(PropRows) + heapBytes(PropSegs) +
+                      heapBytes(PropTerms) + heapBytes(InRow) +
+                      heapBytes(SegMin) + heapBytes(Trail) +
+                      heapBytes(BasisStack);
+    for (const std::vector<double> *V : {&Lb, &Ub, &SavedStack, &Snapped})
+      Sum += heapBytes(*V);
+    for (const std::vector<int> *V :
+         {&GroupStart, &GroupMembers, &GroupOf, &PropAbsent, &SegIx,
+          &OpenStack})
+      Sum += heapBytes(*V);
+    return Sum;
+  }
+};
+
 /// Mutable search state shared across the DFS.  All node relaxations go
 /// through one SparseLp workspace: a child differs from its parent by one
 /// tightened bound, so the parent's optimal basis is one short dual-simplex
 /// reoptimization away from the child's.
-class Search {
+class Search : private SpareBacked<SearchStore> {
 public:
   Search(SparseLp &Lp, const MilpModel &M, const MilpOptions &Opts)
       : Lp(Lp), M(M), Opts(Opts), LpDeadline(Opts.Cancel) {
-    Lb.reserve(static_cast<size_t>(M.numVars()));
-    Ub.reserve(static_cast<size_t>(M.numVars()));
-    for (const ModelVar &V : M.vars()) {
-      Lb.push_back(V.Lb);
-      Ub.push_back(V.Ub);
+    Lb.resize(static_cast<size_t>(M.numVars()));
+    Ub.resize(static_cast<size_t>(M.numVars()));
+    for (int I = 0; I < M.numVars(); ++I) {
+      Lb[static_cast<size_t>(I)] = M.var(I).Lb;
+      Ub[static_cast<size_t>(I)] = M.var(I).Ub;
     }
     detectConvexityGroups();
     buildPropRows();
@@ -104,6 +197,7 @@ private:
   /// window changes many bounds at once and actually prunes.
   void detectConvexityGroups() {
     GroupOf.assign(static_cast<size_t>(M.numVars()), -1);
+    GroupStart.push_back(0);
     for (const ModelConstraint &C : M.constraints()) {
       if (C.Cmp != CmpKind::EQ || std::abs(C.Rhs - 1.0) > 1e-9 ||
           C.Expr.terms().size() < 2)
@@ -117,13 +211,19 @@ private:
       }
       if (!Ok)
         continue;
-      int G = static_cast<int>(Groups.size());
-      Groups.emplace_back();
+      const int G = numGroups();
       for (const LinTerm &T : C.Expr.terms()) {
         GroupOf[static_cast<size_t>(T.Var)] = G;
-        Groups.back().push_back(T.Var);
+        GroupMembers.push_back(T.Var);
       }
+      GroupStart.push_back(static_cast<int>(GroupMembers.size()));
     }
+  }
+
+  int numGroups() const { return static_cast<int>(GroupStart.size()) - 1; }
+  std::span<const int> group(int G) const {
+    return {GroupMembers.data() + GroupStart[static_cast<size_t>(G)],
+            GroupMembers.data() + GroupStart[static_cast<size_t>(G) + 1]};
   }
 
   /// \returns the fractional integer variable to branch on, or -1 when all
@@ -154,7 +254,7 @@ private:
 
   void acceptIncumbent(const std::vector<double> &X, double Obj) {
     // Snap integer variables to exact integers.
-    std::vector<double> Snapped = X;
+    Snapped.assign(X.begin(), X.end());
     for (int I = 0; I < M.numVars(); ++I)
       if (M.var(I).Kind != VarKind::Continuous)
         Snapped[static_cast<size_t>(I)] =
@@ -162,76 +262,80 @@ private:
     if (!M.isFeasible(Snapped, 1e-5))
       return; // Rounding broke a tight constraint; keep searching.
     if (Incumbent.empty() || Obj < IncumbentObj - 1e-9) {
-      Incumbent = std::move(Snapped);
+      Incumbent.swap(Snapped);
       IncumbentObj = Obj;
       if (Opts.StopAtFirstIncumbent)
         StopEarly = true;
     }
   }
 
-  /// One saved bound pair on the propagation trail.
-  struct PropEntry {
-    int Var;
-    double OldLb, OldUb;
-  };
+  std::span<const LinTerm> propTerms(int Begin, int End) const {
+    return {PropTerms.data() + Begin, PropTerms.data() + End};
+  }
 
-  /// A <=-normalized row prepared for propagation, with its terms split by
-  /// convexity group.  For a group ("exactly one of these binaries"), the
-  /// row's minimum activity over *integer* points is the minimum
-  /// coefficient among the group's still-open members — far tighter than
-  /// per-variable interval arithmetic, which prices every member at its
-  /// lower bound simultaneously.  On the scheduling models this turns the
-  /// dependence rows into genuine time-window propagation: the offset sum
-  /// of an op is bracketed by its open slots, the stage difference k_j -
-  /// k_i rounds up to the ceil'd Bellman-Ford weight, and slots that
-  /// would violate a row get eliminated one by one.
-  struct PropRow {
-    struct Seg {
-      /// Group members present in the row.
-      std::vector<LinTerm> Present;
-      /// Group members absent from the row (coefficient 0 there).
-      std::vector<int> Absent;
-    };
-    std::vector<LinTerm> Ungrouped;
-    std::vector<Seg> Segs;
-    double Rhs;
-  };
-  std::vector<PropRow> PropRows;
-
-  void addPropRow(const LinExpr &Expr, double Sign, double Rhs) {
+  void addPropRow(RowExpr Expr, double Sign, double Rhs) {
     PropRow R;
     R.Rhs = Rhs;
-    // Scratch: group id -> segment index in R.
-    std::vector<int> SegIx(Groups.size(), -1);
+    // Ungrouped terms first, in row order; each group's segment, in order
+    // of the group's first term, counts its present members.
+    R.UngroupedBegin = static_cast<int>(PropTerms.size());
+    R.SegBegin = static_cast<int>(PropSegs.size());
     for (const LinTerm &Tm : Expr.terms()) {
       int G = GroupOf[static_cast<size_t>(Tm.Var)];
       if (G < 0) {
-        R.Ungrouped.push_back({Tm.Var, Sign * Tm.Coef});
+        PropTerms.push_back({Tm.Var, Sign * Tm.Coef});
         continue;
       }
-      if (SegIx[static_cast<size_t>(G)] < 0) {
-        SegIx[static_cast<size_t>(G)] = static_cast<int>(R.Segs.size());
-        R.Segs.emplace_back();
+      int &S = SegIx[static_cast<size_t>(G)];
+      if (S < 0) {
+        S = static_cast<int>(PropSegs.size()) - R.SegBegin;
+        PropSegs.push_back({0, 0, 0, 0});
       }
-      R.Segs[static_cast<size_t>(SegIx[static_cast<size_t>(G)])]
-          .Present.push_back({Tm.Var, Sign * Tm.Coef});
+      ++PropSegs[static_cast<size_t>(R.SegBegin + S)].PresentEnd;
+    }
+    R.UngroupedEnd = static_cast<int>(PropTerms.size());
+    R.SegEnd = static_cast<int>(PropSegs.size());
+    // Lay the segments' present members out after the ungrouped terms.
+    int Next = R.UngroupedEnd;
+    for (int SIx = R.SegBegin; SIx < R.SegEnd; ++SIx) {
+      PropSeg &Seg = PropSegs[static_cast<size_t>(SIx)];
+      const int Count = Seg.PresentEnd;
+      Seg.PresentBegin = Seg.PresentEnd = Next;
+      Next += Count;
+    }
+    PropTerms.resize(static_cast<size_t>(Next));
+    for (const LinTerm &Tm : Expr.terms()) {
+      int G = GroupOf[static_cast<size_t>(Tm.Var)];
+      if (G < 0)
+        continue;
+      PropSeg &Seg = PropSegs[static_cast<size_t>(
+          R.SegBegin + SegIx[static_cast<size_t>(G)])];
+      PropTerms[static_cast<size_t>(Seg.PresentEnd++)] = {Tm.Var,
+                                                          Sign * Tm.Coef};
     }
     // Group members the row does not mention contribute 0 when chosen.
-    std::vector<char> InRow(static_cast<size_t>(M.numVars()), 0);
-    for (size_t G = 0; G < Groups.size(); ++G) {
-      int S = SegIx[G];
-      if (S < 0)
-        continue;
-      for (const LinTerm &Tm : R.Segs[static_cast<size_t>(S)].Present)
+    for (int SIx = R.SegBegin; SIx < R.SegEnd; ++SIx) {
+      PropSeg &Seg = PropSegs[static_cast<size_t>(SIx)];
+      std::span<const LinTerm> Present =
+          propTerms(Seg.PresentBegin, Seg.PresentEnd);
+      for (const LinTerm &Tm : Present)
         InRow[static_cast<size_t>(Tm.Var)] = 1;
-      for (int V : Groups[G])
+      const int G = GroupOf[static_cast<size_t>(Present.front().Var)];
+      Seg.AbsentBegin = static_cast<int>(PropAbsent.size());
+      for (int V : group(G))
         if (!InRow[static_cast<size_t>(V)])
-          R.Segs[static_cast<size_t>(S)].Absent.push_back(V);
+          PropAbsent.push_back(V);
+      Seg.AbsentEnd = static_cast<int>(PropAbsent.size());
+      for (const LinTerm &Tm : Present)
+        InRow[static_cast<size_t>(Tm.Var)] = 0;
+      SegIx[static_cast<size_t>(G)] = -1;
     }
-    PropRows.push_back(std::move(R));
+    PropRows.push_back(R);
   }
 
   void buildPropRows() {
+    SegIx.assign(static_cast<size_t>(numGroups()), -1);
+    InRow.assign(static_cast<size_t>(M.numVars()), 0);
     for (const ModelConstraint &C : M.constraints()) {
       if (C.Cmp != CmpKind::GE)
         addPropRow(C.Expr, 1.0, C.Rhs);
@@ -242,8 +346,7 @@ private:
 
   /// Propagates one prepared row.  \returns false when the row proves the
   /// node integer-infeasible.
-  bool propagateRow(const PropRow &R, std::vector<PropEntry> &Trail,
-                    bool &Changed) {
+  bool propagateRow(const PropRow &R, bool &Changed) {
     constexpr double Inf = std::numeric_limits<double>::infinity();
     // Minimum activity.  Ungrouped positive coefficients engage lower
     // bounds and negative ones upper bounds, so the tightenings below
@@ -251,7 +354,11 @@ private:
     // invalidate the running sum.
     double MinAct = 0.0;
     int InfTerms = 0;
-    for (const LinTerm &Tm : R.Ungrouped) {
+    const std::span<const LinTerm> Ungrouped =
+        propTerms(R.UngroupedBegin, R.UngroupedEnd);
+    const std::span<const PropSeg> Segs(PropSegs.data() + R.SegBegin,
+                                        PropSegs.data() + R.SegEnd);
+    for (const LinTerm &Tm : Ungrouped) {
       double B = Tm.Coef > 0 ? Tm.Coef * Lb[static_cast<size_t>(Tm.Var)]
                              : Tm.Coef * Ub[static_cast<size_t>(Tm.Var)];
       if (std::isinf(B))
@@ -261,10 +368,10 @@ private:
     }
     // Per-segment minimum contribution; a member fixed to 1 decides it.
     SegMin.clear();
-    for (const PropRow::Seg &S : R.Segs) {
+    for (const PropSeg &S : Segs) {
       double GMin = Inf;
       bool Fixed1 = false;
-      for (const LinTerm &Tm : S.Present) {
+      for (const LinTerm &Tm : propTerms(S.PresentBegin, S.PresentEnd)) {
         size_t V = static_cast<size_t>(Tm.Var);
         if (Lb[V] > 0.5) {
           GMin = Tm.Coef;
@@ -275,7 +382,8 @@ private:
           GMin = std::min(GMin, Tm.Coef);
       }
       if (!Fixed1)
-        for (int V : S.Absent) {
+        for (int I = S.AbsentBegin; I < S.AbsentEnd; ++I) {
+          const int V = PropAbsent[static_cast<size_t>(I)];
           if (Lb[static_cast<size_t>(V)] > 0.5) {
             GMin = 0.0;
             Fixed1 = true;
@@ -295,7 +403,7 @@ private:
       return false;
 
     // Ungrouped tightening.
-    for (const LinTerm &Tm : R.Ungrouped) {
+    for (const LinTerm &Tm : Ungrouped) {
       double C = Tm.Coef;
       size_t V = static_cast<size_t>(Tm.Var);
       double Own = C > 0 ? C * Lb[V] : C * Ub[V];
@@ -329,11 +437,12 @@ private:
     // least MinAct - GMin + coef_v, so any member whose coefficient
     // exceeds the segment's slack cannot be the group's 1.
     if (InfTerms == 0) {
-      for (size_t SIx = 0; SIx < R.Segs.size(); ++SIx) {
+      for (size_t SIx = 0; SIx < Segs.size(); ++SIx) {
         if (SegMin[SIx].second)
           continue; // Decided by a fixed member; EQ row zeroes the rest.
         double Slack = R.Rhs + 1e-6 - (MinAct - SegMin[SIx].first);
-        for (const LinTerm &Tm : R.Segs[SIx].Present) {
+        const PropSeg &S = Segs[SIx];
+        for (const LinTerm &Tm : propTerms(S.PresentBegin, S.PresentEnd)) {
           size_t V = static_cast<size_t>(Tm.Var);
           if (Ub[V] > 0.5 && Tm.Coef > Slack) {
             Trail.push_back({Tm.Var, Lb[V], Ub[V]});
@@ -342,7 +451,8 @@ private:
           }
         }
         if (0.0 > Slack)
-          for (int AV : R.Segs[SIx].Absent) {
+          for (int I = S.AbsentBegin; I < S.AbsentEnd; ++I) {
+            const int AV = PropAbsent[static_cast<size_t>(I)];
             size_t V = static_cast<size_t>(AV);
             if (Ub[V] > 0.5) {
               Trail.push_back({AV, Lb[V], Ub[V]});
@@ -356,23 +466,20 @@ private:
   }
 
   /// Node presolve: tightens Lb/Ub to a fixpoint (bounded pass count).
-  /// Every change lands on \p Trail for the caller to undo.  \returns
-  /// false when some row proves the node has no integer point — the node
-  /// is then pruned without an LP solve.
-  bool propagateBounds(std::vector<PropEntry> &Trail) {
+  /// Every change lands on Trail for the caller to undo.  \returns false
+  /// when some row proves the node has no integer point — the node is then
+  /// pruned without an LP solve.
+  bool propagateBounds() {
     for (int Pass = 0; Pass < 16; ++Pass) {
       bool Changed = false;
       for (const PropRow &R : PropRows)
-        if (!propagateRow(R, Trail, Changed))
+        if (!propagateRow(R, Changed))
           return false;
       if (!Changed)
         break;
     }
     return true;
   }
-
-  /// Scratch for propagateRow: per-segment (min contribution, decided).
-  std::vector<std::pair<double, bool>> SegMin;
 
   void dfs() {
     if (StopEarly || limitsExceeded())
@@ -387,12 +494,12 @@ private:
       return;
     }
 
-    std::vector<PropEntry> Trail;
-    if (propagateBounds(Trail))
+    const size_t Mark = Trail.size();
+    if (propagateBounds())
       expand();
-    for (auto It = Trail.rbegin(); It != Trail.rend(); ++It) {
-      Lb[static_cast<size_t>(It->Var)] = It->OldLb;
-      Ub[static_cast<size_t>(It->Var)] = It->OldUb;
+    for (; Trail.size() > Mark; Trail.pop_back()) {
+      Lb[static_cast<size_t>(Trail.back().Var)] = Trail.back().OldLb;
+      Ub[static_cast<size_t>(Trail.back().Var)] = Trail.back().OldUb;
     }
   }
 
@@ -431,13 +538,25 @@ private:
     // on — arbitrarily far away — so snapshot this node's basis and
     // re-seed before the switch; a child is then always one bound change
     // from its parent, which is what keeps dual reoptimization short.
-    std::vector<LpBasisStatus> NodeBasis = Lp.structuralBasis();
+    const size_t BasisAt = BasisStack.size();
+    const std::span<const LpBasisStatus> B = Lp.structuralBasis();
+    BasisStack.insert(BasisStack.end(), B.begin(), B.end());
+    branch(BranchVar, Relax.X, BasisAt);
+    BasisStack.resize(BasisAt);
+  }
 
+  /// The structural basis expand() saved at \p BasisAt.
+  std::span<const LpBasisStatus> nodeBasis(size_t BasisAt) const {
+    return {BasisStack.data() + BasisAt, static_cast<size_t>(M.numVars())};
+  }
+
+  /// Branches on \p BranchVar, fractional in the node's LP point \p X.
+  void branch(int BranchVar, const std::vector<double> &X, size_t BasisAt) {
     int Grp = GroupOf[static_cast<size_t>(BranchVar)];
-    if (Grp >= 0 && branchOnGroup(Grp, Relax.X, NodeBasis))
+    if (Grp >= 0 && branchOnGroup(Grp, X, BasisAt))
       return;
 
-    double V = Relax.X[static_cast<size_t>(BranchVar)];
+    double V = X[static_cast<size_t>(BranchVar)];
     double Floor = std::floor(V + Opts.IntTol);
     double SavedLb = Lb[static_cast<size_t>(BranchVar)];
     double SavedUb = Ub[static_cast<size_t>(BranchVar)];
@@ -446,7 +565,7 @@ private:
     for (int Side = 0; Side < 2 && !StopEarly; ++Side) {
       bool Up = (Side == 0) == UpFirst;
       if (Side == 1)
-        Lp.seedBasis(NodeBasis);
+        Lp.seedBasis(nodeBasis(BasisAt));
       if (Up) {
         Lb[static_cast<size_t>(BranchVar)] = Floor + 1.0;
         if (Lb[static_cast<size_t>(BranchVar)] <= SavedUb + 1e-9)
@@ -466,24 +585,29 @@ private:
   /// integer point has its 1 in exactly one half, so the children
   /// partition the feasible set.  \returns false (caller falls back to
   /// single-variable branching) when fewer than two members are open.
-  bool branchOnGroup(int Grp, const std::vector<double> &X,
-                     const std::vector<LpBasisStatus> &NodeBasis) {
-    std::vector<int> Open;
+  bool branchOnGroup(int Grp, const std::vector<double> &X, size_t BasisAt) {
+    const size_t OpenAt = OpenStack.size();
     double Mass = 0.0;
-    for (int V : Groups[static_cast<size_t>(Grp)])
+    for (int V : group(Grp))
       if (Ub[static_cast<size_t>(V)] > 0.5) {
-        Open.push_back(V);
+        OpenStack.push_back(V);
         Mass += X[static_cast<size_t>(V)];
       }
-    if (Open.size() < 2)
+    const size_t NumOpen = OpenStack.size() - OpenAt;
+    auto Open = [&](size_t I) {
+      return static_cast<size_t>(OpenStack[OpenAt + I]);
+    };
+    if (NumOpen < 2) {
+      OpenStack.resize(OpenAt);
       return false;
+    }
 
     // Smallest prefix holding at least half the LP mass, but never the
     // whole support (both children must forbid something).
     size_t Cut = 0;
     double LeftMass = 0.0;
-    while (Cut + 1 < Open.size()) {
-      LeftMass += X[static_cast<size_t>(Open[Cut])];
+    while (Cut + 1 < NumOpen) {
+      LeftMass += X[Open(Cut)];
       ++Cut;
       if (LeftMass >= Mass / 2.0)
         break;
@@ -493,19 +617,20 @@ private:
     for (int Side = 0; Side < 2 && !StopEarly; ++Side) {
       bool KeepLeft = (Side == 0) == LeftFirst;
       if (Side == 1)
-        Lp.seedBasis(NodeBasis);
+        Lp.seedBasis(nodeBasis(BasisAt));
       size_t Begin = KeepLeft ? Cut : 0;
-      size_t End = KeepLeft ? Open.size() : Cut;
-      std::vector<double> Saved;
-      Saved.reserve(End - Begin);
+      size_t End = KeepLeft ? NumOpen : Cut;
+      const size_t SavedAt = SavedStack.size();
       for (size_t I = Begin; I < End; ++I) {
-        Saved.push_back(Ub[static_cast<size_t>(Open[I])]);
-        Ub[static_cast<size_t>(Open[I])] = 0.0;
+        SavedStack.push_back(Ub[Open(I)]);
+        Ub[Open(I)] = 0.0;
       }
       dfs();
       for (size_t I = Begin; I < End; ++I)
-        Ub[static_cast<size_t>(Open[I])] = Saved[I - Begin];
+        Ub[Open(I)] = SavedStack[SavedAt + I - Begin];
+      SavedStack.resize(SavedAt);
     }
+    OpenStack.resize(OpenAt);
     return true;
   }
 
@@ -514,11 +639,6 @@ private:
   const MilpOptions &Opts;
   CancellationSource LpDeadline;
   CancellationToken LpToken;
-  std::vector<double> Lb, Ub;
-  /// "Exactly one of these binaries" rows (convexity/assignment rows),
-  /// detected once up front; GroupOf maps a var to its group or -1.
-  std::vector<std::vector<int>> Groups;
-  std::vector<int> GroupOf;
   std::vector<double> Incumbent;
   double IncumbentObj = 0.0;
   std::int64_t Nodes = 0;

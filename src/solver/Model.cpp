@@ -34,32 +34,51 @@ void LinExpr::normalize() {
 }
 
 VarId MilpModel::addVar(double Lb, double Ub, VarKind Kind) {
-  const VarId Id = static_cast<VarId>(Vars.size());
+  const VarId Id = static_cast<VarId>(S->Vars.size());
   // Record structural errors instead of aborting: the solver checks
   // valid() and reports a typed error, keeping malformed inputs inside
   // the failure domain.
+  std::string &BuildError = S->BuildError;
   if (!(Lb <= Ub) && BuildError.empty())
     BuildError = strFormat("variable %d has empty domain", Id);
   else if ((std::isnan(Lb) || std::isnan(Ub) || std::isinf(Lb)) &&
            BuildError.empty())
     BuildError = strFormat("variable %d has a non-finite bound", Id);
-  Vars.push_back({Lb, Ub, Kind, false, 0});
+  S->Vars.push_back({Lb, Ub, Kind, false, 0});
   return Id;
 }
 
-void MilpModel::addConstraint(LinExpr Expr, CmpKind Cmp, double Rhs) {
+void MilpModel::addConstraint(LinExpr &Expr, CmpKind Cmp, double Rhs) {
   Expr.normalize();
-  double FoldedRhs = Rhs - Expr.constant();
-  ModelConstraint C;
-  C.Expr = std::move(Expr);
-  C.Cmp = Cmp;
-  C.Rhs = FoldedRhs;
-  Constraints.push_back(std::move(C));
+  const int Begin = static_cast<int>(S->Terms.size());
+  S->Terms.insert(S->Terms.end(), Expr.terms().begin(), Expr.terms().end());
+  S->Rows.push_back({Begin, static_cast<int>(S->Terms.size()), Cmp,
+                     Rhs - Expr.constant()});
 }
 
 void MilpModel::setObjective(LinExpr Expr) {
   Expr.normalize();
-  Objective = std::move(Expr);
+  S->Objective = std::move(Expr);
+}
+
+void MilpModel::addObjectiveTerm(VarId Var, double Coef) {
+  S->Objective.add(Var, Coef);
+  S->Objective.normalize();
+}
+
+void MilpModel::Store::reset() {
+  Vars.clear();
+  Terms.clear();
+  Rows.clear();
+  Objective.clear();
+  Scratch.clear();
+  BuildError.clear();
+}
+
+std::size_t MilpModel::Store::capacityBytes() const {
+  return heapBytes(Vars) + heapBytes(Terms) + heapBytes(Rows) +
+         heapBytes(Objective.terms()) + heapBytes(Scratch.terms()) +
+         BuildError.capacity();
 }
 
 double MilpModel::evaluate(const LinExpr &Expr, const std::vector<double> &X) {
@@ -70,19 +89,21 @@ double MilpModel::evaluate(const LinExpr &Expr, const std::vector<double> &X) {
 }
 
 bool MilpModel::isFeasible(const std::vector<double> &X, double Tol) const {
-  if (X.size() != Vars.size())
+  if (X.size() != S->Vars.size())
     return false;
   for (int I = 0; I < numVars(); ++I) {
     double V = X[static_cast<size_t>(I)];
-    const ModelVar &MV = Vars[static_cast<size_t>(I)];
+    const ModelVar &MV = S->Vars[static_cast<size_t>(I)];
     if (V < MV.Lb - Tol || V > MV.Ub + Tol)
       return false;
     if (MV.Kind != VarKind::Continuous &&
         std::abs(V - std::round(V)) > Tol)
       return false;
   }
-  for (const ModelConstraint &C : Constraints) {
-    double V = evaluate(C.Expr, X);
+  for (const ModelConstraint &C : constraints()) {
+    double V = 0.0;
+    for (const LinTerm &T : C.Expr.terms())
+      V += T.Coef * X[static_cast<size_t>(T.Var)];
     switch (C.Cmp) {
     case CmpKind::LE:
       if (V > C.Rhs + Tol)

@@ -18,30 +18,38 @@ bool isFixed(double Lb, double Ub) { return Ub - Lb <= FixEps; }
 
 } // namespace
 
-PresolveInfo swp::presolveModel(const MilpModel &M,
-                                const std::vector<double> &Lb,
-                                const std::vector<double> &Ub) {
-  PresolveInfo Info;
-  Info.Lb = Lb;
-  Info.Ub = Ub;
-  Info.DropRow.assign(static_cast<size_t>(M.numConstraints()), 0);
+namespace {
 
-  auto Fail = [&Info](std::string Reason) {
+/// The presolve fixed point for \p M over the bounds already in Info.Lb /
+/// Info.Ub; fills every other field of \p Info.
+void presolveBounds(const MilpModel &M, PresolveInfo &Info) {
+  Info.Infeasible = false;
+  Info.Reason.clear();
+  Info.DropRow.assign(static_cast<size_t>(M.numConstraints()), 0);
+  Info.NewlyFixed = 0;
+  Info.DroppedRows = 0;
+  Info.Sweeps = 0;
+
+  // Bounds only ever tighten, so a fixed variable stays fixed: the
+  // newly fixed count is the fixed count's growth.
+  auto CountFixed = [&Info] {
+    int Fixed = 0;
+    for (size_t I = 0; I < Info.Lb.size(); ++I)
+      Fixed += isFixed(Info.Lb[I], Info.Ub[I]) ? 1 : 0;
+    return Fixed;
+  };
+  const int FixedBefore = CountFixed();
+  auto Fail = [&](std::string Reason) {
     Info.Infeasible = true;
     Info.Reason = std::move(Reason);
-    return Info;
+    Info.NewlyFixed = CountFixed() - FixedBefore;
   };
 
   const int N = M.numVars();
-  std::vector<char> WasFixed(static_cast<size_t>(N), 0);
-  for (int I = 0; I < N; ++I) {
+  for (int I = 0; I < N; ++I)
     if (Info.Lb[static_cast<size_t>(I)] >
         Info.Ub[static_cast<size_t>(I)] + BoundTol)
       return Fail(strFormat("variable %d has contradictory bounds", I));
-    WasFixed[static_cast<size_t>(I)] =
-        isFixed(Info.Lb[static_cast<size_t>(I)],
-                Info.Ub[static_cast<size_t>(I)]);
-  }
 
   // Fixed point: fixing a variable can turn another row into a singleton
   // or a tautology, so sweep until nothing moves (bounded for safety).
@@ -53,7 +61,7 @@ PresolveInfo swp::presolveModel(const MilpModel &M,
     for (int R = 0; R < M.numConstraints(); ++R) {
       if (Info.DropRow[static_cast<size_t>(R)])
         continue;
-      const ModelConstraint &C = M.constraints()[static_cast<size_t>(R)];
+      const ModelConstraint C = M.row(R);
       double FixedSum = 0.0;
       int FreeCount = 0;
       int FreeVar = -1;
@@ -131,22 +139,35 @@ PresolveInfo swp::presolveModel(const MilpModel &M,
       Info.DropRow[static_cast<size_t>(R)] = 1;
       ++Info.DroppedRows;
       Changed = true;
-      if (isFixed(VL, VU) && !WasFixed[static_cast<size_t>(FreeVar)]) {
-        WasFixed[static_cast<size_t>(FreeVar)] = 1;
-        ++Info.NewlyFixed;
-      }
     }
   }
+  Info.NewlyFixed = CountFixed() - FixedBefore;
+}
+
+} // namespace
+
+PresolveInfo swp::presolveModel(const MilpModel &M,
+                                const std::vector<double> &Lb,
+                                const std::vector<double> &Ub) {
+  PresolveInfo Info;
+  Info.Lb = Lb;
+  Info.Ub = Ub;
+  presolveBounds(M, Info);
   return Info;
 }
 
-PresolveInfo swp::presolveModel(const MilpModel &M) {
-  std::vector<double> Lb, Ub;
-  Lb.reserve(static_cast<size_t>(M.numVars()));
-  Ub.reserve(static_cast<size_t>(M.numVars()));
-  for (const ModelVar &V : M.vars()) {
-    Lb.push_back(V.Lb);
-    Ub.push_back(V.Ub);
+void swp::presolveModel(const MilpModel &M, PresolveInfo &Out) {
+  Out.Lb.resize(static_cast<size_t>(M.numVars()));
+  Out.Ub.resize(static_cast<size_t>(M.numVars()));
+  for (int I = 0; I < M.numVars(); ++I) {
+    Out.Lb[static_cast<size_t>(I)] = M.var(I).Lb;
+    Out.Ub[static_cast<size_t>(I)] = M.var(I).Ub;
   }
-  return presolveModel(M, Lb, Ub);
+  presolveBounds(M, Out);
+}
+
+PresolveInfo swp::presolveModel(const MilpModel &M) {
+  PresolveInfo Info;
+  presolveModel(M, Info);
+  return Info;
 }

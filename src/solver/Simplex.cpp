@@ -48,7 +48,50 @@ inline size_t sz(int I) { return static_cast<size_t>(I); }
 // Construction
 //===----------------------------------------------------------------------===//
 
-SparseLp::SparseLp(const MilpModel &M) : Model(&M), Pre(presolveModel(M)) {
+void SparseLpStore::reset() {
+  Pre.Infeasible = false;
+  Pre.Reason.clear();
+  Pre.Lb.clear();
+  Pre.Ub.clear();
+  Pre.DropRow.clear();
+  Pre.NewlyFixed = Pre.DroppedRows = Pre.Sweeps = 0;
+  for (std::vector<double> *V : {&Rhs, &Cost, &XB, &EffLb, &EffUb, &WorkY,
+                                 &WorkPi, &WorkD, &WorkPrice, &ModelLb,
+                                 &ModelUb})
+    V->clear();
+  for (std::vector<int> *V : {&ColStart, &Basis, &Fill, &NewBasis, &Cands,
+                              &RowCount, &ColCount, &RowCandStart,
+                              &RowCandList, &RowStack, &ColStack})
+    V->clear();
+  ColEntries.clear();
+  EtaPool.clear();
+  RowCmp.clear();
+  St.clear();
+  Etas.clear();
+  RowDone.clear();
+  Used.clear();
+  Back.clear();
+}
+
+std::size_t SparseLpStore::capacityBytes() const {
+  std::size_t Sum = heapBytes(Pre.Lb) + heapBytes(Pre.Ub) +
+                    heapBytes(Pre.DropRow) + Pre.Reason.capacity() +
+                    heapBytes(ColEntries) + heapBytes(EtaPool) +
+                    heapBytes(RowCmp) + heapBytes(St) + heapBytes(Etas) +
+                    heapBytes(RowDone) + heapBytes(Used) + heapBytes(Back);
+  for (const std::vector<double> *V :
+       {&Rhs, &Cost, &XB, &EffLb, &EffUb, &WorkY, &WorkPi, &WorkD, &WorkPrice,
+        &ModelLb, &ModelUb})
+    Sum += heapBytes(*V);
+  for (const std::vector<int> *V :
+       {&ColStart, &Basis, &Fill, &NewBasis, &Cands, &RowCount, &ColCount,
+        &RowCandStart, &RowCandList, &RowStack, &ColStack})
+    Sum += heapBytes(*V);
+  return Sum;
+}
+
+SparseLp::SparseLp(const MilpModel &M) : Model(&M) {
+  presolveModel(M, Pre);
   NumStruct = M.numVars();
   if (Pre.Infeasible)
     return; // solve() answers Infeasible without touching the matrix.
@@ -62,7 +105,7 @@ SparseLp::SparseLp(const MilpModel &M) : Model(&M), Pre(presolveModel(M)) {
     if (Pre.DropRow[sz(R)])
       continue;
     ++NumRows;
-    for (const LinTerm &T : M.constraints()[sz(R)].Expr.terms())
+    for (const LinTerm &T : M.row(R).Expr.terms())
       ++ColStart[sz(T.Var) + 1];
   }
   // Each logical column holds one entry: the unit coefficient of its row.
@@ -70,14 +113,14 @@ SparseLp::SparseLp(const MilpModel &M) : Model(&M), Pre(presolveModel(M)) {
   for (int C = 0; C < numCols(); ++C)
     ColStart[sz(C) + 1] += ColStart[sz(C)];
   ColEntries.resize(sz(ColStart.back()));
-  std::vector<int> Fill(ColStart.begin(), ColStart.end() - 1);
+  Fill.assign(ColStart.begin(), ColStart.end() - 1);
   Rhs.assign(sz(NumRows), 0.0);
   RowCmp.assign(sz(NumRows), CmpKind::LE);
   int K = 0;
   for (int R = 0; R < M.numConstraints(); ++R) {
     if (Pre.DropRow[sz(R)])
       continue;
-    const ModelConstraint &C = M.constraints()[sz(R)];
+    const ModelConstraint C = M.row(R);
     Rhs[sz(K)] = C.Rhs;
     RowCmp[sz(K)] = C.Cmp;
     for (const LinTerm &T : C.Expr.terms())
@@ -188,8 +231,8 @@ bool SparseLp::factorize() {
   ++Stats.Refactorizations;
   clearEtas();
 
-  std::vector<char> RowDone(sz(NumRows), 0);
-  std::vector<int> NewBasis(sz(NumRows), -1);
+  RowDone.assign(sz(NumRows), 0);
+  NewBasis.assign(sz(NumRows), -1);
   int Assigned = 0;
 
   // Gauss-Jordan over the hinted-basic columns: ftran each through the
@@ -217,7 +260,7 @@ bool SparseLp::factorize() {
     return true;
   };
 
-  std::vector<int> Cands;
+  Cands.clear();
   for (int C = 0; C < numCols(); ++C)
     if (St[sz(C)] == LpBasisStatus::Basic)
       Cands.push_back(C);
@@ -243,17 +286,30 @@ bool SparseLp::factorize() {
   // eta could reach NumRows entries, making each ftran/btran O(NumRows^2)
   // and the whole solver quadratic in the model size.
   {
-    std::vector<int> RowCount(sz(NumRows), 0);
-    std::vector<int> ColCount(sz(numCols()), 0);
-    std::vector<std::vector<int>> RowCands(sz(NumRows));
-    std::vector<char> Used(sz(numCols()), 0);
+    RowCount.assign(sz(NumRows), 0);
+    ColCount.assign(sz(numCols()), 0);
+    Used.assign(sz(numCols()), 0);
     for (int C : Cands)
       for (const auto &[R, A] : column(C))
         if (std::abs(A) > 1e-12) {
           ++RowCount[sz(R)];
           ++ColCount[sz(C)];
-          RowCands[sz(R)].push_back(C);
         }
+    // Each row's candidates, in Cands order: RowCandList[RowCandStart[R],
+    // RowCandStart[R + 1]).
+    RowCandStart.assign(sz(NumRows) + 1, 0);
+    for (int R = 0; R < NumRows; ++R)
+      RowCandStart[sz(R) + 1] = RowCandStart[sz(R)] + RowCount[sz(R)];
+    RowCandList.resize(sz(RowCandStart.back()));
+    Fill.assign(RowCandStart.begin(), RowCandStart.end() - 1);
+    for (int C : Cands)
+      for (const auto &[R, A] : column(C))
+        if (std::abs(A) > 1e-12)
+          RowCandList[sz(Fill[sz(R)]++)] = C;
+    auto RowCands = [this](int R) {
+      return std::span<const int>(RowCandList.data() + RowCandStart[sz(R)],
+                                  RowCandList.data() + RowCandStart[sz(R) + 1]);
+    };
 
     auto EntryAt = [this](int C, int R) {
       for (const auto &[Row, A] : column(C))
@@ -263,13 +319,14 @@ bool SparseLp::factorize() {
     };
     // Retire column C pivoted at row R: maintain the singleton counts of
     // everything sharing its row or column.
-    std::vector<int> RowStack, ColStack;
+    RowStack.clear();
+    ColStack.clear();
     auto Retire = [&](int C, int R) {
       Used[sz(C)] = 1;
       RowDone[sz(R)] = 1;
       NewBasis[sz(R)] = C;
       ++Assigned;
-      for (int C2 : RowCands[sz(R)])
+      for (int C2 : RowCands(R))
         if (!Used[sz(C2)] && --ColCount[sz(C2)] == 1)
           ColStack.push_back(C2);
       for (const auto &[R2, A2] : column(C))
@@ -299,7 +356,7 @@ bool SparseLp::factorize() {
       if (RowDone[sz(R)] || RowCount[sz(R)] != 1)
         continue;
       int C = -1;
-      for (int Cand : RowCands[sz(R)])
+      for (int Cand : RowCands(R))
         if (!Used[sz(Cand)]) {
           C = Cand;
           break;
@@ -312,7 +369,7 @@ bool SparseLp::factorize() {
 
     // Back wing: rows are reserved (RowDone) now so the bump cannot pivot
     // there; the etas themselves are appended after the bump, in reverse.
-    std::vector<std::pair<int, int>> Back;
+    Back.clear();
     RowStack.clear();
     for (int C : Cands)
       if (!Used[sz(C)] && ColCount[sz(C)] == 1)
@@ -378,7 +435,7 @@ bool SparseLp::factorize() {
       return false; // Numerically dead basis; caller reports IterLimit.
   }
 
-  Basis = std::move(NewBasis);
+  Basis.swap(NewBasis);
   BaseEtas = static_cast<int>(Etas.size());
   NeedRefactor = false;
   return true;
@@ -416,15 +473,16 @@ void SparseLp::sanitizeStatuses() {
 /// Computes reduced costs for every column into \p D and reports whether
 /// the current basis is dual feasible (movable nonbasics priced the right
 /// way for minimization).
-bool SparseLp::priceReducedCosts(std::vector<double> &D) const {
+bool SparseLp::priceReducedCosts(std::vector<double> &D) {
   D.assign(sz(numCols()), 0.0);
   if (CostEmpty)
     return true; // All reduced costs zero: every basis is dual feasible.
-  std::vector<double> Pi(sz(NumRows), 0.0);
+  std::vector<double> &Pi = WorkPrice;
+  Pi.assign(sz(NumRows), 0.0);
   for (int R = 0; R < NumRows; ++R)
     Pi[sz(R)] = Cost[sz(Basis[sz(R)])];
   // Pi currently holds c_B; btran turns it into c_B * B^-1.
-  const_cast<SparseLp *>(this)->btran(Pi);
+  btran(Pi);
   bool DualFeasible = true;
   for (int C = 0; C < numCols(); ++C) {
     D[sz(C)] = Cost[sz(C)] - colDot(C, Pi);
@@ -870,13 +928,13 @@ SparseLp::LoopExit SparseLp::primalPhase2() {
 // solve()
 //===----------------------------------------------------------------------===//
 
-std::vector<LpBasisStatus> SparseLp::structuralBasis() const {
+std::span<const LpBasisStatus> SparseLp::structuralBasis() const {
   if (St.empty())
     return {}; // Never solved (e.g. presolve-infeasible model).
-  return std::vector<LpBasisStatus>(St.begin(), St.begin() + NumStruct);
+  return {St.data(), sz(NumStruct)};
 }
 
-void SparseLp::seedBasis(const std::vector<LpBasisStatus> &StructuralHints) {
+void SparseLp::seedBasis(std::span<const LpBasisStatus> StructuralHints) {
   if (Pre.Infeasible)
     return;
   const int N = std::min<int>(NumStruct,
@@ -1041,14 +1099,13 @@ LpResult SparseLp::solve(const std::vector<double> &Lb,
 }
 
 LpResult SparseLp::solve(const CancellationToken &CancelTok) {
-  std::vector<double> Lb, Ub;
-  Lb.reserve(sz(NumStruct));
-  Ub.reserve(sz(NumStruct));
-  for (const ModelVar &V : Model->vars()) {
-    Lb.push_back(V.Lb);
-    Ub.push_back(V.Ub);
+  ModelLb.resize(sz(NumStruct));
+  ModelUb.resize(sz(NumStruct));
+  for (int C = 0; C < NumStruct; ++C) {
+    ModelLb[sz(C)] = Model->var(C).Lb;
+    ModelUb[sz(C)] = Model->var(C).Ub;
   }
-  return solve(Lb, Ub, CancelTok);
+  return solve(ModelLb, ModelUb, CancelTok);
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,7 +8,8 @@
 // constraint), fault-domain behaviour (an injected SAT death is never
 // reported as an infeasibility proof), and recycled solver storage (a
 // solver on a store another solver parked answers as on a fresh one, on
-// any thread).
+// any thread; the ILP's recycled model, LP and search stores likewise,
+// so both engines' two-thread tests run together under TSan).
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include "swp/sat/CdclSolver.h"
 #include "swp/sat/SatScheduler.h"
 #include "swp/service/Fingerprint.h"
+#include "swp/service/ResultCodec.h"
 #include "swp/service/SchedulerService.h"
 #include "swp/support/FaultInjector.h"
 #include "swp/support/Rng.h"
@@ -976,4 +978,45 @@ TEST(SatThreads, ConcurrentSweepsMatchSerial) {
     }
   }
   EXPECT_GT(Found, 0);
+}
+
+TEST(IlpThreads, ConcurrentSweepsMatchSerial) {
+  // The ILP step recycles its model, LP workspace, search and step stores
+  // through per-thread slots; two sweeps at once must answer byte for byte
+  // as one alone.  The coloring objective nests a feasibility step inside
+  // each T's step while the outer model is alive, so two stores of a kind
+  // are live at once.  Node budgets only: a wall-clock cap would make the
+  // answers load-bound.
+  MachineModel M = ppc604Like();
+  std::vector<Ddg> Loops;
+  for (int I = 0; I < 24; ++I)
+    Loops.push_back(generateRandomLoop(M, sliceSeed(I + 700),
+                                       CorpusOptions{}));
+  auto timeless = [](SchedulerResult R) {
+    R.TotalSeconds = 0.0;
+    for (TAttempt &A : R.Attempts)
+      A.Seconds = 0.0;
+    return schedulerResultBytes(R);
+  };
+  auto sweepAll = [&] {
+    std::vector<std::vector<std::uint8_t>> Out;
+    for (bool Coloring : {false, true}) {
+      SchedulerOptions Opts;
+      Opts.TimeLimitPerT = 1e9;
+      Opts.NodeLimitPerT = 100;
+      Opts.MaxTSlack = 4;
+      Opts.ColoringObjective = Coloring;
+      for (const Ddg &G : Loops)
+        Out.push_back(timeless(scheduleLoop(G, M, Opts)));
+    }
+    return Out;
+  };
+  const std::vector<std::vector<std::uint8_t>> Serial = sweepAll();
+  std::vector<std::vector<std::uint8_t>> A, B;
+  std::thread TA([&] { A = sweepAll(); });
+  std::thread TB([&] { B = sweepAll(); });
+  TA.join();
+  TB.join();
+  EXPECT_EQ(A, Serial);
+  EXPECT_EQ(B, Serial);
 }

@@ -573,6 +573,32 @@ TEST(SchedulerService, DeadlineCancelsHardLoop) {
   EXPECT_EQ(Svc.stats().Cancellations, 1u);
 }
 
+TEST(SchedulerService, QueueWaitCountsTheTimeAJobWaitsForAWorker) {
+  // One worker: the second job queues behind the first, so the queue-wait
+  // total covers at least the first job's solve, less the moment between
+  // the two submits.  A hit schedule() answers on the caller's thread
+  // waits for no worker and adds nothing.
+  MachineModel M = ppc604Like();
+  CorpusOptions CO;
+  CO.MaxNodes = 20;
+  CO.MeanExtraNodes = 1000.0;
+  Ddg Hard = generateRandomLoop(M, 4242, CO);
+  std::vector<Ddg> Small = corpusSlice(1);
+  ServiceOptions SvcOpts;
+  SvcOpts.Jobs = 1;
+  SvcOpts.Sched = deterministicOptions();
+  SchedulerService Svc(M, SvcOpts);
+  std::future<SchedulerResult> First = Svc.submit(Hard);
+  std::future<SchedulerResult> Second = Svc.submit(Small[0]);
+  const SchedulerResult A = First.get();
+  Second.get();
+  const double Waited = Svc.stats().QueueWaitSeconds;
+  EXPECT_GT(Waited, 0.0);
+  EXPECT_GE(Waited, 0.5 * A.TotalSeconds);
+  EXPECT_TRUE(Svc.schedule(Small[0]).CacheHit);
+  EXPECT_EQ(Svc.stats().QueueWaitSeconds, Waited);
+}
+
 TEST(SchedulerService, ScheduleMatchesSubmitColdAndWarm) {
   // schedule() answers a hit on the caller's thread and sends a miss to the
   // pool; both must give what submit() gives, byte for byte and counter for
@@ -638,6 +664,7 @@ TEST(ServiceStats, RendersCountersAndHistogram) {
   std::string Table = Stats.render();
   EXPECT_NE(Table.find("cache hits"), std::string::npos);
   EXPECT_NE(Table.find("queue high-water"), std::string::npos);
+  EXPECT_NE(Table.find("queue wait total"), std::string::npos);
   EXPECT_NE(Table.find("Latency"), std::string::npos);
   EXPECT_EQ(Stats.Latency.Count, 2u);
   EXPECT_NEAR(Stats.Latency.MaxSeconds, 0.5, 1e-9);

@@ -134,12 +134,16 @@ bool readFile(const std::string &Path, std::string &Out) {
   return true;
 }
 
-/// --machine accepts a file path or a catalog name (see --list-machines);
-/// catalog machines are materialized through the printer so both sources
-/// flow through the same parser.
+/// --machine accepts a file path or a catalog name (see --list-machines).
+/// Both become canonical printMachine text, the form swpd recognizes
+/// without parsing; a file that does not parse is passed on raw, so the
+/// parser that reads it reports the error.
 bool readMachineSpec(const std::string &Spec, std::string &Out) {
-  if (readFile(Spec, Out))
+  if (readFile(Spec, Out)) {
+    if (Expected<MachineModel> M = parseMachineText(Out); M.ok())
+      Out = printMachine(*M);
     return true;
+  }
   MachineModel M(Spec);
   if (!buildCatalogMachine(Spec, M))
     return false;
