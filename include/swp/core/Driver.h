@@ -57,7 +57,7 @@ struct SchedulerOptions {
   bool VerifySchedules = true;
   /// Try an LP-rounding primal probe before branch and bound: round the LP
   /// relaxation's A matrix to offsets, complete the mapping by first-fit
-  /// circular-arc coloring and the K vector by Bellman-Ford.  This is the
+  /// circular-arc coloring and the K vector by longestPaths.  This is the
   /// analogue of the primal heuristics commercial MILP codes run
   /// internally; it never affects infeasibility proofs (those always come
   /// from the exhaustive search or the LP itself).

@@ -10,11 +10,12 @@
 /// first author's thesis [2].
 ///
 /// Per candidate T it enumerates pattern offsets and unit assignments with
-/// modulo-reservation pruning and unit-symmetry breaking; dependence
-/// feasibility of a complete offset assignment reduces to the absence of a
-/// positive cycle in the k-difference constraint graph
+/// pruning on the shared modulo reservation table and unit-symmetry
+/// breaking; dependence feasibility of an offset assignment reduces to the
+/// absence of a positive cycle in the k-difference constraint graph
 ///   k_j - k_i >= ceil((latency - T*m + off_i - off_j) / T),
-/// solved by Bellman-Ford (which also yields the K vector).  Exhaustive up
+/// solved by the shared longestPaths (swp/ddg/Analysis.h), which also
+/// yields the K vector.  Exhaustive up
 /// to the state limit, so — like the ILP — it proves infeasibility at a T.
 /// Each T is one step of the shared rate-optimal sweep (swp/core/Driver):
 /// an exhausted T answers Infeasible, one cut by the state or time limit a

@@ -19,6 +19,7 @@
 
 #include "swp/core/Driver.h"
 #include "swp/core/Schedule.h"
+#include "swp/ddg/Analysis.h"
 #include "swp/ddg/Ddg.h"
 #include "swp/machine/MachineModel.h"
 
@@ -183,6 +184,11 @@ private:
   int Budget;
   int TimeCap;
 };
+
+/// Longest paths at period \p T over the weights latency - T*distance, all
+/// from zero: static earliest starts (Forward) or heights (Backward), the
+/// priorities of IMS and slack scheduling.
+std::vector<int> longestPathsAtT(const Ddg &G, int T, PathDirection Dir);
 
 /// A heuristic's attempt at one T: fills \p Out and \returns true when
 /// every node was placed.

@@ -36,8 +36,9 @@
 /// and unit-collision clauses from reservation-table offset conflicts
 /// (direct for single-unit types, via o_ij for colored types).  Longer
 /// recurrence cycles are enforced lazily: the decoder completes the K
-/// vector by Bellman-Ford and the scheduler blocks the offending cycle's
-/// offset combination with a guarded clause when completion fails.
+/// vector by the shared longest-path routine (swp/ddg/Analysis.h) and the
+/// scheduler blocks its positive-cycle witness's offset combination with a
+/// guarded clause when completion fails.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,7 +76,7 @@ public:
   std::vector<int> modelOffsets(int T) const;
 
   /// Completes the solver's model into a schedule at period \p T: offsets
-  /// from the a-variables, the K vector by Bellman-Ford, the mapping from
+  /// from the a-variables, the K vector by longestPaths, the mapping from
   /// the color variables (greedily for types that needed none).  \returns
   /// false when the offsets admit no K vector, filling \p CycleNodes with
   /// a positive-cycle witness to block.

@@ -145,10 +145,6 @@ struct ServiceOptions {
   int WatchdogRetries = 2;
   /// First watchdog backoff in seconds (doubles per retry).
   double RetryBackoff = 0.001;
-  /// Degrade to the heuristic ladder (slack-modulo, then iterative-modulo)
-  /// when the primary path produces no schedule for a reason other than a
-  /// clean infeasibility proof of the whole window.
-  bool FallbackLadder = true;
 };
 
 /// Per-request overrides of the service-wide solve effort.  The admission

@@ -106,6 +106,12 @@ struct ServiceStats {
   double QueueWaitSeconds = 0.0;
   LatencyHistogram Latency;
 
+  /// Accumulates another service's counters into these: sums, with the
+  /// worker count, the queue high-water mark and the latency maximum taken
+  /// as maxima.  CacheSize and CacheEvictions describe a cache that
+  /// services may share, so they are left for the caller to set.
+  void merge(const ServiceStats &B);
+
   /// Renders counters and the latency histogram as aligned text tables.
   std::string render() const;
 };

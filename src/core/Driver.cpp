@@ -63,38 +63,22 @@ struct StepStore {
   }
 };
 
-int ceilDiv(int A, int B) {
-  return A >= 0 ? (A + B - 1) / B : -((-A) / B);
-}
-
-/// Completes pattern offsets into a full schedule: the K vector by
-/// Bellman-Ford over the k-difference constraints, the mapping by first-fit
-/// circular-arc coloring.  \returns false when either step fails.
+/// Completes pattern offsets into a full schedule: the K vector by the
+/// longest paths over the k-difference constraints, the mapping by
+/// first-fit circular-arc coloring.  \returns false when either step fails.
 bool completeSchedule(const Ddg &G, const MachineModel &Machine, int T,
                       MappingKind Mapping, StepStore &S, ModuloSchedule &Out) {
   const int N = G.numNodes();
   const std::vector<int> &Offsets = S.Offsets;
-  // K vector: k_j - k_i >= ceil((lat - T*m + off_i - off_j) / T).
   std::vector<int> &K = S.K;
-  K.assign(static_cast<size_t>(N), 0);
-  for (int Pass = 0; Pass <= N; ++Pass) {
-    bool Changed = false;
-    for (const DdgEdge &E : G.edges()) {
-      int W = ceilDiv(E.Latency - T * E.Distance +
-                          Offsets[static_cast<size_t>(E.Src)] -
-                          Offsets[static_cast<size_t>(E.Dst)],
-                      T);
-      int Cand = K[static_cast<size_t>(E.Src)] + W;
-      if (Cand > K[static_cast<size_t>(E.Dst)]) {
-        if (Pass == N)
-          return false; // Positive cycle: offsets dependence-infeasible.
-        K[static_cast<size_t>(E.Dst)] = Cand;
-        Changed = true;
-      }
-    }
-    if (!Changed)
-      break;
-  }
+  if (longestPaths(
+          G,
+          [&](const DdgEdge &E) {
+            return kDifferenceWeight(E, T, Offsets[static_cast<size_t>(E.Src)],
+                                     Offsets[static_cast<size_t>(E.Dst)]);
+          },
+          K, PathDirection::Forward))
+    return false; // Positive cycle: offsets dependence-infeasible.
 
   Out.T = T;
   Out.StartTime.assign(static_cast<size_t>(N), 0);

@@ -11,46 +11,26 @@ using namespace swp;
 
 namespace {
 
-/// Longest-path Bellman-Ford over integer edge weights \p W (parallel to
-/// G.edges()); \returns true when a strictly positive cycle exists.
-/// On success (\returns false) \p PotentialsOut, if non-null, receives
-/// longest-path potentials h with h(src) + w <= h(dst) for no edge violated.
-bool positiveCycleWithWeights(const Ddg &G, const std::vector<std::int64_t> &W,
-                              std::vector<std::int64_t> *PotentialsOut) {
-  const int N = G.numNodes();
-  std::vector<std::int64_t> Dist(static_cast<size_t>(N), 0);
-  for (int Pass = 0; Pass < N; ++Pass) {
-    bool Changed = false;
-    for (size_t E = 0; E < G.edges().size(); ++E) {
-      const DdgEdge &Edge = G.edges()[E];
-      std::int64_t Cand = Dist[static_cast<size_t>(Edge.Src)] + W[E];
-      if (Cand > Dist[static_cast<size_t>(Edge.Dst)]) {
-        Dist[static_cast<size_t>(Edge.Dst)] = Cand;
-        Changed = true;
-      }
-    }
-    if (!Changed) {
-      if (PotentialsOut)
-        *PotentialsOut = std::move(Dist);
-      return false;
-    }
-  }
-  return true; // Still relaxing after N passes: positive cycle.
+/// Edge weights \p LatScale * latency - \p DistScale * distance: a cycle is
+/// positive under them iff its latency-to-distance ratio exceeds
+/// DistScale / LatScale.
+auto scaledWeights(std::int64_t LatScale, std::int64_t DistScale) {
+  return [LatScale, DistScale](const DdgEdge &E) {
+    return LatScale * E.Latency - DistScale * E.Distance;
+  };
 }
 
-std::vector<std::int64_t> scaledWeights(const Ddg &G, std::int64_t LatScale,
-                                        std::int64_t DistScale) {
-  std::vector<std::int64_t> W;
-  W.reserve(G.edges().size());
-  for (const DdgEdge &E : G.edges())
-    W.push_back(LatScale * E.Latency - DistScale * E.Distance);
-  return W;
+bool positiveCycleAt(const Ddg &G, std::int64_t LatScale,
+                     std::int64_t DistScale) {
+  std::vector<std::int64_t> P;
+  return longestPaths(G, scaledWeights(LatScale, DistScale), P,
+                      PathDirection::Forward);
 }
 
 } // namespace
 
 bool swp::hasPositiveCycle(const Ddg &G, int T) {
-  return positiveCycleWithWeights(G, scaledWeights(G, 1, T), nullptr);
+  return positiveCycleAt(G, 1, T);
 }
 
 int swp::recurrenceMii(const Ddg &G) {
@@ -87,7 +67,7 @@ double swp::maxCycleRatio(const Ddg &G) {
   // Invariant: positive cycle at Lo/Q, none at Hi/Q.
   while (Hi - Lo > 1) {
     std::int64_t Mid = Lo + (Hi - Lo) / 2;
-    if (positiveCycleWithWeights(G, scaledWeights(G, Q, Mid), nullptr))
+    if (positiveCycleAt(G, Q, Mid))
       Lo = Mid;
     else
       Hi = Mid;
@@ -156,20 +136,17 @@ std::vector<int> swp::criticalCycleNodes(const Ddg &G) {
   for (const DdgEdge &E : G.edges())
     D += E.Distance;
   for (std::int64_t Q = 1; Q <= std::max<std::int64_t>(D, 1); ++Q) {
-    std::int64_t P = std::llround(R * static_cast<double>(Q));
-    std::vector<std::int64_t> W = scaledWeights(G, Q, P);
+    auto W = scaledWeights(Q, std::llround(R * static_cast<double>(Q)));
     std::vector<std::int64_t> H;
-    if (positiveCycleWithWeights(G, W, &H))
+    if (longestPaths(G, W, H, PathDirection::Forward))
       continue;
     // Tight edges (h(src) + w == h(dst)) contain every zero-weight cycle.
     const int N = G.numNodes();
     std::vector<std::vector<int>> Tight(static_cast<size_t>(N));
-    for (size_t E = 0; E < G.edges().size(); ++E) {
-      const DdgEdge &Edge = G.edges()[E];
-      if (H[static_cast<size_t>(Edge.Src)] + W[E] ==
+    for (const DdgEdge &Edge : G.edges())
+      if (H[static_cast<size_t>(Edge.Src)] + W(Edge) ==
           H[static_cast<size_t>(Edge.Dst)])
         Tight[static_cast<size_t>(Edge.Src)].push_back(Edge.Dst);
-    }
     // Find any cycle in the tight subgraph.
     std::vector<int> Color(static_cast<size_t>(N), 0);
     std::vector<int> Parent(static_cast<size_t>(N), -1);

@@ -2,42 +2,28 @@
 
 #include "swp/heuristics/Enumerative.h"
 
+#include "swp/ddg/Analysis.h"
+#include "swp/heuristics/ModuloReservationTable.h"
 #include "swp/support/Stopwatch.h"
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 using namespace swp;
 
 namespace {
-
-int ceilDiv(int A, int B) {
-  // B > 0.
-  return A >= 0 ? (A + B - 1) / B : -((-A) / B);
-}
 
 /// Per-T exhaustive search state.
 class EnumSearch {
 public:
   EnumSearch(const Ddg &G, const MachineModel &Machine, int T,
              const EnumOptions &Opts)
-      : G(G), Machine(Machine), T(T), Opts(Opts) {
+      : G(G), Machine(Machine), T(T), Opts(Opts), Occupancy(Machine, T) {
     const int N = G.numNodes();
     Offset.assign(static_cast<size_t>(N), -1);
     Unit.assign(static_cast<size_t>(N), -1);
-    // Unit-usage tables: Busy[type][unit][stage][slot].
-    for (int R = 0; R < Machine.numTypes(); ++R) {
-      const FuType &Ty = Machine.type(R);
-      int Stages = Ty.Table.numStages();
-      for (int V = 1; V < Ty.numVariants(); ++V)
-        Stages = std::max(Stages, Ty.variant(V).numStages());
-      Busy.emplace_back(
-          static_cast<size_t>(Ty.Count),
-          std::vector<std::vector<bool>>(
-              static_cast<size_t>(Stages),
-              std::vector<bool>(static_cast<size_t>(T), false)));
-      MaxUsedUnit.push_back(-1);
-    }
+    MaxUsedUnit.assign(static_cast<size_t>(Machine.numTypes()), -1);
     // Order: scarcest types first (ops / units descending), then index.
     Order.resize(static_cast<size_t>(N));
     for (int I = 0; I < N; ++I)
@@ -72,54 +58,20 @@ private:
            static_cast<double>(Machine.type(R).Count);
   }
 
-  bool unitFree(int R, int U, int Off, const ReservationTable &Table) const {
-    for (int S = 0; S < Table.numStages(); ++S)
-      for (int L : Table.busyColumns(S))
-        if (Busy[static_cast<size_t>(R)][static_cast<size_t>(U)]
-                [static_cast<size_t>(S)][static_cast<size_t>((Off + L) % T)])
-          return false;
-    return true;
-  }
-
-  void mark(int R, int U, int Off, bool Value,
-            const ReservationTable &Table) {
-    for (int S = 0; S < Table.numStages(); ++S)
-      for (int L : Table.busyColumns(S))
-        Busy[static_cast<size_t>(R)][static_cast<size_t>(U)]
-            [static_cast<size_t>(S)][static_cast<size_t>((Off + L) % T)] =
-            Value;
-  }
-
-  /// Bellman-Ford feasibility of the k-difference constraints over the
-  /// currently assigned nodes; when \p KOut is non-null (complete
-  /// assignment) it receives the K vector.
-  bool kFeasible(std::vector<int> *KOut) const {
-    const int N = G.numNodes();
-    std::vector<int> K(static_cast<size_t>(N), 0);
-    for (int Pass = 0; Pass <= N; ++Pass) {
-      bool Changed = false;
-      for (const DdgEdge &E : G.edges()) {
-        if (Offset[static_cast<size_t>(E.Src)] < 0 ||
-            Offset[static_cast<size_t>(E.Dst)] < 0)
-          continue;
-        int W = ceilDiv(E.Latency - T * E.Distance +
-                            Offset[static_cast<size_t>(E.Src)] -
-                            Offset[static_cast<size_t>(E.Dst)],
-                        T);
-        int Cand = K[static_cast<size_t>(E.Src)] + W;
-        if (Cand > K[static_cast<size_t>(E.Dst)]) {
-          if (Pass == N)
-            return false; // Positive cycle.
-          K[static_cast<size_t>(E.Dst)] = Cand;
-          Changed = true;
-        }
-      }
-      if (!Changed)
-        break;
-    }
-    if (KOut)
-      *KOut = std::move(K);
-    return true;
+  /// Whether the k-difference constraints between the assigned nodes admit
+  /// a K vector (an edge with an unassigned end imposes none); the least
+  /// one is left in K.
+  bool kFeasible() {
+    return !longestPaths(
+        G,
+        [this](const DdgEdge &E) -> std::optional<int> {
+          const int OffSrc = Offset[static_cast<size_t>(E.Src)];
+          const int OffDst = Offset[static_cast<size_t>(E.Dst)];
+          if (OffSrc < 0 || OffDst < 0)
+            return std::nullopt;
+          return kDifferenceWeight(E, T, OffSrc, OffDst);
+        },
+        K, PathDirection::Forward);
   }
 
   bool dfs(int Depth, ModuloSchedule &Out) {
@@ -133,8 +85,7 @@ private:
       return false;
     const int N = G.numNodes();
     if (Depth == N) {
-      std::vector<int> K;
-      if (!kFeasible(&K))
+      if (!kFeasible())
         return false;
       Out.T = T;
       Out.StartTime.assign(static_cast<size_t>(N), 0);
@@ -155,18 +106,17 @@ private:
       // one by at most 1.
       int UnitCap = std::min(Ty.Count - 1,
                              MaxUsedUnit[static_cast<size_t>(R)] + 1);
-      const ReservationTable &Table = Machine.tableFor(G.node(Node));
       for (int U = 0; U <= UnitCap; ++U) {
-        if (!unitFree(R, U, Off, Table))
+        if (!Occupancy.fits(G, Node, Off, U))
           continue;
         Offset[static_cast<size_t>(Node)] = Off;
         Unit[static_cast<size_t>(Node)] = U;
-        mark(R, U, Off, true, Table);
+        Occupancy.place(G, Node, Off, U);
         int SavedMax = MaxUsedUnit[static_cast<size_t>(R)];
         MaxUsedUnit[static_cast<size_t>(R)] = std::max(SavedMax, U);
-        bool Ok = kFeasible(nullptr) && dfs(Depth + 1, Out);
+        bool Ok = kFeasible() && dfs(Depth + 1, Out);
         MaxUsedUnit[static_cast<size_t>(R)] = SavedMax;
-        mark(R, U, Off, false, Table);
+        Occupancy.remove(G, Node, Off, U);
         Offset[static_cast<size_t>(Node)] = -1;
         Unit[static_cast<size_t>(Node)] = -1;
         if (Ok)
@@ -185,8 +135,10 @@ private:
   std::vector<int> Order;
   std::vector<int> Offset;
   std::vector<int> Unit;
-  std::vector<std::vector<std::vector<std::vector<bool>>>> Busy;
+  ModuloReservationTable Occupancy;
   std::vector<int> MaxUsedUnit;
+  /// kFeasible's potentials: the K vector once every node is assigned.
+  std::vector<int> K;
   std::int64_t StateCount = 0;
   /// The limit that cut the search short (None while it is exhaustive).
   SearchStop Stop = SearchStop::None;

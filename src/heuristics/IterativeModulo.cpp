@@ -10,33 +10,12 @@ using namespace swp;
 
 namespace {
 
-/// Height-based priority: longest weighted path (latency - T*distance)
-/// from each node onward; higher schedules first.
-std::vector<int> computeHeights(const Ddg &G, int T) {
-  const int N = G.numNodes();
-  std::vector<int> H(static_cast<size_t>(N), 0);
-  // Bellman-Ford style relaxation; converges since T >= recurrenceMii
-  // implies no positive cycle.
-  for (int Pass = 0; Pass < N; ++Pass) {
-    bool Changed = false;
-    for (const DdgEdge &E : G.edges()) {
-      int Cand = H[static_cast<size_t>(E.Dst)] + E.Latency - T * E.Distance;
-      if (Cand > H[static_cast<size_t>(E.Src)]) {
-        H[static_cast<size_t>(E.Src)] = Cand;
-        Changed = true;
-      }
-    }
-    if (!Changed)
-      break;
-  }
-  return H;
-}
-
 /// One IMS attempt at a fixed T; fills \p Out on success.
 bool imsAtT(const Ddg &G, const MachineModel &Machine, int T,
             ModuloSchedule &Out) {
   const int N = G.numNodes();
-  std::vector<int> Height = computeHeights(G, T);
+  // Height-based priority: the longest path onward; higher goes first.
+  std::vector<int> Height = longestPathsAtT(G, T, PathDirection::Backward);
   ModuloPlacer P(G, Machine, T);
   while (P.unscheduled() > 0) {
     if (!P.spendStep())

@@ -349,6 +349,15 @@ ModuloSchedule ModuloPlacer::take() {
   return S;
 }
 
+std::vector<int> swp::longestPathsAtT(const Ddg &G, int T,
+                                      PathDirection Dir) {
+  std::vector<int> P;
+  longestPaths(
+      G, [T](const DdgEdge &E) { return E.Latency - T * E.Distance; }, P,
+      Dir);
+  return P;
+}
+
 SchedulerResult swp::heuristicSweep(const Ddg &G, const MachineModel &Machine,
                                     int MaxTSlack, HeuristicAtT AtT) {
   SchedulerOptions Sweep;

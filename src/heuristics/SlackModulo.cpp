@@ -10,59 +10,19 @@ using namespace swp;
 
 namespace {
 
-/// Static earliest starts: longest paths over weights latency - T*distance
-/// from a virtual root (all zeros).
-std::vector<int> asapTimes(const Ddg &G, int T) {
-  const int N = G.numNodes();
-  std::vector<int> E(static_cast<size_t>(N), 0);
-  for (int Pass = 0; Pass < N; ++Pass) {
-    bool Changed = false;
-    for (const DdgEdge &Edge : G.edges()) {
-      int Cand = E[static_cast<size_t>(Edge.Src)] + Edge.Latency -
-                 T * Edge.Distance;
-      if (Cand > E[static_cast<size_t>(Edge.Dst)]) {
-        E[static_cast<size_t>(Edge.Dst)] = Cand;
-        Changed = true;
-      }
-    }
-    if (!Changed)
-      break;
-  }
-  for (int I = 0; I < N; ++I)
-    E[static_cast<size_t>(I)] = std::max(E[static_cast<size_t>(I)], 0);
-  return E;
-}
-
-/// Static latest starts anchored at \p Horizon.
-std::vector<int> alapTimes(const Ddg &G, int T, int Horizon) {
-  const int N = G.numNodes();
-  std::vector<int> L(static_cast<size_t>(N), Horizon);
-  for (int Pass = 0; Pass < N; ++Pass) {
-    bool Changed = false;
-    for (const DdgEdge &Edge : G.edges()) {
-      int Cand = L[static_cast<size_t>(Edge.Dst)] - Edge.Latency +
-                 T * Edge.Distance;
-      if (Cand < L[static_cast<size_t>(Edge.Src)]) {
-        L[static_cast<size_t>(Edge.Src)] = Cand;
-        Changed = true;
-      }
-    }
-    if (!Changed)
-      break;
-  }
-  return L;
-}
-
 /// One slack-scheduling attempt at a fixed T; fills \p Out on success.
 bool slackAtT(const Ddg &G, const MachineModel &Machine, int T,
               ModuloSchedule &Out) {
   const int N = G.numNodes();
-  std::vector<int> Asap = asapTimes(G, T);
+  std::vector<int> Asap = longestPathsAtT(G, T, PathDirection::Forward);
   int Horizon = 0;
   for (int V : Asap)
     Horizon = std::max(Horizon, V);
   Horizon += T;
-  std::vector<int> Alap = alapTimes(G, T, Horizon);
+  // Static latest starts anchored at Horizon: Horizon minus the heights.
+  std::vector<int> Alap = longestPathsAtT(G, T, PathDirection::Backward);
+  for (int &V : Alap)
+    V = Horizon - V;
 
   ModuloPlacer P(G, Machine, T);
   while (P.unscheduled() > 0) {

@@ -40,39 +40,6 @@ bool parseSchedulerName(const std::string &Name, ExactEngine &Engine,
   return true;
 }
 
-/// Accumulates \p B into \p A (shared-cache gauges are overwritten by the
-/// caller afterwards, so summing them here would double count — skipped).
-void mergeServiceStats(ServiceStats &A, const ServiceStats &B) {
-  A.Jobs = std::max(A.Jobs, B.Jobs);
-  A.QueueHighWater = std::max(A.QueueHighWater, B.QueueHighWater);
-  A.Submitted += B.Submitted;
-  A.Completed += B.Completed;
-  A.CacheHits += B.CacheHits;
-  A.CacheMisses += B.CacheMisses;
-  A.Cancellations += B.Cancellations;
-  A.CensoredProofs += B.CensoredProofs;
-  A.PortfolioHeuristicWins += B.PortfolioHeuristicWins;
-  A.PortfolioIlpWins += B.PortfolioIlpWins;
-  A.PortfolioFallbacks += B.PortfolioFallbacks;
-  A.RaceIlpWins += B.RaceIlpWins;
-  A.RaceSatWins += B.RaceSatWins;
-  A.CrossEngineProofUpgrades += B.CrossEngineProofUpgrades;
-  A.SatConflicts += B.SatConflicts;
-  A.FaultedJobs += B.FaultedJobs;
-  A.TypedErrors += B.TypedErrors;
-  A.WatchdogRetries += B.WatchdogRetries;
-  A.FallbackSlackWins += B.FallbackSlackWins;
-  A.FallbackImsWins += B.FallbackImsWins;
-  A.DispatchFaults += B.DispatchFaults;
-  A.QueueWaitSeconds += B.QueueWaitSeconds;
-  for (int I = 0; I < LatencyHistogram::NumBuckets; ++I)
-    A.Latency.Buckets[static_cast<std::size_t>(I)] +=
-        B.Latency.Buckets[static_cast<std::size_t>(I)];
-  A.Latency.Count += B.Latency.Count;
-  A.Latency.TotalSeconds += B.Latency.TotalSeconds;
-  A.Latency.MaxSeconds = std::max(A.Latency.MaxSeconds, B.Latency.MaxSeconds);
-}
-
 /// Pairs one admitted request with its complete() on every exit path.
 class AdmitGuard {
 public:
@@ -170,7 +137,7 @@ DaemonStats Daemon::stats() const {
     std::lock_guard<std::mutex> Lock(ServicesMutex);
     S.Service = RetiredStats;
     for (const ServiceEntry &E : Services)
-      mergeServiceStats(S.Service, E.Svc->stats());
+      S.Service.merge(E.Svc->stats());
   }
   S.Service.CacheSize = Cache->size();
   S.Service.CacheEvictions = Cache->evictions();
@@ -228,7 +195,7 @@ Daemon::serviceFor(const std::string &MachineText, ExactEngine Engine,
   if (Services.size() > std::max<std::size_t>(Opts.MaxServices, 1)) {
     // Retire the LRU service; its counters fold into the aggregate and
     // in-flight jobs keep it alive through their shared_ptr.
-    mergeServiceStats(RetiredStats, Services.back().Svc->stats());
+    RetiredStats.merge(Services.back().Svc->stats());
     Services.pop_back();
   }
   return Svc;

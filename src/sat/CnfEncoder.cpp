@@ -12,10 +12,6 @@ using namespace swp;
 
 namespace {
 
-int ceilDiv(int A, int B) {
-  return A >= 0 ? (A + B - 1) / B : -((-A) / B);
-}
-
 /// Guarded Sinz sequential-counter encoding of sum(X) <= K.  Aux variables
 /// R[i][j] = Base + i*K + j read "at least j+1 of X[0..i] are true"; every
 /// clause carries \p Guard so the whole row retracts with its period
@@ -312,9 +308,9 @@ void CnfEncoder::encodePeriod(int T, int Sel) {
         continue;
       for (int P = 0; P < T; ++P) {
         for (int Q = 0; Q < T; ++Q) {
-          const int W1 = ceilDiv(E1.Latency - T * E1.Distance + P - Q, T);
-          const int W2 = ceilDiv(E2.Latency - T * E2.Distance + Q - P, T);
-          if (W1 + W2 > 0)
+          const int CycleK =
+              kDifferenceWeight(E1, T, P, Q) + kDifferenceWeight(E2, T, Q, P);
+          if (CycleK > 0)
             S.addClause({NS, mkLit(aVar(P, E1.Src), true),
                          mkLit(aVar(Q, E1.Dst), true)});
         }
@@ -498,74 +494,32 @@ bool CnfEncoder::decode(int T, ModuloSchedule &Out,
     return Topo->routePenalty(GU, GV);
   };
 
-  // K vector by Bellman-Ford over k_j - k_i >= ceil((lat - T*m + off_i -
-  // off_j) / T), with predecessor tracking for the positive-cycle witness.
-  const std::vector<DdgEdge> &Edges = G.edges();
-  std::vector<int> K(static_cast<std::size_t>(N), 0);
-  std::vector<int> PredEdge(static_cast<std::size_t>(N), -1);
-  for (int Pass = 0; Pass <= N; ++Pass) {
-    bool Changed = false;
-    for (std::size_t EI = 0; EI < Edges.size(); ++EI) {
-      const DdgEdge &E = Edges[EI];
-      const int W = ceilDiv(E.Latency + EdgeRho(E) - T * E.Distance +
-                                Offsets[static_cast<std::size_t>(E.Src)] -
-                                Offsets[static_cast<std::size_t>(E.Dst)],
-                            T);
-      const int Cand = K[static_cast<std::size_t>(E.Src)] + W;
-      if (Cand > K[static_cast<std::size_t>(E.Dst)]) {
-        if (Pass == N) {
-          // Walk predecessors until a node repeats: that suffix is a
-          // positive cycle under these offsets.
-          std::vector<char> Seen(static_cast<std::size_t>(N), 0);
-          int X = E.Dst;
-          while (PredEdge[static_cast<std::size_t>(X)] >= 0 &&
-                 !Seen[static_cast<std::size_t>(X)]) {
-            Seen[static_cast<std::size_t>(X)] = 1;
-            X = Edges[static_cast<std::size_t>(
-                          PredEdge[static_cast<std::size_t>(X)])]
-                    .Src;
-          }
-          if (PredEdge[static_cast<std::size_t>(X)] >= 0) {
-            CycleNodes.push_back(X);
-            for (int Y = Edges[static_cast<std::size_t>(
-                                   PredEdge[static_cast<std::size_t>(X)])]
-                             .Src;
-                 Y != X;
-                 Y = Edges[static_cast<std::size_t>(
-                               PredEdge[static_cast<std::size_t>(Y)])]
-                         .Src)
-              CycleNodes.push_back(Y);
-          }
-          // Soundness check: blocking a cycle's offsets is only legal when
-          // that cycle really is positive under them.  If the witness does
-          // not check out (or the walk hit a dead end), fall back to
-          // blocking the complete offset vector — weaker but always sound,
-          // since Bellman-Ford just proved it has no K completion.
-          int CycleWeight = 0;
-          for (int Z : CycleNodes) {
-            const DdgEdge &PE =
-                Edges[static_cast<std::size_t>(
-                    PredEdge[static_cast<std::size_t>(Z)])];
-            CycleWeight +=
-                ceilDiv(PE.Latency + EdgeRho(PE) - T * PE.Distance +
-                            Offsets[static_cast<std::size_t>(PE.Src)] -
-                            Offsets[static_cast<std::size_t>(PE.Dst)],
-                        T);
-          }
-          if (CycleNodes.empty() || CycleWeight <= 0) {
-            CycleNodes.clear();
-            for (int I = 0; I < N; ++I)
-              CycleNodes.push_back(I);
-          }
-          return false;
-        }
-        K[static_cast<std::size_t>(E.Dst)] = Cand;
-        PredEdge[static_cast<std::size_t>(E.Dst)] = static_cast<int>(EI);
-        Changed = true;
-      }
+  // K vector over k_j - k_i >= ceil((lat + rho - T*m + off_i - off_j) / T).
+  auto Weight = [&](const DdgEdge &E) {
+    return kDifferenceWeight(E, T, Offsets[static_cast<std::size_t>(E.Src)],
+                             Offsets[static_cast<std::size_t>(E.Dst)],
+                             EdgeRho(E));
+  };
+  std::vector<int> K;
+  if (longestPaths(G, Weight, K, PathDirection::Forward, &CycleNodes)) {
+    // CycleNodes holds the positive-cycle witness's edges; keep their heads.
+    // Soundness check: blocking a cycle's offsets is only legal when that
+    // cycle really is positive under them.  If the witness does not check
+    // out (or the walk hit a dead end), fall back to blocking the complete
+    // offset vector — weaker but always sound, since the offsets were just
+    // shown to have no K completion.
+    int CycleWeight = 0;
+    for (int &X : CycleNodes) {
+      const DdgEdge &E = G.edges()[static_cast<std::size_t>(X)];
+      CycleWeight += Weight(E);
+      X = E.Dst;
     }
-    if (!Changed)
-      break;
+    if (CycleNodes.empty() || CycleWeight <= 0) {
+      CycleNodes.clear();
+      for (int I = 0; I < N; ++I)
+        CycleNodes.push_back(I);
+    }
+    return false;
   }
 
   Out.T = T;

@@ -457,7 +457,7 @@ SchedulerResult SchedulerService::scheduleOne(const Ddg &G,
   bool CleanProof = R.Error.isOk() && !R.Cancelled && !R.FaultsSeen;
   for (const TAttempt &A : R.Attempts)
     CleanProof = CleanProof && A.StopReason == SearchStop::None;
-  if (Opts.FallbackLadder && !R.found() && !CleanProof &&
+  if (!R.found() && !CleanProof &&
       R.Error.code() != StatusCode::InvalidInput &&
       !GlobalCancel.token().cancelled()) {
     SchedulerResult Rung = runHeuristicLadder(G, Machine, Job.Sched.MaxTSlack);

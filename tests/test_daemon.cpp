@@ -138,6 +138,15 @@ TEST_F(DaemonTest, SolvesMatchALocalService) {
   DaemonStats S = D.stats();
   EXPECT_EQ(S.Requests, 1u);
   EXPECT_EQ(S.Connections, 1u);
+  // The daemon's totals carry its services' LP effort, so --daemon-stats
+  // shows the same "lp" rows as an in-process batch.
+  ServiceStats L = Local.stats();
+  EXPECT_GT(L.LpSolves, 0u);
+  EXPECT_EQ(S.Service.LpPivots, L.LpPivots);
+  EXPECT_EQ(S.Service.LpRefactorizations, L.LpRefactorizations);
+  EXPECT_EQ(S.Service.LpSolves, L.LpSolves);
+  EXPECT_EQ(S.Service.LpWarmSolves, L.LpWarmSolves);
+  EXPECT_NE(D.statsText().find("lp solves"), std::string::npos);
   D.stop();
 }
 

@@ -10,6 +10,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <optional>
 #include <thread>
 
 using namespace swp;
@@ -137,6 +141,106 @@ TEST(Analysis, AcyclicHasZeroMii) {
   EXPECT_EQ(recurrenceMii(G), 0);
   EXPECT_DOUBLE_EQ(maxCycleRatio(G), 0.0);
   EXPECT_TRUE(criticalCycleNodes(G).empty());
+}
+
+TEST(Analysis, EmptyGraphHasNoCycle) {
+  // No nodes: the first pass changes nothing, so no T sees a cycle.
+  Ddg G("empty");
+  for (int T : {0, 1, 7})
+    EXPECT_FALSE(hasPositiveCycle(G, T)) << "T=" << T;
+  EXPECT_EQ(recurrenceMii(G), 0);
+  EXPECT_DOUBLE_EQ(maxCycleRatio(G), 0.0);
+  EXPECT_TRUE(criticalCycleNodes(G).empty());
+}
+
+TEST(Analysis, LongestPathsMatchMaxPlusClosure) {
+  // longestPaths against Floyd-Warshall's max-plus closure on small random
+  // graphs with self-loops, parallel edges, weights of both signs and
+  // edges that impose no constraint, in both directions.
+  constexpr std::int64_t None = std::numeric_limits<std::int64_t>::min();
+  Rng R(20260807);
+  int Cyclic = 0, Witnesses = 0;
+  for (int Instance = 0; Instance < 3000; ++Instance) {
+    const int N = R.intIn(0, 7);
+    Ddg G("g");
+    for (int I = 0; I < N; ++I)
+      G.addNode("n", 0, 1);
+    std::vector<char> Active;
+    for (int K = N == 0 ? 0 : R.intIn(0, 2 * N); K > 0; --K) {
+      const int Src = R.intIn(0, N - 1), Dst = R.intIn(0, N - 1);
+      G.addEdgeWithLatency(Src, Dst, R.intIn(0, 2), R.intIn(0, 6));
+      Active.push_back(R.chance(0.9));
+    }
+    const int T = R.intIn(0, 4);
+    auto Weight = [&](const DdgEdge &E) -> std::optional<int> {
+      if (!Active[static_cast<size_t>(&E - G.edges().data())])
+        return std::nullopt;
+      return E.Latency - T * E.Distance;
+    };
+
+    // Best[I][J]: the heaviest walk I -> J of at least one active edge.
+    std::int64_t Best[7][7];
+    for (auto &Row : Best)
+      std::fill(std::begin(Row), std::end(Row), None);
+    for (const DdgEdge &E : G.edges())
+      if (std::optional<int> W = Weight(E))
+        Best[E.Src][E.Dst] = std::max<std::int64_t>(Best[E.Src][E.Dst], *W);
+    for (int K = 0; K < N; ++K)
+      for (int I = 0; I < N; ++I)
+        for (int J = 0; J < N; ++J)
+          if (Best[I][K] != None && Best[K][J] != None)
+            Best[I][J] = std::max(Best[I][J], Best[I][K] + Best[K][J]);
+    bool HasCycle = false;
+    for (int I = 0; I < N; ++I)
+      HasCycle |= Best[I][I] != None && Best[I][I] > 0;
+    Cyclic += HasCycle ? 1 : 0;
+
+    for (PathDirection Dir : {PathDirection::Forward, PathDirection::Backward}) {
+      const bool Fwd = Dir == PathDirection::Forward;
+      std::vector<int> P, Cycle;
+      ASSERT_EQ(longestPaths(G, Weight, P, Dir, &Cycle), HasCycle)
+          << "instance " << Instance << (Fwd ? " forward" : " backward");
+      if (!HasCycle) {
+        EXPECT_TRUE(Cycle.empty());
+        for (int V = 0; V < N; ++V) {
+          std::int64_t Want = 0;
+          for (int U = 0; U < N; ++U)
+            Want = std::max(Want, Fwd ? Best[U][V] : Best[V][U]);
+          EXPECT_EQ(P[static_cast<size_t>(V)], Want)
+              << "instance " << Instance << " node " << V;
+        }
+        continue;
+      }
+      // The witness, when the walk found one, is a cycle of active edges
+      // with positive weight: each edge's raised end is the previous one's
+      // other end.
+      if (Cycle.empty())
+        continue;
+      ++Witnesses;
+      auto from = [&](int EI) {
+        const DdgEdge &E = G.edges()[static_cast<size_t>(EI)];
+        return Fwd ? E.Src : E.Dst;
+      };
+      auto to = [&](int EI) {
+        const DdgEdge &E = G.edges()[static_cast<size_t>(EI)];
+        return Fwd ? E.Dst : E.Src;
+      };
+      int Sum = 0;
+      for (size_t I = 0; I < Cycle.size(); ++I) {
+        std::optional<int> W =
+            Weight(G.edges()[static_cast<size_t>(Cycle[I])]);
+        ASSERT_TRUE(W.has_value()) << "instance " << Instance;
+        Sum += *W;
+        EXPECT_EQ(to(Cycle[(I + 1) % Cycle.size()]), from(Cycle[I]))
+            << "instance " << Instance;
+      }
+      EXPECT_GT(Sum, 0) << "instance " << Instance;
+    }
+  }
+  // Both verdicts are common, and the walk rarely ends without a witness.
+  EXPECT_GT(Cyclic, 600);
+  EXPECT_LT(Cyclic, 2400);
+  EXPECT_GT(Witnesses, Cyclic * 2 * 9 / 10);
 }
 
 TEST(Analysis, SelfLoopMii) {
