@@ -13,12 +13,13 @@
 /// scheduler supplies only the per-T step (scheduleLoop's step solves the
 /// unified scheduling+mapping MILP, satScheduleLoop's the CNF encoding,
 /// and the heuristics' steps run IMS, slack scheduling or the enumerative
-/// search at that T).
+/// search at that T).  Several steps chain: each T asks them in order
+/// until one refutes it or finds a schedule.
 ///
 /// The found schedule is rate-optimal when every smaller T was *proven*
-/// infeasible (TAttempt::refutes); time/node limits censor proofs and are
-/// reported per attempt (the paper's "10/30" time-limit note).  A
-/// heuristic miss answers Unknown: it is never a refutation.
+/// infeasible (TAttempt::refutes) by some step; time/node limits censor
+/// proofs and are reported per attempt (the paper's "10/30" time-limit
+/// note).  A heuristic miss answers Unknown: it is never a refutation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +34,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 namespace swp {
@@ -66,7 +68,12 @@ struct SchedulerOptions {
   /// workspace starts from the previous T's final basis, role-mapped
   /// between the two formulations (A slots both periods share, the K /
   /// color / pair / buffer variables), instead of a cold slack basis.
-  /// Never changes any answer — only how many pivots reaching it costs.
+  /// A warm basis can land the LP on another optimal vertex.  Without
+  /// limits the II and its proof are the same either way (the schedule
+  /// may differ); under a node limit a censored T can be answered
+  /// differently, changing the II, the proof or whether a schedule is
+  /// found (at 100 nodes per T: the II of one or three of 1,066 ppc604
+  /// corpus loops, by seed).
   bool WarmStartAcrossT = true;
   /// Cooperative cancellation/deadline token, polled between candidate T
   /// and inside the branch-and-bound node loop.  A default token never
@@ -206,22 +213,37 @@ using TStep = std::function<TStepResult(int T)>;
 /// The rate-optimal T-sweep every scheduler shares.  Validates the loop
 /// (phase "driver"), computes T_lb, then walks T = T_lb .. T_lb +
 /// Opts.MaxTSlack: modulo-infeasible T are recorded as skips, every other
-/// T is answered by \p Step.  The first found schedule is verified (when
-/// Opts.VerifySchedules) and is ProvenRateOptimal when refutesBelow(T).
-/// The first typed error is kept; an InvalidInput error stops the sweep,
-/// any other error censors its T and the sweep goes on.  A fired
-/// Opts.Cancel, or a step stopped by cancellation, ends the sweep with
-/// Cancelled set.  Sums TotalNodes and TotalLp over the steps and stamps
-/// FaultsSeen.  Holds no state beyond its own frame, so sweeps may run
-/// concurrently.
+/// T is asked of \p Steps in order, each answer recorded as an attempt.
+/// The sweep moves to T+1 as soon as one step refutes T (or every step
+/// has answered without a schedule), and ends at the first found
+/// schedule, which is verified (when Opts.VerifySchedules) and is
+/// ProvenRateOptimal when refutesBelow(T).  The first typed error is
+/// kept; an InvalidInput error stops the sweep, any other error censors
+/// that step's answer and the next step is asked.  A fired Opts.Cancel,
+/// or a step stopped by cancellation, ends the sweep with Cancelled set.
+/// Sums TotalNodes and TotalLp over the steps and stamps FaultsSeen.
+/// Holds no state beyond its own frame, so sweeps may run concurrently.
 SchedulerResult searchRateOptimal(const Ddg &G, const MachineModel &Machine,
                                   const SchedulerOptions &Opts,
-                                  const TStep &Step);
+                                  std::span<const TStep> Steps);
+
+/// The sweep over the one step \p Step.
+inline SchedulerResult searchRateOptimal(const Ddg &G,
+                                         const MachineModel &Machine,
+                                         const SchedulerOptions &Opts,
+                                         const TStep &Step) {
+  return searchRateOptimal(G, Machine, Opts, std::span(&Step, 1));
+}
 
 /// Runs the rate-optimal search for \p G on \p Machine: the shared sweep
-/// with an ilpStepAtT step that carries the LP basis across T.
+/// with scheduleLoop's step (ilpSweepStep).
 SchedulerResult scheduleLoop(const Ddg &G, const MachineModel &Machine,
                              const SchedulerOptions &Opts = {});
+
+/// scheduleLoop's step: ilpStepAtT, carrying the LP basis across T in
+/// \p Warm when Opts.WarmStartAcrossT.  Borrows every argument.
+TStep ilpSweepStep(const Ddg &G, const MachineModel &Machine,
+                   const SchedulerOptions &Opts, TWarmContext &Warm);
 
 /// The InvalidInput error of a loop that MachineModel::acceptsDdg rejects,
 /// naming \p G; each entry point adds its own phase.

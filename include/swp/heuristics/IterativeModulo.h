@@ -35,6 +35,12 @@ struct ImsOptions {
   int MaxTSlack = 64;
 };
 
+/// One IMS attempt at the fixed period \p T (a HeuristicAtT, see
+/// swp/heuristics/ModuloReservationTable.h): fills \p Out and \returns
+/// true when every node was placed.
+bool imsAtT(const Ddg &G, const MachineModel &Machine, int T,
+            ModuloSchedule &Out);
+
 /// Runs iterative modulo scheduling for \p G on \p Machine: the shared
 /// sweep with an IMS step.  The schedule has a fixed mapping; it is
 /// ProvenRateOptimal only when every smaller T was modulo-skipped.

@@ -9,7 +9,7 @@
 /// physical unit, per stage, per pattern slot, which instruction occupies
 /// it.  Variant-aware (multi-function pipelines).  On top of it, the
 /// placement state IMS and slack scheduling share (ModuloPlacer) and the
-/// sweep that turns a heuristic's per-T attempt into steps of the shared
+/// sweep that turns heuristics' per-T attempts into steps of the shared
 /// rate-optimal T-sweep (heuristicSweep).
 ///
 //===----------------------------------------------------------------------===//
@@ -23,6 +23,7 @@
 #include "swp/ddg/Ddg.h"
 #include "swp/machine/MachineModel.h"
 
+#include <initializer_list>
 #include <vector>
 
 namespace swp {
@@ -195,12 +196,15 @@ std::vector<int> longestPathsAtT(const Ddg &G, int T, PathDirection Dir);
 using HeuristicAtT = bool (*)(const Ddg &G, const MachineModel &Machine,
                               int T, ModuloSchedule &Out);
 
-/// Runs \p AtT as the step of the shared rate-optimal sweep over
-/// [T_lb, T_lb + \p MaxTSlack]: a placed schedule answers Optimal, a miss
-/// Unknown.  A miss is never a refutation, so a schedule counts as proven
-/// only when every smaller T in the window was modulo-skipped.
+/// Runs \p Chain's heuristics, in order, as the steps of the shared
+/// rate-optimal sweep over [T_lb, T_lb + \p MaxTSlack]: at each T a placed
+/// schedule answers Optimal, and a miss answers Unknown and hands T to the
+/// next heuristic.  A miss is never a refutation, so a schedule counts as
+/// proven only when every smaller T in the window was modulo-skipped.
+/// The heuristics do not poll a cancellation token.
 SchedulerResult heuristicSweep(const Ddg &G, const MachineModel &Machine,
-                               int MaxTSlack, HeuristicAtT AtT);
+                               int MaxTSlack,
+                               std::initializer_list<HeuristicAtT> Chain);
 
 } // namespace swp
 

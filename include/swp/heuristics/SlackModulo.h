@@ -35,6 +35,12 @@ struct SlackOptions {
   int MaxTSlack = 64;
 };
 
+/// One slack-scheduling attempt at the fixed period \p T (a HeuristicAtT,
+/// see swp/heuristics/ModuloReservationTable.h): fills \p Out and
+/// \returns true when every node was placed.
+bool slackAtT(const Ddg &G, const MachineModel &Machine, int T,
+              ModuloSchedule &Out);
+
 /// Runs lifetime-sensitive slack modulo scheduling for \p G on \p Machine:
 /// the shared sweep with a slack step.  The schedule is ProvenRateOptimal
 /// only when every smaller T was modulo-skipped.

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 namespace swp {
 
@@ -80,9 +81,18 @@ private:
 /// nodes); the SAT engine's searchRateOptimal steps return this.
 TStepResult satStepResult(SatAttempt A);
 
+/// satScheduleLoop's step: SatScheduler::solveAtT under Opts' time and
+/// conflict (NodeLimitPerT) budgets and token, on \p Engine, which the
+/// step builds at its first T (inside the sweep's clock, so the
+/// T-independent encoding counts toward TotalSeconds).  Borrows every
+/// argument.
+TStep satSweepStep(const Ddg &G, const MachineModel &Machine,
+                   const SchedulerOptions &Opts,
+                   std::optional<SatScheduler> &Engine);
+
 /// Runs the rate-optimal search for \p G on \p Machine with the SAT
-/// engine: the shared sweep with a step over one SatScheduler, a drop-in
-/// sibling of scheduleLoop() (Opts.NodeLimitPerT bounds conflicts per T;
+/// engine: the shared sweep with satSweepStep, a drop-in sibling of
+/// scheduleLoop() (Opts.NodeLimitPerT bounds conflicts per T;
 /// ColoringObjective / MinimizeBuffers / LpRoundingProbe do not apply and
 /// are ignored).
 SchedulerResult satScheduleLoop(const Ddg &G, const MachineModel &Machine,

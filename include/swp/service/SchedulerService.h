@@ -13,14 +13,17 @@
 /// schedule() probes the cache on the caller's thread first, so a hit
 /// never queues; only a miss reaches the pool.
 ///
-/// Portfolio mode races the cheap heuristics (iterative-modulo and slack
-/// scheduling) against the rate-optimal ILP per loop: the heuristic leg
-/// runs first (it is orders of magnitude faster, so it always wins the
-/// race to an incumbent), its schedule becomes the upper-bound incumbent,
-/// and the ILP leg is restricted to strictly better T — or cancelled
-/// outright when the incumbent already sits on the lower bound.  The
-/// outcome is decided by the *results*, never by thread timing, so a
-/// portfolio batch is deterministic.
+/// Portfolio mode pairs the cheap heuristics with the rate-optimal exact
+/// engine per loop: the heuristic leg runs first, one sweep that asks
+/// iterative-modulo and then slack scheduling at each T, and the first T
+/// either places becomes the upper-bound incumbent; the exact leg is then
+/// restricted to strictly better T, or skipped outright when the
+/// incumbent already sits on the lower bound.
+///
+/// Every engine runs on the job's own thread.  The engine race and the
+/// heuristic leg are each one sweep over an ordered chain of steps
+/// (searchRateOptimal), so under node or conflict budgets an answer
+/// depends on the loop and the options, never on thread timing.
 ///
 /// Cancellation is cooperative: every job's solve carries a token nested
 /// under the service-wide source, checked in the driver's per-T loop and
@@ -50,6 +53,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string>
 #include <vector>
 
 namespace swp {
@@ -60,69 +64,51 @@ enum class ExactEngine {
   Ilp,
   /// The CDCL SAT backend with incremental per-T re-solving.
   Sat,
-  /// Both, raced with cross-cancellation; the adopted result is decided by
-  /// what each engine *returned* (found schedules, proven windows), never
-  /// by thread timing, so racing stays deterministic.
+  /// Both, chained per candidate T: the second engine answers each T the
+  /// first left censored, and either engine's refutation refutes.  The ILP
+  /// goes first, except on machines whose topology constrains placement,
+  /// where SAT does.
   Race,
 };
 
-/// Short stable name of \p E ("ilp", "sat", "race").
-const char *exactEngineName(ExactEngine E);
+/// Parses an exact scheduler name of swpc and the wire: "ilp", "sat",
+/// "race", and the portfolios "portfolio" (or "portfolio-ilp"),
+/// "portfolio-sat" and "portfolio-race".  \returns false, leaving the
+/// outputs unspecified, on any other name.
+bool parseSchedulerName(const std::string &Name, ExactEngine &Engine,
+                        bool &Portfolio);
 
-/// Telemetry of one exactSchedule call (race accounting and cross-engine
-/// proof merging; meaningful fields depend on the engine).
-struct ExactRaceInfo {
-  /// The exact engine actually ran (false when the portfolio's heuristic
-  /// incumbent settled the loop before the exact leg started).
-  bool Ran = false;
-  /// Engine whose result was adopted.
-  ExactEngine Winner = ExactEngine::Ilp;
-  /// The losing engine's clean per-T infeasibility proofs upgraded the
-  /// adopted result to ProvenRateOptimal (satellite accounting: a rung
-  /// that loses the race but proved the matching lower bound still
-  /// contributes its proof).
-  bool ProofUpgraded = false;
-  /// CDCL conflicts the SAT leg spent (0 when SAT never ran).
-  std::int64_t SatConflicts = 0;
-  /// The SAT leg produced the decisive answer first in wall time.  Stats
-  /// only — never consulted when picking the winner.
-  bool SatDecidedFirst = false;
-};
-
-/// Runs \p Engine on one loop: Ilp and Sat dispatch to the corresponding
-/// rate-optimal loop; Race runs both concurrently, cancels the loser once
-/// a decisive result exists, adopts by results (smaller T wins, a found
-/// schedule beats none, tie prefers the ILP), and merges the loser's
-/// infeasibility proofs into the winner's optimality claim.
+/// Runs \p Engine on one loop: Ilp and Sat are scheduleLoop and
+/// satScheduleLoop; Race is the shared sweep over the chain of both
+/// engines' steps (ilpSweepStep, satSweepStep), on the caller's thread.
 SchedulerResult exactSchedule(const Ddg &G, const MachineModel &Machine,
                               const SchedulerOptions &Opts = {},
-                              ExactEngine Engine = ExactEngine::Ilp,
-                              ExactRaceInfo *Info = nullptr);
+                              ExactEngine Engine = ExactEngine::Ilp);
 
-/// How one portfolio race was settled (for stats and tests).
+/// How one portfolio run was settled (for stats and tests).
 enum class PortfolioOutcome {
-  /// The heuristic incumbent hit T_lb; the ILP leg was cancelled unstarted.
+  /// The heuristic incumbent hit T_lb; the exact leg never started.
   HeuristicWon,
-  /// The ILP leg found a schedule (strictly better than the incumbent, or
-  /// there was no incumbent).
+  /// The exact leg found a schedule (strictly better than the incumbent,
+  /// or there was no incumbent).
   IlpWon,
-  /// The ILP leg found nothing below the incumbent; the heuristic schedule
-  /// stands (proven rate-optimal when the ILP proved every smaller T
-  /// infeasible).
+  /// The exact leg found nothing below the incumbent; the heuristic
+  /// schedule stands (proven rate-optimal when the exact leg refuted every
+  /// smaller T).
   FellBackToHeuristic,
   /// Neither leg produced a schedule.
   NothingFound,
 };
 
-/// Runs the portfolio race for one loop.  \p Opts configures the exact leg
-/// (ILP, SAT, or both raced, per \p Engine); its Cancel token is honored by
-/// every leg.  Exposed standalone so swpc and tests can run it without a
-/// pool.  \p RaceOut receives the exact leg's race telemetry when it ran.
+/// Runs the portfolio for one loop.  \p Opts configures the exact leg
+/// (\p Engine); its Cancel token is honored before the heuristic leg and
+/// throughout the exact leg.  Exposed standalone so swpc and tests can
+/// run it without a pool.  The result carries the heuristic sweep's
+/// VerifyFailed.
 SchedulerResult portfolioSchedule(const Ddg &G, const MachineModel &Machine,
                                   const SchedulerOptions &Opts = {},
                                   PortfolioOutcome *OutcomeOut = nullptr,
-                                  ExactEngine Engine = ExactEngine::Ilp,
-                                  ExactRaceInfo *RaceOut = nullptr);
+                                  ExactEngine Engine = ExactEngine::Ilp);
 
 /// Service configuration.
 struct ServiceOptions {

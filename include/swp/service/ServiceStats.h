@@ -68,16 +68,9 @@ struct ServiceStats {
   /// ... and loops that fell back to the heuristic incumbent after the ILP
   /// leg was cancelled or exhausted its window without a schedule.
   std::uint64_t PortfolioFallbacks = 0;
-  /// Engine-race counters (Engine == Race): exact legs adopted from the
-  /// ILP ...
-  std::uint64_t RaceIlpWins = 0;
-  /// ... exact legs adopted from the SAT backend ...
-  std::uint64_t RaceSatWins = 0;
-  /// ... races where the losing engine's infeasibility proofs upgraded the
-  /// adopted schedule to ProvenRateOptimal ...
-  std::uint64_t CrossEngineProofUpgrades = 0;
-  /// ... and total CDCL conflicts spent by SAT legs (any engine).
-  std::uint64_t SatConflicts = 0;
+  /// Search effort of fresh solves: their TotalNodes summed (B&B nodes
+  /// plus CDCL conflicts, whichever engines ran).
+  std::uint64_t SearchNodes = 0;
   /// Failure-domain counters: loops whose solve saw at least one injected
   /// fault fire ...
   std::uint64_t FaultedJobs = 0;

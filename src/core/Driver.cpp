@@ -505,7 +505,7 @@ Status swp::invalidLoopError(const Ddg &G) {
 SchedulerResult swp::searchRateOptimal(const Ddg &G,
                                        const MachineModel &Machine,
                                        const SchedulerOptions &Opts,
-                                       const TStep &Step) {
+                                       std::span<const TStep> Steps) {
   SchedulerResult Result;
   // Validate before any analysis: recurrenceMii asserts on zero-distance
   // cycles, and a DDG referencing op classes the machine lacks has no
@@ -521,8 +521,9 @@ SchedulerResult swp::searchRateOptimal(const Ddg &G,
 
   const std::uint64_t FiredBefore = FaultInjector::instance().totalFired();
   Stopwatch Total;
+  bool Done = false;
   for (int T = Result.TLowerBound;
-       T <= Result.TLowerBound + Opts.MaxTSlack; ++T) {
+       !Done && T <= Result.TLowerBound + Opts.MaxTSlack; ++T) {
     if (Opts.Cancel.cancelled()) {
       Result.Cancelled = true;
       break;
@@ -538,42 +539,53 @@ SchedulerResult swp::searchRateOptimal(const Ddg &G,
       continue;
     }
 
-    TStepResult Answer = Step(T);
-    TAttempt &Attempt = Answer.Attempt;
-    Attempt.T = T;
-    Result.TotalNodes += Attempt.Nodes;
-    Result.TotalLp += Attempt.Lp;
-    Result.Attempts.push_back(Attempt);
+    // The steps answer T in turn: a refutation settles it, a censored or
+    // unknown answer hands it to the next step.
+    for (const TStep &Step : Steps) {
+      TStepResult Answer = Step(T);
+      TAttempt &Attempt = Answer.Attempt;
+      Attempt.T = T;
+      Result.TotalNodes += Attempt.Nodes;
+      Result.TotalLp += Attempt.Lp;
+      Result.Attempts.push_back(Attempt);
 
-    if (Attempt.StopReason == SearchStop::Cancelled)
-      Result.Cancelled = true;
+      if (Attempt.StopReason == SearchStop::Cancelled)
+        Result.Cancelled = true;
 
-    if (Attempt.Status == MilpStatus::Error) {
-      // Keep the first typed error for the caller.  Invalid input will
-      // fail identically at every T, so stop; transient faults (injected
-      // allocation death) leave larger T worth trying, but this T's proof
-      // is censored.
-      const bool Invalid = Answer.Error.code() == StatusCode::InvalidInput;
-      if (Result.Error.isOk())
-        Result.Error = std::move(Answer.Error);
-      if (Invalid)
-        break;
-      continue;
-    }
+      if (Attempt.Status == MilpStatus::Error) {
+        // Keep the first typed error for the caller.  Invalid input will
+        // fail identically at every T, so stop; transient faults (injected
+        // allocation death) leave other steps and larger T worth trying,
+        // but this answer is censored.
+        const bool Invalid = Answer.Error.code() == StatusCode::InvalidInput;
+        if (Result.Error.isOk())
+          Result.Error = std::move(Answer.Error);
+        if (Invalid) {
+          Done = true;
+          break;
+        }
+        continue;
+      }
 
-    if (Attempt.Status == MilpStatus::Optimal ||
-        Attempt.Status == MilpStatus::Feasible) {
-      if (Opts.VerifySchedules &&
-          !verifySchedule(G, Machine, Answer.Schedule).Ok) {
-        Result.VerifyFailed = true;
+      if (Attempt.Status == MilpStatus::Optimal ||
+          Attempt.Status == MilpStatus::Feasible) {
+        Done = true;
+        if (Opts.VerifySchedules &&
+            !verifySchedule(G, Machine, Answer.Schedule).Ok) {
+          Result.VerifyFailed = true;
+          break;
+        }
+        Result.Schedule = std::move(Answer.Schedule);
+        Result.ProvenRateOptimal = Result.refutesBelow(T);
         break;
       }
-      Result.Schedule = std::move(Answer.Schedule);
-      Result.ProvenRateOptimal = Result.refutesBelow(T);
-      break;
+      if (Result.Cancelled) {
+        Done = true; // A cancelled attempt proves nothing; larger T too.
+        break;
+      }
+      if (Attempt.refutes())
+        break;
     }
-    if (Result.Cancelled)
-      break; // A cancelled attempt proves nothing; larger T are moot too.
   }
   Result.FaultsSeen =
       FaultInjector::instance().totalFired() > FiredBefore;
@@ -583,13 +595,19 @@ SchedulerResult swp::searchRateOptimal(const Ddg &G,
 
 SchedulerResult swp::scheduleLoop(const Ddg &G, const MachineModel &Machine,
                                   const SchedulerOptions &Opts) {
+  TWarmContext Warm;
+  return searchRateOptimal(G, Machine, Opts,
+                           ilpSweepStep(G, Machine, Opts, Warm));
+}
+
+TStep swp::ilpSweepStep(const Ddg &G, const MachineModel &Machine,
+                        const SchedulerOptions &Opts, TWarmContext &Warm) {
   // Basis carry across the candidate-T sweep: consecutive T solve nearly
   // the same model, so each workspace starts from the previous T's basis.
-  TWarmContext Warm;
   TWarmContext *WarmPtr = Opts.WarmStartAcrossT ? &Warm : nullptr;
-  return searchRateOptimal(G, Machine, Opts, [&](int T) {
+  return [&G, &Machine, &Opts, WarmPtr](int T) {
     return ilpStepAtT(G, Machine, T, Opts, WarmPtr);
-  });
+  };
 }
 
 const char *swp::fallbackRungName(FallbackRung R) {

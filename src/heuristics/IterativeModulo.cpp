@@ -8,11 +8,8 @@
 
 using namespace swp;
 
-namespace {
-
-/// One IMS attempt at a fixed T; fills \p Out on success.
-bool imsAtT(const Ddg &G, const MachineModel &Machine, int T,
-            ModuloSchedule &Out) {
+bool swp::imsAtT(const Ddg &G, const MachineModel &Machine, int T,
+                 ModuloSchedule &Out) {
   const int N = G.numNodes();
   // Height-based priority: the longest path onward; higher goes first.
   std::vector<int> Height = longestPathsAtT(G, T, PathDirection::Backward);
@@ -54,10 +51,8 @@ bool imsAtT(const Ddg &G, const MachineModel &Machine, int T,
   return true;
 }
 
-} // namespace
-
 SchedulerResult swp::iterativeModuloSchedule(const Ddg &G,
                                              const MachineModel &Machine,
                                              const ImsOptions &Opts) {
-  return heuristicSweep(G, Machine, Opts.MaxTSlack, imsAtT);
+  return heuristicSweep(G, Machine, Opts.MaxTSlack, {imsAtT});
 }

@@ -359,15 +359,20 @@ std::vector<int> swp::longestPathsAtT(const Ddg &G, int T,
 }
 
 SchedulerResult swp::heuristicSweep(const Ddg &G, const MachineModel &Machine,
-                                    int MaxTSlack, HeuristicAtT AtT) {
+                                    int MaxTSlack,
+                                    std::initializer_list<HeuristicAtT> Chain) {
   SchedulerOptions Sweep;
   Sweep.MaxTSlack = MaxTSlack;
-  return searchRateOptimal(G, Machine, Sweep, [&](int T) {
-    Stopwatch Watch;
-    TStepResult R;
-    if (AtT(G, Machine, T, R.Schedule))
-      R.Attempt.Status = MilpStatus::Optimal;
-    R.Attempt.Seconds = Watch.seconds();
-    return R;
-  });
+  std::vector<TStep> Steps;
+  Steps.reserve(Chain.size());
+  for (HeuristicAtT AtT : Chain)
+    Steps.emplace_back([&G, &Machine, AtT](int T) {
+      Stopwatch Watch;
+      TStepResult R;
+      if (AtT(G, Machine, T, R.Schedule))
+        R.Attempt.Status = MilpStatus::Optimal;
+      R.Attempt.Seconds = Watch.seconds();
+      return R;
+    });
+  return searchRateOptimal(G, Machine, Sweep, Steps);
 }

@@ -8,11 +8,8 @@
 
 using namespace swp;
 
-namespace {
-
-/// One slack-scheduling attempt at a fixed T; fills \p Out on success.
-bool slackAtT(const Ddg &G, const MachineModel &Machine, int T,
-              ModuloSchedule &Out) {
+bool swp::slackAtT(const Ddg &G, const MachineModel &Machine, int T,
+                   ModuloSchedule &Out) {
   const int N = G.numNodes();
   std::vector<int> Asap = longestPathsAtT(G, T, PathDirection::Forward);
   int Horizon = 0;
@@ -89,10 +86,8 @@ bool slackAtT(const Ddg &G, const MachineModel &Machine, int T,
   return true;
 }
 
-} // namespace
-
 SchedulerResult swp::slackModuloSchedule(const Ddg &G,
                                          const MachineModel &Machine,
                                          const SlackOptions &Opts) {
-  return heuristicSweep(G, Machine, Opts.MaxTSlack, slackAtT);
+  return heuristicSweep(G, Machine, Opts.MaxTSlack, {slackAtT});
 }

@@ -16,30 +16,6 @@ using namespace swp::net;
 
 namespace {
 
-/// Maps a wire scheduler name to engine/portfolio; false on unknown names.
-bool parseSchedulerName(const std::string &Name, ExactEngine &Engine,
-                        bool &Portfolio) {
-  Portfolio = false;
-  if (Name == "ilp")
-    Engine = ExactEngine::Ilp;
-  else if (Name == "sat")
-    Engine = ExactEngine::Sat;
-  else if (Name == "race")
-    Engine = ExactEngine::Race;
-  else if (Name == "portfolio" || Name == "portfolio-ilp") {
-    Engine = ExactEngine::Ilp;
-    Portfolio = true;
-  } else if (Name == "portfolio-sat") {
-    Engine = ExactEngine::Sat;
-    Portfolio = true;
-  } else if (Name == "portfolio-race") {
-    Engine = ExactEngine::Race;
-    Portfolio = true;
-  } else
-    return false;
-  return true;
-}
-
 /// Pairs one admitted request with its complete() on every exit path.
 class AdmitGuard {
 public:

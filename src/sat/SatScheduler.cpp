@@ -5,8 +5,6 @@
 #include "swp/support/FaultInjector.h"
 #include "swp/support/Stopwatch.h"
 
-#include <optional>
-
 using namespace swp;
 
 SatScheduler::SatScheduler(const Ddg &Graph, const MachineModel &M,
@@ -130,15 +128,20 @@ TStepResult swp::satStepResult(SatAttempt A) {
   return R;
 }
 
-SchedulerResult swp::satScheduleLoop(const Ddg &G, const MachineModel &Machine,
-                                     const SchedulerOptions &Opts) {
-  // Built at the first attempted T, inside the sweep's clock, so the
-  // T-independent encoding counts toward TotalSeconds.
-  std::optional<SatScheduler> Engine;
-  return searchRateOptimal(G, Machine, Opts, [&](int T) {
+TStep swp::satSweepStep(const Ddg &G, const MachineModel &Machine,
+                        const SchedulerOptions &Opts,
+                        std::optional<SatScheduler> &Engine) {
+  return [&G, &Machine, &Opts, &Engine](int T) {
     if (!Engine)
       Engine.emplace(G, Machine, Opts.Mapping);
     return satStepResult(Engine->solveAtT(T, Opts.TimeLimitPerT,
                                           Opts.NodeLimitPerT, Opts.Cancel));
-  });
+  };
+}
+
+SchedulerResult swp::satScheduleLoop(const Ddg &G, const MachineModel &Machine,
+                                     const SchedulerOptions &Opts) {
+  std::optional<SatScheduler> Engine;
+  return searchRateOptimal(G, Machine, Opts,
+                           satSweepStep(G, Machine, Opts, Engine));
 }

@@ -3,6 +3,7 @@
 #include "swp/service/SchedulerService.h"
 
 #include "swp/heuristics/IterativeModulo.h"
+#include "swp/heuristics/ModuloReservationTable.h"
 #include "swp/heuristics/SlackModulo.h"
 #include "swp/sat/SatScheduler.h"
 #include "swp/service/Fingerprint.h"
@@ -10,51 +11,37 @@
 #include "swp/support/Stopwatch.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 
 using namespace swp;
 
-const char *swp::exactEngineName(ExactEngine E) {
-  switch (E) {
-  case ExactEngine::Ilp:
-    return "ilp";
-  case ExactEngine::Sat:
-    return "sat";
-  case ExactEngine::Race:
-    return "race";
-  }
-  return "?";
+bool swp::parseSchedulerName(const std::string &Name, ExactEngine &Engine,
+                             bool &Portfolio) {
+  static const struct {
+    const char *Name;
+    ExactEngine Engine;
+    bool Portfolio;
+  } Names[] = {
+      {"ilp", ExactEngine::Ilp, false},
+      {"sat", ExactEngine::Sat, false},
+      {"race", ExactEngine::Race, false},
+      {"portfolio", ExactEngine::Ilp, true},
+      {"portfolio-ilp", ExactEngine::Ilp, true},
+      {"portfolio-sat", ExactEngine::Sat, true},
+      {"portfolio-race", ExactEngine::Race, true},
+  };
+  for (const auto &N : Names)
+    if (Name == N.Name) {
+      Engine = N.Engine;
+      Portfolio = N.Portfolio;
+      return true;
+    }
+  return false;
 }
 
 namespace {
-
-/// A result that should end the race: a schedule in hand, or a clean
-/// full-window infeasibility proof (nothing left for the other engine to
-/// find either).
-bool decisive(const SchedulerResult &R) {
-  if (R.found())
-    return true;
-  return R.Error.isOk() && !R.Cancelled && !R.FaultsSeen &&
-         !R.Attempts.empty() && R.refutesBelow(R.Attempts.back().T + 1);
-}
-
-/// Cross-engine proof merge: the losing engine's refutations of the T below
-/// the winner's upgrade the winner to ProvenRateOptimal.  Requires a
-/// fault-free loser run — a proof produced while the injector was firing
-/// is not trusted (mirrors the driver's own downgrade).
-bool mergeCrossEngineProof(SchedulerResult &Winner,
-                           const SchedulerResult &Loser) {
-  if (!Winner.found() || Winner.ProvenRateOptimal || Loser.FaultsSeen ||
-      Winner.TLowerBound <= 0)
-    return false;
-  for (int T = Winner.TLowerBound; T < Winner.Schedule.T; ++T)
-    if (!Winner.refutes(T) && !Loser.refutes(T))
-      return false;
-  Winner.ProvenRateOptimal = true;
-  return true;
-}
 
 /// A search limit or a fault cut at least one attempt's proof short (the
 /// paper's "10/30" situation).
@@ -68,104 +55,37 @@ bool censored(const SchedulerResult &R) {
   return false;
 }
 
-SchedulerResult raceExact(const Ddg &G, const MachineModel &Machine,
-                          const SchedulerOptions &Opts, ExactRaceInfo *Info) {
-  // Each leg gets its own source nested under the caller's token, so the
-  // caller can still cancel both while each leg can cancel only its rival.
-  CancellationSource IlpCancel(Opts.Cancel);
-  CancellationSource SatCancel(Opts.Cancel);
-  SchedulerOptions IlpOpts = Opts;
-  IlpOpts.Cancel = IlpCancel.token();
-  SchedulerOptions SatOpts = Opts;
-  SatOpts.Cancel = SatCancel.token();
-
-  // 0 = undecided, 1 = ILP first, 2 = SAT first (wall-clock, stats only).
-  std::atomic<int> FirstDecisive{0};
-  SchedulerResult SatR;
-  std::thread SatLeg([&] {
-    SatR = satScheduleLoop(G, Machine, SatOpts);
-    if (decisive(SatR)) {
-      int Expected = 0;
-      FirstDecisive.compare_exchange_strong(Expected, 2);
-      IlpCancel.cancel();
-    }
-  });
-  SchedulerResult IlpR = scheduleLoop(G, Machine, IlpOpts);
-  if (decisive(IlpR)) {
-    int Expected = 0;
-    FirstDecisive.compare_exchange_strong(Expected, 1);
-    SatCancel.cancel();
-  }
-  SatLeg.join();
-
-  if (Info) {
-    Info->SatConflicts = SatR.TotalNodes;
-    Info->SatDecidedFirst = FirstDecisive.load() == 2;
-  }
-
-  // Adoption is decided by results alone.  A found schedule beats none;
-  // between two schedules the smaller T wins; with no schedule anywhere a
-  // clean full-window proof beats a censored or cancelled run.  Ties
-  // prefer the ILP (both engines are exact, so a tie carries the same
-  // schedule quality and the choice only names the winner).
-  bool SatWins;
-  if (SatR.found() || IlpR.found())
-    SatWins =
-        SatR.found() && (!IlpR.found() || SatR.Schedule.T < IlpR.Schedule.T);
-  else
-    SatWins = decisive(SatR) && !decisive(IlpR);
-
-  SchedulerResult &Winner = SatWins ? SatR : IlpR;
-  const SchedulerResult &Loser = SatWins ? IlpR : SatR;
-  const bool Upgraded = mergeCrossEngineProof(Winner, Loser);
-  // A fault in either leg taints the job; the loser's Cancelled flag does
-  // not (cross-cancellation is how every race ends).
-  Winner.FaultsSeen = Winner.FaultsSeen || Loser.FaultsSeen;
-  if (Info) {
-    Info->Winner = SatWins ? ExactEngine::Sat : ExactEngine::Ilp;
-    Info->ProofUpgraded = Upgraded;
-  }
-  return std::move(Winner);
-}
-
 } // namespace
 
 SchedulerResult swp::exactSchedule(const Ddg &G, const MachineModel &Machine,
                                    const SchedulerOptions &Opts,
-                                   ExactEngine Engine, ExactRaceInfo *Info) {
-  if (Info) {
-    *Info = ExactRaceInfo();
-    Info->Ran = true;
-  }
+                                   ExactEngine Engine) {
   switch (Engine) {
   case ExactEngine::Ilp:
-    break;
-  case ExactEngine::Sat: {
-    SchedulerResult R = satScheduleLoop(G, Machine, Opts);
-    if (Info) {
-      Info->Winner = ExactEngine::Sat;
-      Info->SatConflicts = R.TotalNodes;
-      Info->SatDecidedFirst = decisive(R);
-    }
-    return R;
-  }
+    return scheduleLoop(G, Machine, Opts);
+  case ExactEngine::Sat:
+    return satScheduleLoop(G, Machine, Opts);
   case ExactEngine::Race:
-    return raceExact(G, Machine, Opts, Info);
+    break;
   }
-  SchedulerResult R = scheduleLoop(G, Machine, Opts);
-  if (Info)
-    Info->Winner = ExactEngine::Ilp;
-  return R;
+  // The race is a chain: the second engine answers only the T the first
+  // left censored.  The ILP's LP-rounding probe settles most corpus T in
+  // one LP, so the ILP goes first; on a placement-constraining topology
+  // SAT decides faster (EXPERIMENTS.md), so it goes first there.
+  TWarmContext Warm;
+  std::optional<SatScheduler> Sat;
+  TStep Chain[] = {ilpSweepStep(G, Machine, Opts, Warm),
+                   satSweepStep(G, Machine, Opts, Sat)};
+  if (Machine.topologyConstrains())
+    std::swap(Chain[0], Chain[1]);
+  return searchRateOptimal(G, Machine, Opts, Chain);
 }
 
 SchedulerResult swp::portfolioSchedule(const Ddg &G,
                                        const MachineModel &Machine,
                                        const SchedulerOptions &Opts,
                                        PortfolioOutcome *OutcomeOut,
-                                       ExactEngine Engine,
-                                       ExactRaceInfo *RaceOut) {
-  if (RaceOut)
-    *RaceOut = ExactRaceInfo();
+                                       ExactEngine Engine) {
   Stopwatch Total;
   auto Outcome = [&](PortfolioOutcome O) {
     if (OutcomeOut)
@@ -177,8 +97,8 @@ SchedulerResult swp::portfolioSchedule(const Ddg &G,
                    FaultInjector::instance().totalFired() > FiredBefore;
   };
 
-  // The heuristic legs are not cancellation-aware, so honor a
-  // pre-cancelled token before running anything.
+  // The heuristic leg does not poll the token, so honor a pre-cancelled
+  // one before running anything.
   if (Opts.Cancel.cancelled()) {
     SchedulerResult R;
     R.Cancelled = true;
@@ -188,76 +108,58 @@ SchedulerResult swp::portfolioSchedule(const Ddg &G,
     return R;
   }
 
-  // Validate before the heuristic leg: IMS and the analyses it runs assert
-  // on malformed DDGs, and the ILP leg would reject them anyway.
-  if (!Machine.acceptsDdg(G)) {
-    SchedulerResult R;
-    R.Error = invalidLoopError(G).withPhase("portfolio");
-    R.TotalSeconds = Total.seconds();
+  // Heuristic leg: one sweep that asks IMS, then slack scheduling, at each
+  // T, so the incumbent is the first T either places (IMS's schedule on a
+  // tie).  The sweep validates the loop and verifies the schedule it
+  // returns; a rejected schedule (never expected) ends it empty with
+  // VerifyFailed, which every portfolio result carries.
+  SchedulerResult Heur =
+      heuristicSweep(G, Machine, Opts.MaxTSlack, {imsAtT, slackAtT});
+  if (!Heur.Error.isOk()) {
+    // Only validation fails a heuristic sweep.
+    Heur.Error.withPhase("portfolio");
+    Heur.TotalSeconds = Total.seconds();
     Outcome(PortfolioOutcome::NothingFound);
-    return R;
+    return Heur;
   }
+  ModuloSchedule &Incumbent = Heur.Schedule;
 
-  // Heuristic leg.  IMS and slack scheduling finish in microseconds on
-  // corpus-sized loops, so they always win the race to a first incumbent;
-  // the better of the two becomes the upper bound.  Their sweeps verify
-  // what they return; a rejected schedule (never expected) leaves its leg
-  // empty and is reported through VerifyFailed.
-  ImsOptions ImsOpts;
-  ImsOpts.MaxTSlack = Opts.MaxTSlack;
-  SchedulerResult Ims = iterativeModuloSchedule(G, Machine, ImsOpts);
-  ModuloSchedule Incumbent = Ims.Schedule;
-  bool HeurVerifyFailed = Ims.VerifyFailed;
-  if (!Opts.Cancel.cancelled()) {
-    SlackOptions SlackOpts;
-    SlackOpts.MaxTSlack = Opts.MaxTSlack;
-    SchedulerResult Slack = slackModuloSchedule(G, Machine, SlackOpts);
-    HeurVerifyFailed = HeurVerifyFailed || Slack.VerifyFailed;
-    if (Slack.found() &&
-        (Incumbent.T == 0 || Slack.Schedule.T < Incumbent.T))
-      Incumbent = std::move(Slack.Schedule);
-  }
-
-  if (Incumbent.T > 0 && Incumbent.T == Ims.TLowerBound) {
+  if (Incumbent.T > 0 && Incumbent.T == Heur.TLowerBound) {
     // The incumbent sits on the lower bound: it is rate-optimal by
-    // construction, so the ILP leg loses the race unstarted.
-    SchedulerResult R;
-    R.TDep = Ims.TDep;
-    R.TRes = Ims.TRes;
-    R.TLowerBound = Ims.TLowerBound;
-    R.Schedule = std::move(Incumbent);
-    R.ProvenRateOptimal = true;
-    StampFaults(R);
-    R.TotalSeconds = Total.seconds();
+    // construction, so the exact leg never starts, and the answer carries
+    // no attempts.
+    Heur.Attempts.clear();
+    StampFaults(Heur);
+    Heur.TotalSeconds = Total.seconds();
     Outcome(PortfolioOutcome::HeuristicWon);
-    return R;
+    return Heur;
   }
 
-  // Exact leg (ILP, SAT, or both raced), restricted to strictly better T
-  // than the incumbent (the race's only way to win is to beat it, so
-  // T >= Incumbent.T is pruned).
-  SchedulerOptions IlpOpts = Opts;
+  // Exact leg (ILP, SAT, or both chained), restricted to strictly better T
+  // than the incumbent (its only way to win is to beat it, so T >=
+  // Incumbent.T is pruned).
+  SchedulerOptions ExactOpts = Opts;
   if (Incumbent.T > 0)
-    IlpOpts.MaxTSlack =
-        std::min(Opts.MaxTSlack, Incumbent.T - 1 - Ims.TLowerBound);
-  SchedulerResult Ilp = exactSchedule(G, Machine, IlpOpts, Engine, RaceOut);
-  Ilp.VerifyFailed = Ilp.VerifyFailed || HeurVerifyFailed;
+    ExactOpts.MaxTSlack =
+        std::min(Opts.MaxTSlack, Incumbent.T - 1 - Heur.TLowerBound);
+  SchedulerResult R = exactSchedule(G, Machine, ExactOpts, Engine);
+  R.VerifyFailed = R.VerifyFailed || Heur.VerifyFailed;
   PortfolioOutcome Settled = PortfolioOutcome::IlpWon;
-  if (!Ilp.found() && Incumbent.T > 0) {
+  if (!R.found() && Incumbent.T > 0) {
     // Fall back to the heuristic incumbent: the exact leg's result, with
     // its attempts and effort, answers with the incumbent instead.  It is
     // proven rate-optimal exactly when the exact leg refuted every smaller
     // T.
-    Ilp.Schedule = std::move(Incumbent);
-    Ilp.ProvenRateOptimal = Ilp.refutesBelow(Ilp.Schedule.T);
+    R.Schedule = std::move(Incumbent);
+    R.ProvenRateOptimal = R.refutesBelow(R.Schedule.T);
     Settled = PortfolioOutcome::FellBackToHeuristic;
-  } else if (!Ilp.found()) {
+  } else if (!R.found()) {
     Settled = PortfolioOutcome::NothingFound;
   }
-  StampFaults(Ilp);
-  Ilp.TotalSeconds = Total.seconds();
+  StampFaults(R);
+  R.TotalSeconds = Total.seconds();
   Outcome(Settled);
-  return Ilp;
+  return R;
 }
 
 SchedulerResult swp::runHeuristicLadder(const Ddg &G,
@@ -409,7 +311,6 @@ SchedulerResult SchedulerService::scheduleOne(const Ddg &G,
     return R;
 
   PortfolioOutcome Outcome = PortfolioOutcome::NothingFound;
-  ExactRaceInfo Race;
   // Faults seen by ANY watchdog attempt, even when a clean retry answered
   // (the final R.FaultsSeen then stays false so the result is cacheable).
   bool SawFaults = false;
@@ -430,9 +331,9 @@ SchedulerResult SchedulerService::scheduleOne(const Ddg &G,
     SchedulerOptions SOpts = Job.Sched;
     SOpts.Cancel = JobCancel.token();
     if (Opts.Portfolio)
-      R = portfolioSchedule(G, Machine, SOpts, &Outcome, Opts.Engine, &Race);
+      R = portfolioSchedule(G, Machine, SOpts, &Outcome, Opts.Engine);
     else
-      R = exactSchedule(G, Machine, SOpts, Opts.Engine, &Race);
+      R = exactSchedule(G, Machine, SOpts, Opts.Engine);
     R.Retries = Attempt;
     SawFaults = SawFaults || R.FaultsSeen;
     if (R.found() || Attempt >= Opts.WatchdogRetries)
@@ -497,6 +398,8 @@ SchedulerResult SchedulerService::scheduleOne(const Ddg &G,
       ++Counters.CensoredProofs;
     // Only fresh solves spent effort; cache hits replay a recorded result
     // whose effort was already counted when it was first solved.
+    Counters.SearchNodes +=
+        static_cast<std::uint64_t>(std::max<std::int64_t>(R.TotalNodes, 0));
     Counters.LpPivots += static_cast<std::uint64_t>(
         std::max<std::int64_t>(R.TotalLp.Pivots, 0));
     Counters.LpRefactorizations += static_cast<std::uint64_t>(
@@ -514,18 +417,6 @@ SchedulerResult SchedulerService::scheduleOne(const Ddg &G,
       ++Counters.FallbackSlackWins;
     else if (R.Fallback == FallbackRung::IterativeModulo)
       ++Counters.FallbackImsWins;
-    if (Race.Ran) {
-      Counters.SatConflicts += static_cast<std::uint64_t>(
-          std::max<std::int64_t>(Race.SatConflicts, 0));
-      if (Race.ProofUpgraded)
-        ++Counters.CrossEngineProofUpgrades;
-      if (Opts.Engine == ExactEngine::Race) {
-        if (Race.Winner == ExactEngine::Sat)
-          ++Counters.RaceSatWins;
-        else
-          ++Counters.RaceIlpWins;
-      }
-    }
     if (Opts.Portfolio) {
       switch (Outcome) {
       case PortfolioOutcome::HeuristicWon:

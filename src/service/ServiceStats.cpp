@@ -43,10 +43,7 @@ void ServiceStats::merge(const ServiceStats &B) {
   PortfolioHeuristicWins += B.PortfolioHeuristicWins;
   PortfolioIlpWins += B.PortfolioIlpWins;
   PortfolioFallbacks += B.PortfolioFallbacks;
-  RaceIlpWins += B.RaceIlpWins;
-  RaceSatWins += B.RaceSatWins;
-  CrossEngineProofUpgrades += B.CrossEngineProofUpgrades;
-  SatConflicts += B.SatConflicts;
+  SearchNodes += B.SearchNodes;
   FaultedJobs += B.FaultedJobs;
   TypedErrors += B.TypedErrors;
   WatchdogRetries += B.WatchdogRetries;
@@ -87,14 +84,8 @@ std::string ServiceStats::render() const {
     Counters.addRow({"portfolio fallbacks",
                      std::to_string(PortfolioFallbacks)});
   }
-  if (RaceIlpWins + RaceSatWins + CrossEngineProofUpgrades + SatConflicts >
-      0) {
-    Counters.addRow({"race ilp wins", std::to_string(RaceIlpWins)});
-    Counters.addRow({"race sat wins", std::to_string(RaceSatWins)});
-    Counters.addRow({"cross-engine proof upgrades",
-                     std::to_string(CrossEngineProofUpgrades)});
-    Counters.addRow({"sat conflicts", std::to_string(SatConflicts)});
-  }
+  if (SearchNodes > 0)
+    Counters.addRow({"search nodes", std::to_string(SearchNodes)});
   if (FaultedJobs + TypedErrors + WatchdogRetries + FallbackSlackWins +
           FallbackImsWins + DispatchFaults >
       0) {

@@ -351,6 +351,84 @@ TEST(SweepAccounting, ScriptedStepsFollowTheProofRules) {
     EXPECT_EQ(R.TotalNodes, 3 * C.Attempts) << C.Name;
     EXPECT_FALSE(R.FaultsSeen) << C.Name;
   }
+
+  // Two-step chains.  A step answers Verdict (with Stop and an Error of
+  // Code) at every T, except that a step that Finds returns Good at
+  // T_lb + 1.  The second step is asked only about a T the first left
+  // open, and either step's refutation counts.
+  struct Script {
+    MilpStatus Verdict;
+    SearchStop Stop;
+    StatusCode Code;
+    bool Finds;
+  };
+  auto scripted = [&](const Script &S, int &Calls) -> TStep {
+    return [&, S](int T) {
+      ++Calls;
+      TStepResult Answer;
+      Answer.Attempt.Nodes = 3;
+      if (S.Finds && T == TLb + 1) {
+        Answer.Attempt.Status = MilpStatus::Optimal;
+        Answer.Schedule = Good;
+        return Answer;
+      }
+      Answer.Attempt.Status = S.Verdict;
+      Answer.Attempt.StopReason = S.Stop;
+      if (S.Code != StatusCode::Ok)
+        Answer.Error = Status(S.Code, "scripted").withT(T);
+      return Answer;
+    };
+  };
+  const Script Censored{MilpStatus::Unknown, SearchStop::NodeLimit,
+                        StatusCode::Ok, true};
+  const Script Refutes{MilpStatus::Infeasible, SearchStop::None,
+                       StatusCode::Ok, false};
+  const Script RefutesThenFinds{MilpStatus::Infeasible, SearchStop::None,
+                                StatusCode::Ok, true};
+  const Script Errors{MilpStatus::Error, SearchStop::Fault,
+                      StatusCode::ResourceExhausted, false};
+  const Script Cancelled{MilpStatus::Unknown, SearchStop::Cancelled,
+                         StatusCode::Ok, true};
+  struct ChainCase {
+    const char *Name;
+    Script First, Second;
+    // Expectations.
+    bool Found, Proven, Cancelled;
+    StatusCode Error;
+    int FirstCalls, SecondCalls;
+  };
+  const ChainCase Chains[] = {
+      {"first-refutes", RefutesThenFinds, Refutes, true, true, false,
+       StatusCode::Ok, 2, 0},
+      {"censored-then-refuted", Censored, Refutes, true, true, false,
+       StatusCode::Ok, 2, 1},
+      {"error-then-found", Errors, RefutesThenFinds, true, true, false,
+       StatusCode::ResourceExhausted, 2, 2},
+      {"cancelled", Cancelled, Refutes, false, false, true, StatusCode::Ok, 1,
+       0},
+  };
+  for (const ChainCase &C : Chains) {
+    int FirstCalls = 0, SecondCalls = 0;
+    const TStep Steps[] = {scripted(C.First, FirstCalls),
+                           scripted(C.Second, SecondCalls)};
+    SchedulerResult R = searchRateOptimal(G, M, fastOptions(), Steps);
+    EXPECT_EQ(R.found(), C.Found) << C.Name;
+    if (C.Found)
+      EXPECT_EQ(R.Schedule.T, TLb + 1) << C.Name;
+    EXPECT_EQ(R.ProvenRateOptimal, C.Proven) << C.Name;
+    EXPECT_EQ(R.Cancelled, C.Cancelled) << C.Name;
+    EXPECT_FALSE(R.VerifyFailed) << C.Name;
+    EXPECT_EQ(R.Error.code(), C.Error) << C.Name << ": first error kept";
+    EXPECT_EQ(FirstCalls, C.FirstCalls) << C.Name;
+    EXPECT_EQ(SecondCalls, C.SecondCalls) << C.Name;
+    // Every answer is one attempt, in the order the steps gave them.
+    const int Answers = C.FirstCalls + C.SecondCalls;
+    ASSERT_EQ(static_cast<int>(R.Attempts.size()), Answers) << C.Name;
+    EXPECT_EQ(R.Attempts[0].T, TLb) << C.Name;
+    EXPECT_EQ(R.Attempts.back().T, C.FirstCalls == 1 ? TLb : TLb + 1)
+        << C.Name;
+    EXPECT_EQ(R.TotalNodes, 3 * Answers) << C.Name;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -30,8 +30,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 using namespace swp;
@@ -44,6 +46,15 @@ struct InjectorGuard {
 
 std::uint64_t sliceSeed(int I) {
   return static_cast<std::uint64_t>(I) * 2654435761ULL + 99;
+}
+
+/// \p R's bytes with its wall-clock fields cleared: two solves of one loop
+/// under node or conflict budgets compare equal.
+std::vector<std::uint8_t> timelessBytes(SchedulerResult R) {
+  R.TotalSeconds = 0.0;
+  for (TAttempt &A : R.Attempts)
+    A.Seconds = 0.0;
+  return schedulerResultBytes(R);
 }
 
 /// Every clause given to a solver, for checking its answers exhaustively.
@@ -787,24 +798,40 @@ TEST(SatScheduler, InvalidInputIsATypedError) {
 }
 
 //===----------------------------------------------------------------------===//
-// Service integration: exactSchedule engines, racing, stats
+// Service integration: exactSchedule engines, the engine chain, stats
 //===----------------------------------------------------------------------===//
 
-TEST(SatService, ExactScheduleSatEngineMatchesIlp) {
-  MachineModel M = ppc604Like();
-  // Node-limit-only budgets: a wall-clock cap would let background load
-  // change what gets censored and flake the comparison.
+namespace {
+
+/// Node- and conflict-limit-only budgets: a wall-clock cap would let
+/// background load change what gets censored and flake the comparisons.
+SchedulerOptions nodeBudgetOptions() {
   SchedulerOptions Opts;
   Opts.TimeLimitPerT = 1e9;
   Opts.NodeLimitPerT = 6000;
+  return Opts;
+}
+
+/// True when some T of \p R was answered by two steps of a chain.
+bool askedTwice(const SchedulerResult &R) {
+  for (std::size_t I = 1; I < R.Attempts.size(); ++I)
+    if (R.Attempts[I].T == R.Attempts[I - 1].T)
+      return true;
+  return false;
+}
+
+} // namespace
+
+TEST(SatService, ExactScheduleSatEngineMatchesIlp) {
+  MachineModel M = ppc604Like();
+  const SchedulerOptions Opts = nodeBudgetOptions();
   int Compared = 0;
   for (int I = 0; I < 8; ++I) {
     Ddg G = generateRandomLoop(M, sliceSeed(I + 500), CorpusOptions{});
     SchedulerResult Ilp = exactSchedule(G, M, Opts, ExactEngine::Ilp);
-    ExactRaceInfo Info;
-    SchedulerResult Sat = exactSchedule(G, M, Opts, ExactEngine::Sat, &Info);
-    EXPECT_TRUE(Info.Ran);
-    EXPECT_EQ(Info.Winner, ExactEngine::Sat);
+    SchedulerResult Sat = exactSchedule(G, M, Opts, ExactEngine::Sat);
+    EXPECT_EQ(timelessBytes(Sat), timelessBytes(satScheduleLoop(G, M, Opts)))
+        << G.name();
     if (Sat.found())
       EXPECT_TRUE(verifySchedule(G, M, Sat.Schedule).Ok) << G.name();
     // Neither engine may beat the other's proven optimum.
@@ -821,36 +848,87 @@ TEST(SatService, ExactScheduleSatEngineMatchesIlp) {
 }
 
 TEST(SatService, RaceAdoptsAProvenAnswer) {
-  // The proof-preservation guarantee: when BOTH standalone engines prove
-  // rate-optimality at T*, the race must adopt a proven T* no matter how
-  // the cross-cancellation timing falls — whichever leg decides first ran
-  // to completion and carries a complete proof (or the loser's clean per-T
-  // refutations merge in).  Node-limit-only budgets keep each solo run's
-  // provenness independent of machine load.
+  // The race asks SAT only about the T the ILP leaves censored, and the
+  // ILP answers every T it is asked exactly as it does alone.  So the race
+  // proves wherever the ILP alone proves, never answers a larger II, and
+  // answers identically on every run.  A tight node budget without the
+  // rounding probe leaves ILP attempts censored, so SAT gets asked.
   MachineModel M = ppc604Like();
-  SchedulerOptions Opts;
-  Opts.TimeLimitPerT = 1e9;
-  Opts.NodeLimitPerT = 6000;
-  int Raced = 0;
-  for (int I = 0; I < 6; ++I) {
+  SchedulerOptions Opts = nodeBudgetOptions();
+  Opts.NodeLimitPerT = 5;
+  Opts.LpRoundingProbe = false;
+  Opts.MaxTSlack = 4;
+  int Proven = 0, IlpProven = 0, Chained = 0;
+  for (int I = 0; I < 24; ++I) {
     Ddg G = generateRandomLoop(M, sliceSeed(I + 600), CorpusOptions{});
-    SchedulerResult SatSolo = satScheduleLoop(G, M, Opts);
     SchedulerResult IlpSolo = scheduleLoop(G, M, Opts);
-    if (!SatSolo.found() || !SatSolo.ProvenRateOptimal ||
-        !IlpSolo.found() || !IlpSolo.ProvenRateOptimal)
+    SchedulerResult Race = exactSchedule(G, M, Opts, ExactEngine::Race);
+    EXPECT_EQ(timelessBytes(Race),
+              timelessBytes(exactSchedule(G, M, Opts, ExactEngine::Race)))
+        << G.name() << ": the race must answer the same on every run";
+    Proven += Race.ProvenRateOptimal;
+    IlpProven += IlpSolo.ProvenRateOptimal;
+    Chained += askedTwice(Race);
+    if (!IlpSolo.found())
       continue;
-    ASSERT_EQ(SatSolo.Schedule.T, IlpSolo.Schedule.T) << G.name();
-    ExactRaceInfo Info;
-    SchedulerResult Race = exactSchedule(G, M, Opts, ExactEngine::Race,
-                                         &Info);
     ASSERT_TRUE(Race.found()) << G.name();
-    EXPECT_EQ(Race.Schedule.T, SatSolo.Schedule.T) << G.name();
-    EXPECT_TRUE(Race.ProvenRateOptimal) << G.name();
     EXPECT_TRUE(verifySchedule(G, M, Race.Schedule).Ok) << G.name();
-    EXPECT_TRUE(Info.Ran);
-    ++Raced;
+    EXPECT_LE(Race.Schedule.T, IlpSolo.Schedule.T) << G.name();
+    if (IlpSolo.ProvenRateOptimal) {
+      EXPECT_TRUE(Race.ProvenRateOptimal) << G.name();
+      EXPECT_EQ(Race.Schedule.T, IlpSolo.Schedule.T) << G.name();
+    }
   }
-  EXPECT_GT(Raced, 0) << "no instance yielded two proven solo optima";
+  EXPECT_GT(Chained, 0) << "no T reached the second engine";
+  EXPECT_GT(Proven, IlpProven) << "SAT's refutations proved nothing more";
+}
+
+TEST(SatService, RaceChainsTheEnginesPerT) {
+  // The race is the shared sweep over both engines' steps: the ILP first,
+  // and SAT first where the topology constrains placement.  A small budget
+  // keeps the grid's censored ILP attempts cheap.
+  SchedulerOptions Opts = nodeBudgetOptions();
+  Opts.NodeLimitPerT = 100;
+  Opts.MaxTSlack = 4;
+  auto chain = [&](const Ddg &G, const MachineModel &M, bool SatFirst) {
+    TWarmContext Warm;
+    std::optional<SatScheduler> Sat;
+    TStep Steps[] = {ilpSweepStep(G, M, Opts, Warm),
+                     satSweepStep(G, M, Opts, Sat)};
+    if (SatFirst)
+      std::swap(Steps[0], Steps[1]);
+    return searchRateOptimal(G, M, Opts, Steps);
+  };
+  // The other order answers differently on some loop, so the comparison
+  // pins the order.
+  int OtherOrderDiffers = 0;
+  MachineModel Ppc = ppc604Like();
+  for (int I = 0; I < 4; ++I) {
+    Ddg G = generateRandomLoop(Ppc, sliceSeed(I + 650), CorpusOptions{});
+    const std::vector<std::uint8_t> Race =
+        timelessBytes(exactSchedule(G, Ppc, Opts, ExactEngine::Race));
+    EXPECT_EQ(Race, timelessBytes(chain(G, Ppc, /*SatFirst=*/false)))
+        << G.name();
+    OtherOrderDiffers += Race != timelessBytes(chain(G, Ppc, true));
+  }
+  EXPECT_GT(OtherOrderDiffers, 0);
+  OtherOrderDiffers = 0;
+  MachineModel Mesh = cgraGrid(2, 2);
+  ASSERT_TRUE(Mesh.topologyConstrains());
+  for (int I = 0; I < 4; ++I) {
+    CgraCorpusOptions Small;
+    Small.MaxNodes = 8;
+    Ddg G = generateRandomCgraLoop(Mesh, sliceSeed(I + 660), Small);
+    SchedulerResult Race = exactSchedule(G, Mesh, Opts, ExactEngine::Race);
+    EXPECT_EQ(timelessBytes(Race),
+              timelessBytes(chain(G, Mesh, /*SatFirst=*/true)))
+        << G.name();
+    OtherOrderDiffers +=
+        timelessBytes(Race) != timelessBytes(chain(G, Mesh, false));
+    if (Race.found())
+      EXPECT_TRUE(verifySchedule(G, Mesh, Race.Schedule).Ok) << G.name();
+  }
+  EXPECT_GT(OtherOrderDiffers, 0);
 }
 
 TEST(SatService, RaceHonorsPreCancelledToken) {
@@ -892,44 +970,55 @@ TEST(SatService, ServiceBatchWithSatEngineCountsConflicts) {
   SvcOpts.Engine = ExactEngine::Sat;
   SchedulerService Svc(M, SvcOpts);
   std::vector<SchedulerResult> Results = Svc.scheduleAll(Loops);
+  std::uint64_t FreshConflicts = 0;
   for (size_t I = 0; I < Results.size(); ++I) {
     ASSERT_TRUE(Results[I].found()) << Loops[I].name();
     EXPECT_TRUE(verifySchedule(Loops[I], M, Results[I].Schedule).Ok)
         << Loops[I].name();
+    if (!Results[I].CacheHit)
+      FreshConflicts += static_cast<std::uint64_t>(Results[I].TotalNodes);
   }
   ServiceStats Stats = Svc.stats();
   EXPECT_EQ(Stats.Completed, Loops.size());
-  // Race-win counters stay at zero outside Engine::Race.
-  EXPECT_EQ(Stats.RaceIlpWins + Stats.RaceSatWins, 0u);
+  // The search-effort counter sums the fresh solves' conflicts.
+  EXPECT_EQ(Stats.SearchNodes, FreshConflicts);
+  EXPECT_GT(Stats.SearchNodes, 0u);
 }
 
-TEST(SatService, ServiceBatchWithRaceEngineCountsWins) {
+TEST(SatService, RaceBatchIsDeterministicAcrossJobs) {
+  // Every job's race runs on its own worker, so one worker and four answer
+  // byte for byte alike, and as the race called directly does.
   MachineModel M = ppc604Like();
   std::vector<Ddg> Loops;
-  for (int I = 0; I < 6; ++I)
+  for (int I = 0; I < 8; ++I)
     Loops.push_back(generateRandomLoop(M, sliceSeed(I + 800),
                                        CorpusOptions{}));
   ServiceOptions SvcOpts;
-  SvcOpts.Jobs = 2;
   SvcOpts.Engine = ExactEngine::Race;
   SvcOpts.UseCache = false;
-  SvcOpts.Sched.TimeLimitPerT = 1e9;
-  SvcOpts.Sched.NodeLimitPerT = 6000;
-  SchedulerService Svc(M, SvcOpts);
-  std::vector<SchedulerResult> Results = Svc.scheduleAll(Loops);
-  for (size_t I = 0; I < Results.size(); ++I) {
-    if (Results[I].found())
-      EXPECT_TRUE(verifySchedule(Loops[I], M, Results[I].Schedule).Ok)
-          << Loops[I].name();
-    // When the race's answer is proven, it must match the ILP's proven
-    // answer exactly (timing may only change who proved it, not what).
-    SchedulerResult Ilp = scheduleLoop(Loops[I], M, SvcOpts.Sched);
-    if (Results[I].ProvenRateOptimal && Ilp.ProvenRateOptimal)
-      EXPECT_EQ(Results[I].Schedule.T, Ilp.Schedule.T) << Loops[I].name();
+  SvcOpts.Sched = nodeBudgetOptions();
+  SvcOpts.Sched.NodeLimitPerT = 1;
+  SvcOpts.Sched.LpRoundingProbe = false;
+  auto batch = [&](int Jobs) {
+    SvcOpts.Jobs = Jobs;
+    SchedulerService Svc(M, SvcOpts);
+    std::vector<std::vector<std::uint8_t>> Bytes;
+    for (const SchedulerResult &R : Svc.scheduleAll(Loops))
+      Bytes.push_back(timelessBytes(R));
+    return std::make_pair(Bytes, Svc.stats().SearchNodes);
+  };
+  const auto One = batch(1);
+  const auto Four = batch(4);
+  EXPECT_EQ(One.first, Four.first);
+  EXPECT_EQ(One.second, Four.second);
+  int Chained = 0;
+  for (size_t I = 0; I < Loops.size(); ++I) {
+    SchedulerResult Direct =
+        exactSchedule(Loops[I], M, SvcOpts.Sched, ExactEngine::Race);
+    EXPECT_EQ(One.first[I], timelessBytes(Direct)) << Loops[I].name();
+    Chained += askedTwice(Direct);
   }
-  ServiceStats Stats = Svc.stats();
-  // Every job ran the race, and every race names exactly one winner.
-  EXPECT_EQ(Stats.RaceIlpWins + Stats.RaceSatWins, Loops.size());
+  EXPECT_GT(Chained, 0) << "no T reached the second engine";
 }
 
 //===----------------------------------------------------------------------===//
@@ -992,12 +1081,6 @@ TEST(IlpThreads, ConcurrentSweepsMatchSerial) {
   for (int I = 0; I < 24; ++I)
     Loops.push_back(generateRandomLoop(M, sliceSeed(I + 700),
                                        CorpusOptions{}));
-  auto timeless = [](SchedulerResult R) {
-    R.TotalSeconds = 0.0;
-    for (TAttempt &A : R.Attempts)
-      A.Seconds = 0.0;
-    return schedulerResultBytes(R);
-  };
   auto sweepAll = [&] {
     std::vector<std::vector<std::uint8_t>> Out;
     for (bool Coloring : {false, true}) {
@@ -1007,7 +1090,7 @@ TEST(IlpThreads, ConcurrentSweepsMatchSerial) {
       Opts.MaxTSlack = 4;
       Opts.ColoringObjective = Coloring;
       for (const Ddg &G : Loops)
-        Out.push_back(timeless(scheduleLoop(G, M, Opts)));
+        Out.push_back(timelessBytes(scheduleLoop(G, M, Opts)));
     }
     return Out;
   };

@@ -82,10 +82,7 @@ std::vector<std::uint64_t> jobCounters(const ServiceStats &S) {
           S.PortfolioHeuristicWins,
           S.PortfolioIlpWins,
           S.PortfolioFallbacks,
-          S.RaceIlpWins,
-          S.RaceSatWins,
-          S.CrossEngineProofUpgrades,
-          S.SatConflicts,
+          S.SearchNodes,
           S.FaultedJobs,
           S.TypedErrors,
           S.WatchdogRetries,
@@ -371,6 +368,37 @@ TEST(DriverCancellation, PortfolioPreCancelledReportsNothingFound) {
 //===----------------------------------------------------------------------===//
 // Scheduler service
 //===----------------------------------------------------------------------===//
+
+TEST(SchedulerService, SchedulerNamesShareOneVocabulary) {
+  // swpc and the wire parse scheduler names with this one routine.
+  const struct {
+    const char *Name;
+    ExactEngine Engine;
+    bool Portfolio;
+  } Known[] = {
+      {"ilp", ExactEngine::Ilp, false},
+      {"sat", ExactEngine::Sat, false},
+      {"race", ExactEngine::Race, false},
+      {"portfolio", ExactEngine::Ilp, true},
+      {"portfolio-ilp", ExactEngine::Ilp, true},
+      {"portfolio-sat", ExactEngine::Sat, true},
+      {"portfolio-race", ExactEngine::Race, true},
+  };
+  for (const auto &K : Known) {
+    ExactEngine Engine = K.Engine == ExactEngine::Ilp ? ExactEngine::Sat
+                                                      : ExactEngine::Ilp;
+    bool Portfolio = !K.Portfolio;
+    ASSERT_TRUE(parseSchedulerName(K.Name, Engine, Portfolio)) << K.Name;
+    EXPECT_EQ(Engine, K.Engine) << K.Name;
+    EXPECT_EQ(Portfolio, K.Portfolio) << K.Name;
+  }
+  for (const char *Unknown :
+       {"", "ims", "slack", "enum", "ILP", "portfolio-", "portfolio-ims"}) {
+    ExactEngine Engine;
+    bool Portfolio;
+    EXPECT_FALSE(parseSchedulerName(Unknown, Engine, Portfolio)) << Unknown;
+  }
+}
 
 TEST(SchedulerService, SubmitAfterCancelAllResolvesCancelled) {
   // Queue-boundary cancellation: jobs submitted into an already-cancelled

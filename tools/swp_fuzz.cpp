@@ -6,7 +6,7 @@
 //   - rate-optimal ILP (scheduleLoop), with and without the LP-rounding
 //     probe (two independent routes to the same proofs),
 //   - iterative-modulo and slack-modulo heuristics,
-//   - the portfolio race.
+//   - the portfolio (heuristic incumbent, then the ILP below it).
 //
 // Every schedule any path produces is checked by the static verifier AND
 // replayed on the cycle-accurate dynamic simulator, and every result whose
@@ -26,11 +26,12 @@
 // fault-free re-solve.
 //
 // With --mode ilp-vs-sat the harness becomes a two-engine differential:
-// the branch-and-bound ILP and the CDCL SAT backend solve every instance
-// and their answers are cross-checked — both schedules verified and
-// replayed, proven-optimal IIs must agree exactly, neither engine may beat
-// the other's proven optimum, and a clean full-window infeasibility proof
-// from one engine forbids the other from finding anything in the window.
+// the branch-and-bound ILP, the CDCL SAT backend and their race (the
+// chain of both engines' steps) solve every instance and their answers
+// are cross-checked pairwise — every schedule verified and replayed,
+// proven-optimal IIs must agree exactly, neither may beat the other's
+// proven optimum, and a clean full-window infeasibility proof from one
+// forbids the other from finding anything in the window.
 //
 // With --mode warmstart the harness solves every instance twice — once
 // with the LP warm starts across candidate T (and the basis carried into
@@ -42,8 +43,8 @@
 //
 // With --mode cgra the harness fuzzes the topology-aware mapping path:
 // random small PE grids (mesh or torus, bounded hop budgets) with random
-// dataflow kernels; the two exact engines are cross-checked as in
-// ilp-vs-sat, the heuristics' schedules are verified and replayed and may
+// dataflow kernels; the two exact engines and their race are
+// cross-checked as in ilp-vs-sat, the heuristics' schedules are verified and replayed and may
 // never beat a proven optimum, and the grid machine text must round-trip.
 //
 // With --mode wire the harness fuzzes the swpd wire protocol instead of
@@ -407,10 +408,46 @@ void fuzzOne(const FuzzOptions &Opts, std::uint64_t InstanceSeed,
   }
 }
 
+/// Cross-checks two exact answers \p A and \p B to one instance: equal
+/// T_lb, equal proven-optimal IIs, neither beats the other's proven
+/// optimum, and a clean full-window infeasibility proof from one forbids
+/// the other from finding anything in the window.
+void crossCheckExact(Findings &F, std::uint64_t Seed, const MachineModel &M,
+                     const Ddg &G, int MaxTSlack, const SchedulerResult &A,
+                     const char *AName, const SchedulerResult &B,
+                     const char *BName) {
+  const std::string Pair = std::string(AName) + " vs " + BName + ": ";
+  if (A.Error.isOk() && B.Error.isOk() && A.TLowerBound != B.TLowerBound)
+    F.report(Seed, M, G,
+             Pair + "T_lb disagrees: " + std::to_string(A.TLowerBound) +
+                 " vs " + std::to_string(B.TLowerBound));
+  if (A.ProvenRateOptimal && B.ProvenRateOptimal &&
+      A.Schedule.T != B.Schedule.T)
+    F.report(Seed, M, G,
+             Pair + "proven-optimal II mismatch: " +
+                 std::to_string(A.Schedule.T) + " vs " +
+                 std::to_string(B.Schedule.T));
+  auto Bounds = [&](const SchedulerResult &P, const char *PName,
+                    const SchedulerResult &X, const char *XName) {
+    if (P.ProvenRateOptimal && X.found() && X.Schedule.T < P.Schedule.T)
+      F.report(Seed, M, G,
+               Pair + XName + " beat " + PName + "'s proven optimum: " +
+                   std::to_string(X.Schedule.T) + " < " +
+                   std::to_string(P.Schedule.T));
+    if (cleanFullProof(P, MaxTSlack) && X.found() &&
+        X.Schedule.T <= P.TLowerBound + MaxTSlack)
+      F.report(Seed, M, G,
+               Pair + XName + " found T=" + std::to_string(X.Schedule.T) +
+                   " inside a window " + PName + " proved fully infeasible");
+  };
+  Bounds(A, AName, B, BName);
+  Bounds(B, BName, A, AName);
+}
+
 /// Two-engine differential body shared by --mode ilp-vs-sat and --mode
-/// cgra: the branch-and-bound ILP and the CDCL SAT backend answer the
-/// same instance; any disagreement between their schedules or proofs is a
-/// finding.
+/// cgra: the branch-and-bound ILP, the CDCL SAT backend and their race
+/// answer the same instance; any disagreement between their schedules or
+/// proofs is a finding.
 SchedulerResult ilpVsSatBody(const FuzzOptions &Opts,
                              std::uint64_t InstanceSeed,
                              const MachineModel &Machine, const Ddg &G,
@@ -432,6 +469,7 @@ SchedulerResult ilpVsSatBody(const FuzzOptions &Opts,
 
   SchedulerResult Ilp = scheduleLoop(G, Machine, SOpts);
   SchedulerResult Sat = satScheduleLoop(G, Machine, SOpts);
+  SchedulerResult Race = exactSchedule(G, Machine, SOpts, ExactEngine::Race);
 
   // Faulted runs must end in a typed state, never a silent empty result.
   if (WithFaults) {
@@ -445,11 +483,15 @@ SchedulerResult ilpVsSatBody(const FuzzOptions &Opts,
     if (Unexplained(Sat))
       F.report(InstanceSeed, Machine, G,
                "faulted SAT run returned an unexplained empty result");
+    if (Unexplained(Race))
+      F.report(InstanceSeed, Machine, G,
+               "faulted race returned an unexplained empty result");
     FaultInjector::instance().reset();
   }
 
   checkResult(F, InstanceSeed, Machine, G, Ilp, "ilp");
   checkResult(F, InstanceSeed, Machine, G, Sat, "sat");
+  checkResult(F, InstanceSeed, Machine, G, Race, "race");
 
   // Proof cross-checks run on fault-free ground truth (a faulted run
   // already downgraded its claims; the re-solve proves it downgraded
@@ -457,42 +499,17 @@ SchedulerResult ilpVsSatBody(const FuzzOptions &Opts,
   if (WithFaults) {
     Ilp = scheduleLoop(G, Machine, SOpts);
     Sat = satScheduleLoop(G, Machine, SOpts);
+    Race = exactSchedule(G, Machine, SOpts, ExactEngine::Race);
     checkResult(F, InstanceSeed, Machine, G, Ilp, "ilp (clean)");
     checkResult(F, InstanceSeed, Machine, G, Sat, "sat (clean)");
+    checkResult(F, InstanceSeed, Machine, G, Race, "race (clean)");
   }
-  if (Ilp.Error.isOk() && Sat.Error.isOk() &&
-      Ilp.TLowerBound != Sat.TLowerBound)
-    F.report(InstanceSeed, Machine, G,
-             "T_lb disagrees: ilp " + std::to_string(Ilp.TLowerBound) +
-                 " vs sat " + std::to_string(Sat.TLowerBound));
-  if (Ilp.ProvenRateOptimal && Sat.ProvenRateOptimal &&
-      Ilp.Schedule.T != Sat.Schedule.T)
-    F.report(InstanceSeed, Machine, G,
-             "proven-optimal II mismatch: ilp " +
-                 std::to_string(Ilp.Schedule.T) + " vs sat " +
-                 std::to_string(Sat.Schedule.T));
-  if (Ilp.ProvenRateOptimal && Sat.found() &&
-      Sat.Schedule.T < Ilp.Schedule.T)
-    F.report(InstanceSeed, Machine, G,
-             "sat beat the ILP's proven optimum: " +
-                 std::to_string(Sat.Schedule.T) + " < " +
-                 std::to_string(Ilp.Schedule.T));
-  if (Sat.ProvenRateOptimal && Ilp.found() &&
-      Ilp.Schedule.T < Sat.Schedule.T)
-    F.report(InstanceSeed, Machine, G,
-             "ilp beat the SAT backend's proven optimum: " +
-                 std::to_string(Ilp.Schedule.T) + " < " +
-                 std::to_string(Sat.Schedule.T));
-  if (cleanFullProof(Ilp, Opts.MaxTSlack) && Sat.found() &&
-      Sat.Schedule.T <= Ilp.TLowerBound + Opts.MaxTSlack)
-    F.report(InstanceSeed, Machine, G,
-             "sat found T=" + std::to_string(Sat.Schedule.T) +
-                 " inside a window the ILP proved fully infeasible");
-  if (cleanFullProof(Sat, Opts.MaxTSlack) && Ilp.found() &&
-      Ilp.Schedule.T <= Sat.TLowerBound + Opts.MaxTSlack)
-    F.report(InstanceSeed, Machine, G,
-             "ilp found T=" + std::to_string(Ilp.Schedule.T) +
-                 " inside a window the SAT backend proved fully infeasible");
+  crossCheckExact(F, InstanceSeed, Machine, G, Opts.MaxTSlack, Ilp, "ilp",
+                  Sat, "sat");
+  crossCheckExact(F, InstanceSeed, Machine, G, Opts.MaxTSlack, Race, "race",
+                  Ilp, "ilp");
+  crossCheckExact(F, InstanceSeed, Machine, G, Opts.MaxTSlack, Race, "race",
+                  Sat, "sat");
   return Ilp;
 }
 

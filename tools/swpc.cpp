@@ -9,11 +9,14 @@
 // --machine cgra-mesh-4x4.
 //
 // Options:
-//   --scheduler ilp|sat|race|portfolio|ims|slack|enum
+//   --scheduler ilp|sat|race|portfolio[-sat|-race]|ims|slack|enum
 //                                    algorithm (default ilp); sat is the
 //                                    CDCL backend with incremental per-T
-//                                    re-solving, race runs ilp and sat
-//                                    concurrently with cross-cancellation
+//                                    re-solving, race asks sat about each
+//                                    T ilp leaves censored (sat first on
+//                                    constraining topologies), and the
+//                                    portfolio anchors on the ILP, SAT or
+//                                    the race
 //   --mapping fixed|runtime          mapping discipline (default fixed)
 //   --min-buffers                    buffer-minimal schedule (ilp only)
 //   --time-limit SECONDS             per-T MILP/search limit (default 10)
@@ -109,7 +112,8 @@ int listMachines() {
 int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s --machine FILE|NAME (--loop FILE | --batch DIR)\n"
-               "       [--scheduler ilp|sat|race|portfolio|ims|slack|enum]\n"
+               "       [--scheduler ilp|sat|race|portfolio[-sat|-race]|"
+               "ims|slack|enum]\n"
                "       [--mapping fixed|runtime] [--min-buffers] "
                "[--time-limit S]\n"
                "       [--deadline S] [--jobs N] [--format text|json]\n"
@@ -296,17 +300,26 @@ int runConnect(const std::string &SocketPath, const std::string &Tenant,
   return AnyBad ? 1 : AnyShed ? 3 : 0;
 }
 
-/// The exact engine behind an ilp|sat|race|portfolio --scheduler name (the
-/// portfolio anchors on the ILP); false for the heuristic schedulers.
-bool exactEngineFor(const std::string &Scheduler, ExactEngine &Engine) {
-  if (Scheduler == "ilp" || Scheduler == "portfolio")
-    Engine = ExactEngine::Ilp;
-  else if (Scheduler == "sat")
-    Engine = ExactEngine::Sat;
-  else if (Scheduler == "race")
-    Engine = ExactEngine::Race;
-  else
+/// The *.loop files of \p Dir, sorted into \p Files; false, with the
+/// error printed, when \p Dir cannot be scanned or holds none.
+bool listLoopFiles(const std::string &Dir,
+                   std::vector<std::filesystem::path> &Files) {
+  namespace fs = std::filesystem;
+  std::error_code Ec;
+  for (fs::directory_iterator It(Dir, Ec), End; !Ec && It != End;
+       It.increment(Ec))
+    if (It->is_regular_file() && It->path().extension() == ".loop")
+      Files.push_back(It->path());
+  if (Ec) {
+    std::fprintf(stderr, "error: cannot scan %s: %s\n", Dir.c_str(),
+                 Ec.message().c_str());
     return false;
+  }
+  if (Files.empty()) {
+    std::fprintf(stderr, "error: no *.loop files in %s\n", Dir.c_str());
+    return false;
+  }
+  std::sort(Files.begin(), Files.end());
   return true;
 }
 
@@ -314,27 +327,13 @@ int runBatch(const std::string &BatchDir, const MachineModel &Machine,
              const ServiceOptions &SvcOpts, const std::string &Format,
              const std::string &LoadCacheDir,
              const std::string &SaveCacheDir) {
-  namespace fs = std::filesystem;
-  std::error_code Ec;
-  std::vector<fs::path> Files;
-  for (fs::directory_iterator It(BatchDir, Ec), End; !Ec && It != End;
-       It.increment(Ec))
-    if (It->is_regular_file() && It->path().extension() == ".loop")
-      Files.push_back(It->path());
-  if (Ec) {
-    std::fprintf(stderr, "error: cannot scan %s: %s\n", BatchDir.c_str(),
-                 Ec.message().c_str());
+  std::vector<std::filesystem::path> Files;
+  if (!listLoopFiles(BatchDir, Files))
     return 1;
-  }
-  if (Files.empty()) {
-    std::fprintf(stderr, "error: no *.loop files in %s\n", BatchDir.c_str());
-    return 1;
-  }
-  std::sort(Files.begin(), Files.end());
 
   std::vector<Ddg> Loops;
   std::vector<std::string> Names;
-  for (const fs::path &P : Files) {
+  for (const std::filesystem::path &P : Files) {
     std::string Text, Err;
     if (!readFile(P.string(), Text)) {
       std::fprintf(stderr, "error: cannot read loop file %s\n",
@@ -486,20 +485,10 @@ int main(int Argc, char **Argv) {
         Loops.emplace_back(std::filesystem::path(LoopPath).stem().string(),
                            std::move(Text));
       } else {
-        namespace fs = std::filesystem;
-        std::error_code Ec;
-        std::vector<fs::path> Files;
-        for (fs::directory_iterator It(BatchDir, Ec), End; !Ec && It != End;
-             It.increment(Ec))
-          if (It->is_regular_file() && It->path().extension() == ".loop")
-            Files.push_back(It->path());
-        std::sort(Files.begin(), Files.end());
-        if (Files.empty()) {
-          std::fprintf(stderr, "error: no *.loop files in %s\n",
-                       BatchDir.c_str());
+        std::vector<std::filesystem::path> Files;
+        if (!listLoopFiles(BatchDir, Files))
           return 1;
-        }
-        for (const fs::path &P : Files) {
+        for (const std::filesystem::path &P : Files) {
           std::string Text;
           if (!readFile(P.string(), Text)) {
             std::fprintf(stderr, "error: cannot read loop file %s\n",
@@ -541,18 +530,18 @@ int main(int Argc, char **Argv) {
   SchedOpts.MinimizeBuffers = MinBuffers;
 
   ExactEngine Engine = ExactEngine::Ilp;
-  const bool Exact = exactEngineFor(Scheduler, Engine);
+  bool Portfolio = false;
+  const bool Exact = parseSchedulerName(Scheduler, Engine, Portfolio);
   if (!BatchDir.empty()) {
     if (!Exact) {
-      std::fprintf(
-          stderr,
-          "error: --batch supports --scheduler ilp|sat|race|portfolio\n");
+      std::fprintf(stderr, "error: --batch supports --scheduler "
+                           "ilp|sat|race|portfolio[-sat|-race]\n");
       return 2;
     }
     ServiceOptions SvcOpts;
     SvcOpts.Jobs = Jobs;
     SvcOpts.Sched = SchedOpts;
-    SvcOpts.Portfolio = Scheduler == "portfolio";
+    SvcOpts.Portfolio = Portfolio;
     SvcOpts.Engine = Engine;
     SvcOpts.DeadlinePerLoop = Deadline;
     return runBatch(BatchDir, Machine, SvcOpts, Format, LoadCacheDir,
@@ -589,8 +578,8 @@ int main(int Argc, char **Argv) {
   // Every scheduler is a step of the shared sweep and answers as one
   // SchedulerResult.
   SchedulerResult R;
-  if (Scheduler == "portfolio") {
-    R = portfolioSchedule(Loop, Machine, SchedOpts);
+  if (Exact && Portfolio) {
+    R = portfolioSchedule(Loop, Machine, SchedOpts, nullptr, Engine);
   } else if (Exact) {
     R = exactSchedule(Loop, Machine, SchedOpts, Engine);
   } else if (Scheduler == "ims") {
