@@ -12,7 +12,10 @@
 /// tables; the Section 3 (clean pipelines, [9]) and Section 4 (non-pipelined
 /// units) formulations are the special cases obtained from clean /
 /// non-pipelined tables, and run-time mapping (capacity-only, the pre-paper
-/// state of the art) is obtained by disabling the coloring block.
+/// state of the art) is obtained by disabling the coloring block.  The
+/// usage cells, unit collisions and topology rules come from
+/// swp/core/PlacementRules.h, which CnfEncoder emits as clauses; this
+/// builder emits them as rows in the same order.
 ///
 /// Variables (for N instructions, period T, FU types r with R_r units):
 ///   a[t][i] in {0,1}   — instruction i initiates at pattern step t

@@ -31,7 +31,7 @@ namespace swp {
 /// Occupancy of every physical unit's stages modulo T; entries hold the
 /// occupying node id or -1.
 ///
-/// When the machine's topology constrains placement (topoActive), the table
+/// When the machine's topology constrains placement, the table
 /// additionally tracks the ROUTE cells of multi-hop dependences: a DDG edge
 /// whose endpoints sit more than one hop apart occupies cells on the
 /// producer's unit (see Topology::routeColumns) with capacity 1 per
@@ -56,14 +56,11 @@ public:
   /// Node ids (unique) colliding with issuing \p Node at \p Time on \p U.
   std::vector<int> conflicts(const Ddg &G, int Node, int Time, int U) const;
 
-  /// True when the machine's topology constrains placement and the
-  /// topology-aware checks below are live (all are vacuous otherwise).
-  bool topoActive() const { return Topo != nullptr; }
-
   /// Extra slack the candidate scan must cover beyond the classic T slots:
   /// routing penalties make dependence windows placement-dependent, so a
   /// time rejected at one unit may admit at another up to maxRoutePenalty
-  /// cycles later.  0 when !topoActive().
+  /// cycles later.  0 unless the topology constrains placement (the
+  /// topology-aware checks below are vacuous then).
   int maxRoutePenalty() const;
 
   /// Topology admission for placing \p Node at (\p Time, \p U) against the

@@ -126,9 +126,6 @@ public:
   /// Explicit snapshot save (also used by the periodic cadence).
   Status saveSnapshot();
 
-  const std::string &socketPath() const { return Opts.SocketPath; }
-  const std::shared_ptr<ResultCache> &cache() const { return Cache; }
-
 private:
   /// Directly answers one already-decoded request (exposed to the
   /// connection loop; also the unit the daemon tests drive in-process).

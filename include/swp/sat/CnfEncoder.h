@@ -23,12 +23,17 @@
 ///   c[i][u]  — one-hot color (physical unit) of instruction i, for FU
 ///              types with more ops than units.  Lexicographic symmetry
 ///              breaking: the Ix-th op of a type may only use colors
-///              0..min(Ix, R-1), mirroring the ILP's variable bounds.
+///              0..min(Ix, R-1), the ILP's color bound 1..min(Ix+1, R).
 ///   o[i][j]  — schedule-dependent overlap indicator per same-type pair,
 ///              shared across periods; its defining clauses
 ///              (~s_T | ~a[p][i] | ~a[q][j] | o_ij) are per-period, the
 ///              color-difference clauses (~o_ij | ~c[i][u] | ~c[j][u])
 ///              are unguarded.
+///
+/// The placement rules (usage cells, unit collisions and, on a
+/// constraining topology, feeds, routes and interchange classes) come from
+/// swp/core/PlacementRules.h, which buildScheduleModel emits as rows; this
+/// encoder emits them as clauses in the same order.
 ///
 /// Constraint blocks per period: dependence-window clauses for self-edges
 /// and 2-cycles (eager, offset-pair enumeration), per-(type, stage, slot)
@@ -46,6 +51,7 @@
 #define SWP_SAT_CNFENCODER_H
 
 #include "swp/core/Formulation.h"
+#include "swp/core/PlacementRules.h"
 #include "swp/core/Schedule.h"
 #include "swp/ddg/Ddg.h"
 #include "swp/machine/MachineModel.h"
@@ -87,9 +93,6 @@ public:
   void blockCycle(int T, const std::vector<int> &CycleNodes,
                   const std::vector<int> &Offsets);
 
-  /// Number of lazy cycle-blocking clauses added so far.
-  int cycleBlocks() const { return NumCycleBlocks; }
-
 private:
   void ensureRows(int T);
   void encodePeriod(int T, int SelVar);
@@ -121,39 +124,21 @@ private:
   /// Overlap variable per same-type node pair, keyed i * N + j (i < j);
   /// -1 until first needed.
   std::vector<int> OverlapByPair;
-  /// Nodes of each FU type, in node-id order (the type-index Ix order the
-  /// symmetry breaking refers to).
-  std::vector<std::vector<int>> OpsOfType;
 
-  /// Instance-mapping path (fixed mapping on a machine whose topology
-  /// constrains placement): x[i][u] one-hots replace the color block, with
-  /// unguarded adjacency (forbidden-pair) clauses, interchange-class
-  /// symmetry breaking, and route indicators y[e][u][c] whose ROUTE-cell
-  /// collisions are forbidden per period (mirroring core/Formulation).
-  bool TopoPath = false;
-  const Topology *Topo = nullptr;
-  /// Global unit index of each type's unit 0.
-  std::vector<int> UnitBase;
+  /// The placement rules this encoding emits as clauses; on the
+  /// instance-mapping path (Rules.topoPath()) x[i][u] one-hots replace the
+  /// color block, with unguarded forbidden-pair clauses, interchange-class
+  /// symmetry breaking, and route indicators whose ROUTE-cell collisions
+  /// are forbidden per period.
+  PlacementRules Rules;
   /// InstVar[i][u] — one-hot unit-within-type of instruction i.
   std::vector<std::vector<int>> InstVar;
-  struct RouteVarIds {
-    int Edge;
-    int Unit; // Global unit of the producer.
-    int Hops;
-    int Var;
-    /// The route's ROUTE-cell columns are RouteCols[ColBegin, ColEnd).
-    int ColBegin;
-    int ColEnd;
-  };
-  std::vector<RouteVarIds> RouteVars;
-  std::vector<int> RouteCols;
-
-  int NumCycleBlocks = 0;
+  /// The variable of each route indicator, parallel to Rules.routes().
+  std::vector<int> RouteVar;
 
   /// Reused scratch: the literals of the variable-width clause or usage
-  /// row being built, and a period's per-offset collision flags.
+  /// row being built.
   std::vector<SatLit> ClauseBuf;
-  std::vector<char> ConflictAt;
 };
 
 } // namespace swp

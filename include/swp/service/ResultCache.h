@@ -73,7 +73,6 @@ public:
   std::uint64_t evictions() const;
 
   std::size_t numShards() const { return Shards.size(); }
-  std::size_t perShardCapacity() const { return Capacity; }
 
   /// Copies shard \p S's entries, least-recently-used first (so replaying
   /// them through restore() reproduces the recency order).  Snapshot

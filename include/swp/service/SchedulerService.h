@@ -195,9 +195,6 @@ public:
   const MachineModel &machine() const { return Machine; }
   const ServiceOptions &options() const { return Opts; }
 
-  /// The (possibly shared) result cache backing this service.
-  const std::shared_ptr<ResultCache> &cacheHandle() const { return Cache; }
-
 private:
   /// One job's effective solve options and cache key.
   struct PreparedJob {

@@ -103,14 +103,6 @@ struct MilpResult {
   /// Incumbent assignment (empty when none was found).
   std::vector<double> X;
   std::int64_t Nodes = 0;
-  double Seconds = 0.0;
-  /// LP effort spent by this search (workspace stats diffed around the
-  /// run): simplex pivots, basis refactorizations, and how many of the
-  /// per-node solves started from a carried basis.
-  std::int64_t LpPivots = 0;
-  std::int64_t LpRefactorizations = 0;
-  std::int64_t LpSolves = 0;
-  std::int64_t LpWarmSolves = 0;
 
   bool hasSolution() const { return !X.empty(); }
   /// True when the reported status is a proof (optimal or infeasible),

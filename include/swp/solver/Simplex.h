@@ -54,7 +54,6 @@ struct LpResult {
   LpStatus Status = LpStatus::IterLimit;
   double Objective = 0.0;
   std::vector<double> X;
-  int Iterations = 0;
 };
 
 /// Basis membership of one column.  Nonbasic columns sit at the named

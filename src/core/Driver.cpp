@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 using namespace swp;
 
@@ -239,8 +238,9 @@ ProbeOutcome lpRoundingProbe(const Ddg &G, const MachineModel &Machine, int T,
 /// Role-maps a structural basis from the previous candidate T's formulation
 /// onto the new one: variables with the same meaning in both models (the
 /// A[t][i] slots of pattern steps both periods have, the K vector, colors,
-/// per-pair overlap/sign variables, per-type CMax, per-edge buffers) carry
-/// their basis status across; everything else starts at its lower bound.
+/// per-pair overlap/sign variables, per-type CMax, per-edge buffers, unit
+/// assignments and route indicators) carry their basis status across;
+/// everything else starts at its lower bound.
 /// Purely a crash-basis hint — seedBasis repairs whatever doesn't pivot.
 void mapBasisAcrossT(const TWarmContext &Old, int NewT,
                      const FormulationVars &NewVars, int NewNumVars,
@@ -277,9 +277,9 @@ void mapBasisAcrossT(const TWarmContext &Old, int NewT,
        E < N; ++E)
     Put(NewVars.Buffers[E], Old.Vars.Buffers[E]);
 
-  // Every T lists the same (OpI, OpJ) pairs in the same order, so a pair
-  // carries to the one at its position (nothing carries if the lists
-  // differ).
+  // Every T lists the same (OpI, OpJ) pairs and, on the topology path, the
+  // same T-independent route indicators in the same order, so each carries
+  // to the one at its position (nothing carries if the lists differ).
   auto SamePair = [](const FormulationVars::PairVarIds &A,
                      const FormulationVars::PairVarIds &B) {
     return A.OpI == B.OpI && A.OpJ == B.OpJ;
@@ -290,6 +290,14 @@ void mapBasisAcrossT(const TWarmContext &Old, int NewT,
       Put(NewVars.Pairs[P].Overlap, Old.Vars.Pairs[P].Overlap);
       Put(NewVars.Pairs[P].Sign, Old.Vars.Pairs[P].Sign);
     }
+  auto SameRoute = [](const FormulationVars::RouteVarIds &A,
+                      const FormulationVars::RouteVarIds &B) {
+    return A.Edge == B.Edge && A.Unit == B.Unit && A.Hops == B.Hops;
+  };
+  if (std::equal(NewVars.Route.begin(), NewVars.Route.end(),
+                 Old.Vars.Route.begin(), Old.Vars.Route.end(), SameRoute))
+    for (size_t R = 0; R < NewVars.Route.size(); ++R)
+      Put(NewVars.Route[R].Y, Old.Vars.Route[R].Y);
 
   // Instance-mapping variables are T-independent, so their layout matches
   // across candidate T whenever both models took the topology path.
@@ -300,23 +308,6 @@ void mapBasisAcrossT(const TWarmContext &Old, int NewT,
                                     NewVars.Inst[I].size());
          U < C; ++U)
       Put(NewVars.Inst[I][U], Old.Vars.Inst[I][U]);
-  if (!NewVars.Route.empty() && !Old.Vars.Route.empty()) {
-    std::unordered_map<std::uint64_t, VarId> OldRoute;
-    OldRoute.reserve(Old.Vars.Route.size());
-    auto RKey = [](const FormulationVars::RouteVarIds &R) {
-      return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(R.Edge))
-              << 32) |
-             (static_cast<std::uint32_t>(R.Unit) << 8) |
-             static_cast<std::uint32_t>(R.Hops & 0xff);
-    };
-    for (const FormulationVars::RouteVarIds &R : Old.Vars.Route)
-      OldRoute[RKey(R)] = R.Y;
-    for (const FormulationVars::RouteVarIds &R : NewVars.Route) {
-      auto It = OldRoute.find(RKey(R));
-      if (It != OldRoute.end())
-        Put(R.Y, It->second);
-    }
-  }
 }
 
 } // namespace

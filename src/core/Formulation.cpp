@@ -3,6 +3,7 @@
 #include "swp/core/Formulation.h"
 
 #include "swp/core/CircularArcs.h"
+#include "swp/core/PlacementRules.h"
 #include "swp/core/Registers.h"
 
 #include <algorithm>
@@ -22,22 +23,6 @@ void addStartTime(LinExpr &E, const FormulationVars &Vars, int T, int I,
     E.add(Vars.A[static_cast<size_t>(Slot)][static_cast<size_t>(I)],
           static_cast<double>(Slot) * Scale);
 }
-
-/// buildScheduleModel's scratch, recycled across models on a thread.
-struct BuildScratch {
-  /// The ops of one FU type.
-  std::vector<int> Ops;
-  /// Per offset delta: do two ops on one unit collide there?
-  std::vector<char> ConflictDelta;
-
-  void reset() {
-    Ops.clear();
-    ConflictDelta.clear();
-  }
-  std::size_t capacityBytes() const {
-    return heapBytes(Ops) + heapBytes(ConflictDelta);
-  }
-};
 
 /// Clears \p V for a new model, keeping the capacity of every container.
 void resetVars(FormulationVars &V, int T, int N, int NumTypes, bool Topo) {
@@ -79,13 +64,17 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
   // Instance-level mapping path: only when placement is actually
   // restricted — flat machines and vacuous topologies keep the exact
   // type-level model below, bit for bit.
-  const bool TopoPath = Opts.Mapping == MappingKind::Fixed &&
-                        Machine.topologyConstrains();
-  const Topology *Topo = TopoPath ? Machine.topology() : nullptr;
+  Recycled<PlacementRules> Rules;
+  Rules->derive(G, Machine, Opts.Mapping);
+  const bool TopoPath = Rules->topoPath();
   MilpModel M;
   resetVars(Vars, T, N, Machine.numTypes(), TopoPath);
-  Recycled<BuildScratch> Scratch;
-  std::vector<int> &Ops = Scratch->Ops;
+  auto AVar = [&Vars](int Slot, int Op) {
+    return Vars.A[static_cast<size_t>(Slot)][static_cast<size_t>(Op)];
+  };
+  auto XVar = [&Vars](int Op, int U) {
+    return Vars.Inst[static_cast<size_t>(Op)][static_cast<size_t>(U)];
+  };
 
   // a[t][i] and k[i].
   // Rotating a schedule so the anchor lands on pattern step 0 can carry
@@ -93,7 +82,9 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
   // of headroom to stay feasibility-equivalent.
   int KMax = (Opts.KMax >= 0
                   ? Opts.KMax
-                  : defaultKMax(G, Topo ? Topo->maxRoutePenalty() : 0)) +
+                  : defaultKMax(G, TopoPath
+                                       ? Rules->topology().maxRoutePenalty()
+                                       : 0)) +
              (Opts.BreakRotation ? 1 : 0);
   for (int I = 0; I < N; ++I) {
     for (int Slot = 0; Slot < T; ++Slot) {
@@ -156,17 +147,16 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
         Anchor = I;
       }
     }
-    M.fixVar(Vars.A[0][static_cast<size_t>(Anchor)], 1.0);
+    M.fixVar(AVar(0, Anchor), 1.0);
     for (int Slot = 1; Slot < T; ++Slot)
-      M.fixVar(Vars.A[static_cast<size_t>(Slot)][static_cast<size_t>(Anchor)],
-               0.0);
+      M.fixVar(AVar(Slot, Anchor), 0.0);
   }
 
   // Each instruction initiates exactly once in the pattern (Eq. 9/23).
   for (int I = 0; I < N; ++I) {
     LinExpr &Sum = M.scratchRow();
     for (int Slot = 0; Slot < T; ++Slot)
-      Sum.add(Vars.A[static_cast<size_t>(Slot)][static_cast<size_t>(I)], 1.0);
+      Sum.add(AVar(Slot, I), 1.0);
     M.addConstraint(Sum, CmpKind::EQ, 1.0);
   }
 
@@ -204,10 +194,24 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
     M.setObjective(std::move(Objective));
   }
 
+  // Overlap-indicator rows of a same-type pair: o >= a[p][i] + sum_{q
+  // colliding with p} a[q][j] - 1 (the aggregated form of o >= U_s[t,i] +
+  // U_s[t,j] - 1).
+  auto AddOverlapRows = [&](VarId O, int OpI, int OpJ) {
+    Rules->forEachCollision(OpI, OpJ, T, [&](int P, std::span<const int> Qs) {
+      LinExpr &Row = M.scratchRow();
+      Row.add(O, 1.0);
+      Row.add(AVar(P, OpI), -1.0);
+      for (int Q : Qs)
+        Row.add(AVar(Q, OpJ), -1.0);
+      M.addConstraint(Row, CmpKind::GE, -1.0);
+    });
+  };
+
   // Per-type blocks: capacity, then mapping.
   for (int R = 0; R < Machine.numTypes(); ++R) {
     const FuType &Ty = Machine.type(R);
-    G.nodesOfClass(R, Ops);
+    const std::span<const int> Ops = Rules->ops(R);
     const int NumOps = static_cast<int>(Ops.size());
     if (NumOps == 0)
       continue;
@@ -216,72 +220,36 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
     // least as many units as instructions.  Each op occupies the stages of
     // its own reservation-table variant (multi-function pipelines).
     if (NumOps > Ty.Count) {
-      int MaxStages = 0;
-      for (int Op : Ops)
-        MaxStages = std::max(MaxStages,
-                             Machine.tableFor(G.node(Op)).numStages());
-      for (int Stage = 0; Stage < MaxStages; ++Stage) {
+      for (int Stage = 0; Stage < Rules->maxStages(R); ++Stage) {
         for (int Slot = 0; Slot < T; ++Slot) {
           LinExpr &Usage = M.scratchRow();
-          for (int Op : Ops) {
-            const ReservationTable &Table = Machine.tableFor(G.node(Op));
-            if (Stage >= Table.numStages())
-              continue;
-            for (int L : Table.busyColumns(Stage))
-              Usage.add(Vars.A[static_cast<size_t>(((Slot - L) % T + T) % T)]
-                              [static_cast<size_t>(Op)],
-                        1.0);
-          }
+          Rules->forEachUsageCell(R, Stage, Slot, T, [&](int Op, int Row) {
+            Usage.add(AVar(Row, Op), 1.0);
+          });
           M.addConstraint(Usage, CmpKind::LE,
                           static_cast<double>(Ty.Count));
         }
       }
     }
 
-    if (Opts.Mapping == MappingKind::RunTime ||
-        (!TopoPath && NumOps <= Ty.Count))
-      continue; // No coloring needed: distinct units fit trivially.
-    // The topology path still needs per-unit exclusion whenever two ops
-    // share a type: adjacency may force unit sharing even when distinct
-    // units would fit.
-    if (TopoPath && NumOps < 2)
-      continue;
-
-    // Offset deltas at which two ops on one unit collide, per variant pair
-    // (ops of one variant share a table; multi-function ops differ).
-    std::vector<char> &ConflictDelta = Scratch->ConflictDelta;
-    auto FillConflictDelta = [&](int OpI, int OpJ) {
-      ConflictDelta.resize(static_cast<size_t>(T));
-      const ReservationTable &TI = Machine.tableFor(G.node(OpI));
-      const ReservationTable &TJ = Machine.tableFor(G.node(OpJ));
-      for (int Delta = 0; Delta < T; ++Delta)
-        ConflictDelta[static_cast<size_t>(Delta)] =
-            tablesConflictAtOffset(TI, TJ, Delta, T);
-    };
+    if (!Rules->separatesUnits(R))
+      continue; // Distinct units fit, or units are picked at run time.
 
     if (Ty.Count == 1) {
-      // Single unit: conflicting placements are simply forbidden; the
+      // Single unit: colliding placements are simply forbidden; the
       // coloring machinery would force the same exclusions with o_ij = 0.
       for (int AIx = 0; AIx < NumOps; ++AIx) {
         for (int BIx = AIx + 1; BIx < NumOps; ++BIx) {
-          int OpI = Ops[static_cast<size_t>(AIx)];
-          int OpJ = Ops[static_cast<size_t>(BIx)];
-          FillConflictDelta(OpI, OpJ);
-          for (int P = 0; P < T; ++P) {
-            LinExpr &Row = M.scratchRow();
-            Row.add(Vars.A[static_cast<size_t>(P)][static_cast<size_t>(OpI)],
-                    1.0);
-            bool Any = false;
-            for (int Q = 0; Q < T; ++Q) {
-              if (!ConflictDelta[static_cast<size_t>(((Q - P) % T + T) % T)])
-                continue;
-              Row.add(Vars.A[static_cast<size_t>(Q)][static_cast<size_t>(OpJ)],
-                      1.0);
-              Any = true;
-            }
-            if (Any)
-              M.addConstraint(Row, CmpKind::LE, 1.0);
-          }
+          const int OpI = Ops[static_cast<size_t>(AIx)];
+          const int OpJ = Ops[static_cast<size_t>(BIx)];
+          Rules->forEachCollision(
+              OpI, OpJ, T, [&](int P, std::span<const int> Qs) {
+                LinExpr &Row = M.scratchRow();
+                Row.add(AVar(P, OpI), 1.0);
+                for (int Q : Qs)
+                  Row.add(AVar(Q, OpJ), 1.0);
+                M.addConstraint(Row, CmpKind::LE, 1.0);
+              });
         }
       }
       continue;
@@ -294,35 +262,15 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
       //   x_i[u] + x_j[u] + o_ij <= 2   for every unit u.
       for (int AIx = 0; AIx < NumOps; ++AIx) {
         for (int BIx = AIx + 1; BIx < NumOps; ++BIx) {
-          int OpI = Ops[static_cast<size_t>(AIx)];
-          int OpJ = Ops[static_cast<size_t>(BIx)];
+          const int OpI = Ops[static_cast<size_t>(AIx)];
+          const int OpJ = Ops[static_cast<size_t>(BIx)];
           VarId O = M.addBinary();
           M.setBranchPriority(O, 3);
           Vars.Pairs.push_back({OpI, OpJ, O, -1});
-          FillConflictDelta(OpI, OpJ);
-          for (int P = 0; P < T; ++P) {
-            LinExpr &Row = M.scratchRow();
-            Row.add(O, 1.0);
-            Row.add(Vars.A[static_cast<size_t>(P)][static_cast<size_t>(OpI)],
-                    -1.0);
-            bool Any = false;
-            for (int Q = 0; Q < T; ++Q) {
-              if (!ConflictDelta[static_cast<size_t>(((Q - P) % T + T) % T)])
-                continue;
-              Row.add(Vars.A[static_cast<size_t>(Q)][static_cast<size_t>(OpJ)],
-                      -1.0);
-              Any = true;
-            }
-            if (Any)
-              M.addConstraint(Row, CmpKind::GE, -1.0);
-          }
+          AddOverlapRows(O, OpI, OpJ);
           for (int U = 0; U < Ty.Count; ++U) {
             LinExpr &Row = M.scratchRow();
-            Row.add(Vars.Inst[static_cast<size_t>(OpI)][static_cast<size_t>(U)],
-                    1.0);
-            Row.add(Vars.Inst[static_cast<size_t>(OpJ)][static_cast<size_t>(U)],
-                    1.0);
-            Row.add(O, 1.0);
+            Row.add(XVar(OpI, U), 1.0).add(XVar(OpJ, U), 1.0).add(O, 1.0);
             M.addConstraint(Row, CmpKind::LE, 2.0);
           }
         }
@@ -362,25 +310,7 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
         M.setBranchPriority(O, 3);
         M.setBranchPriority(W, 3);
         Vars.Pairs.push_back({OpI, OpJ, O, W});
-        FillConflictDelta(OpI, OpJ);
-
-        // o_ij >= a[p][i] + sum_{q conflicting with p} a[q][j] - 1.
-        for (int P = 0; P < T; ++P) {
-          LinExpr &Row = M.scratchRow();
-          Row.add(O, 1.0);
-          Row.add(Vars.A[static_cast<size_t>(P)][static_cast<size_t>(OpI)],
-                  -1.0);
-          bool Any = false;
-          for (int Q = 0; Q < T; ++Q) {
-            if (!ConflictDelta[static_cast<size_t>(((Q - P) % T + T) % T)])
-              continue;
-            Row.add(Vars.A[static_cast<size_t>(Q)][static_cast<size_t>(OpJ)],
-                    -1.0);
-            Any = true;
-          }
-          if (Any)
-            M.addConstraint(Row, CmpKind::GE, -1.0);
-        }
+        AddOverlapRows(O, OpI, OpJ);
 
         // |c_i - c_j| >= 1 when o_ij = 1 (Hu's linearization, Eqs. 12-14):
         //   c_i - c_j + M*w + M*(1-o) >= 1
@@ -408,174 +338,75 @@ MilpModel swp::buildScheduleModel(const Ddg &G, const MachineModel &Machine,
   }
 
   if (TopoPath) {
-    std::vector<int> Base(static_cast<size_t>(Machine.numTypes()), 0);
-    for (int R = 1; R < Machine.numTypes(); ++R)
-      Base[static_cast<size_t>(R)] =
-          Base[static_cast<size_t>(R) - 1] + Machine.type(R - 1).Count;
-    auto XVar = [&](int Op, int U) {
-      return Vars.Inst[static_cast<size_t>(Op)][static_cast<size_t>(U)];
-    };
-
     // (a) Per DDG edge: forbid unreachable / over-MaxHops placements and
     // tighten the dependence window by the routing penalty rho when both
     // endpoints land on a multi-hop pair.  BigM = rho is exact: with at
     // most one endpoint placed the row relaxes to (or below) the base
     // dependence row emitted above.
-    for (const DdgEdge &E : G.edges()) {
-      if (E.Src == E.Dst)
-        continue; // Same unit, zero hops.
-      const int Ri = G.node(E.Src).OpClass, Rj = G.node(E.Dst).OpClass;
-      for (int U = 0; U < Machine.type(Ri).Count; ++U) {
-        const int GU = Base[static_cast<size_t>(Ri)] + U;
-        for (int V = 0; V < Machine.type(Rj).Count; ++V) {
-          const int GV = Base[static_cast<size_t>(Rj)] + V;
-          if (!Topo->feedAllowed(GU, GV)) {
-            LinExpr &Row = M.scratchRow();
-            Row.add(XVar(E.Src, U), 1.0).add(XVar(E.Dst, V), 1.0);
-            M.addConstraint(Row, CmpKind::LE, 1.0);
-            continue;
-          }
-          const int Rho = Topo->routePenalty(GU, GV);
-          if (Rho == 0)
-            continue;
-          // t_j - t_i >= L + rho - T*m - rho*(2 - x_iu - x_jv).
-          LinExpr &Row = M.scratchRow();
-          addStartTime(Row, Vars, T, E.Dst, 1.0);
-          addStartTime(Row, Vars, T, E.Src, -1.0);
-          Row.add(XVar(E.Src, U), -static_cast<double>(Rho));
-          Row.add(XVar(E.Dst, V), -static_cast<double>(Rho));
-          M.addConstraint(Row, CmpKind::GE,
-                          static_cast<double>(E.Latency - T * E.Distance -
-                                              Rho));
-        }
+    Rules->forEachFeed([&](const DdgEdge &E, int U, int V, int Rho) {
+      if (Rho < 0) {
+        LinExpr &Row = M.scratchRow();
+        Row.add(XVar(E.Src, U), 1.0).add(XVar(E.Dst, V), 1.0);
+        M.addConstraint(Row, CmpKind::LE, 1.0);
+        return;
       }
-    }
+      if (Rho == 0)
+        return;
+      // t_j - t_i >= L + rho - T*m - rho*(2 - x_iu - x_jv).
+      LinExpr &Row = M.scratchRow();
+      addStartTime(Row, Vars, T, E.Dst, 1.0);
+      addStartTime(Row, Vars, T, E.Src, -1.0);
+      Row.add(XVar(E.Src, U), -static_cast<double>(Rho));
+      Row.add(XVar(E.Dst, V), -static_cast<double>(Rho));
+      M.addConstraint(Row, CmpKind::GE,
+                      static_cast<double>(E.Latency - T * E.Distance - Rho));
+    });
 
     // (b) Route indicators y[e][u][c]: the value of edge e leaves unit u
-    // across exactly c >= 2 hops, occupying the producer's ROUTE cells at
-    // columns routeColumns(L, c, hopLatency).  Defining rows force y = 1
-    // whenever an (x_iu, x_jv) pair at hop distance c is chosen; a y whose
-    // own columns collide modulo T is fixed to 0, which correctly forbids
-    // those placements at this T.
-    for (size_t EIx = 0; EIx < G.edges().size(); ++EIx) {
-      const DdgEdge &E = G.edges()[EIx];
-      if (E.Src == E.Dst)
-        continue;
-      const int Ri = G.node(E.Src).OpClass, Rj = G.node(E.Dst).OpClass;
-      for (int U = 0; U < Machine.type(Ri).Count; ++U) {
-        const int GU = Base[static_cast<size_t>(Ri)] + U;
-        for (int C = 2;; ++C) {
-          std::vector<int> Consumers;
-          bool AnyBeyond = false;
-          for (int V = 0; V < Machine.type(Rj).Count; ++V) {
-            const int GV = Base[static_cast<size_t>(Rj)] + V;
-            if (!Topo->feedAllowed(GU, GV))
-              continue;
-            int H = Topo->hops(GU, GV);
-            if (H == C)
-              Consumers.push_back(V);
-            else if (H > C)
-              AnyBeyond = true;
-          }
-          if (Consumers.empty()) {
-            if (!AnyBeyond)
-              break;
-            continue;
-          }
-          VarId Y = M.addBinary();
-          M.setBranchPriority(Y, 3);
-          Vars.Route.push_back({static_cast<int>(EIx), GU, C, Y});
-          std::vector<int> Cols =
-              Topology::routeColumns(E.Latency, C, Topo->hopLatency());
-          bool SelfCollides = false;
-          for (size_t A = 0; A < Cols.size() && !SelfCollides; ++A)
-            for (size_t B = A + 1; B < Cols.size(); ++B)
-              if ((Cols[A] - Cols[B]) % T == 0) {
-                SelfCollides = true;
-                break;
-              }
-          if (SelfCollides)
-            M.fixVar(Y, 0.0);
-          for (int V : Consumers) {
-            LinExpr &Row = M.scratchRow();
-            Row.add(Y, 1.0);
-            Row.add(XVar(E.Src, U), -1.0).add(XVar(E.Dst, V), -1.0);
-            M.addConstraint(Row, CmpKind::GE, -1.0);
-          }
-        }
+    // across exactly c >= 2 hops, occupying the producer's ROUTE cells.
+    // Defining rows force y = 1 whenever an (x_iu, x_jv) pair at hop
+    // distance c is chosen; a y whose own columns collide modulo T is
+    // fixed to 0, which correctly forbids those placements at this T.
+    for (const PlacementRules::Route &Rt : Rules->routes()) {
+      const DdgEdge &E = G.edges()[static_cast<size_t>(Rt.Edge)];
+      VarId Y = M.addBinary();
+      M.setBranchPriority(Y, 3);
+      Vars.Route.push_back({Rt.Edge, Rt.Unit, Rt.Hops, Y});
+      if (Rules->routeSelfCollides(Rt, T))
+        M.fixVar(Y, 0.0);
+      for (int V : Rules->consumers(Rt)) {
+        LinExpr &Row = M.scratchRow();
+        Row.add(Y, 1.0);
+        Row.add(XVar(E.Src, Rt.ProducerUnit), -1.0).add(XVar(E.Dst, V), -1.0);
+        M.addConstraint(Row, CmpKind::GE, -1.0);
       }
     }
 
     // (c) ROUTE-cell capacity: two active routes on one unit may not both
-    // occupy a cell in the same pattern step.  A cell of route (e1, u, c1)
-    // at column col1 sits at pattern step (p + col1) mod T when e1's
-    // producer initiates at step p, so for each colliding (p, q) pair:
+    // occupy a cell in the same pattern step:
     //   a[p][i1] + a[q][i2] + y1 + y2 <= 3.
-    for (size_t R1 = 0; R1 < Vars.Route.size(); ++R1) {
-      for (size_t R2 = R1 + 1; R2 < Vars.Route.size(); ++R2) {
-        const FormulationVars::RouteVarIds &A1 = Vars.Route[R1];
-        const FormulationVars::RouteVarIds &A2 = Vars.Route[R2];
-        if (A1.Unit != A2.Unit || A1.Edge == A2.Edge)
-          continue;
-        const DdgEdge &E1 = G.edges()[static_cast<size_t>(A1.Edge)];
-        const DdgEdge &E2 = G.edges()[static_cast<size_t>(A2.Edge)];
-        std::vector<int> Cols1 =
-            Topology::routeColumns(E1.Latency, A1.Hops, Topo->hopLatency());
-        std::vector<int> Cols2 =
-            Topology::routeColumns(E2.Latency, A2.Hops, Topo->hopLatency());
-        for (int Col1 : Cols1) {
-          for (int Col2 : Cols2) {
-            for (int P = 0; P < T; ++P) {
-              int Q = ((P + Col1 - Col2) % T + T) % T;
-              if (E1.Src == E2.Src && Q != P)
-                continue; // One producer has one offset; row is vacuous.
-              LinExpr &Row = M.scratchRow();
-              Row.add(Vars.A[static_cast<size_t>(P)]
-                            [static_cast<size_t>(E1.Src)],
-                      1.0);
-              Row.add(Vars.A[static_cast<size_t>(Q)]
-                            [static_cast<size_t>(E2.Src)],
-                      1.0);
-              Row.add(A1.Y, 1.0).add(A2.Y, 1.0);
-              M.addConstraint(Row, CmpKind::LE, 3.0);
-            }
-          }
-        }
-      }
-    }
+    Rules->forEachRouteCollision(T, [&](size_t A, size_t B, int P, int Q) {
+      LinExpr &Row = M.scratchRow();
+      Row.add(AVar(P, Rules->routes()[A].Producer), 1.0);
+      Row.add(AVar(Q, Rules->routes()[B].Producer), 1.0);
+      Row.add(Vars.Route[A].Y, 1.0).add(Vars.Route[B].Y, 1.0);
+      M.addConstraint(Row, CmpKind::LE, 3.0);
+    });
 
     // (d) Instance symmetry breaking, the x-space analogue of the
-    // lexicographic color caps: units that are pairwise swap-invariant in
-    // the hop matrix form interchangeability classes, and within a class
-    // the canonical solution uses members in first-use order — op a may
-    // sit on the class's b-th member only if an earlier op of the type
-    // uses the (b-1)-th.
-    for (int R = 0; R < Machine.numTypes(); ++R) {
-      const FuType &Ty = Machine.type(R);
-      G.nodesOfClass(R, Ops);
-      const int NumOps = static_cast<int>(Ops.size());
-      if (NumOps == 0 || Ty.Count < 2)
-        continue;
-      for (const std::vector<int> &Class : Topo->interchangeClasses(
-               Base[static_cast<size_t>(R)],
-               Base[static_cast<size_t>(R)] + Ty.Count)) {
-        for (size_t BIx = 1; BIx < Class.size(); ++BIx) {
-          const int Prev = Class[BIx - 1] - Base[static_cast<size_t>(R)];
-          const int Cur = Class[BIx] - Base[static_cast<size_t>(R)];
-          for (int AIx = 0; AIx < NumOps; ++AIx) {
-            if (AIx == 0) {
-              M.fixVar(XVar(Ops[0], Cur), 0.0);
-              continue;
-            }
-            LinExpr &Row = M.scratchRow();
-            Row.add(XVar(Ops[static_cast<size_t>(AIx)], Cur), 1.0);
-            for (int Earlier = 0; Earlier < AIx; ++Earlier)
-              Row.add(XVar(Ops[static_cast<size_t>(Earlier)], Prev), -1.0);
-            M.addConstraint(Row, CmpKind::LE, 0.0);
+    // lexicographic color caps: x[op][cur] <= sum of x[earlier][prev].
+    Rules->forEachFirstUse(
+        [&](int Op, int Cur, std::span<const int> Earlier, int Prev) {
+          if (Earlier.empty()) {
+            M.fixVar(XVar(Op, Cur), 0.0);
+            return;
           }
-        }
-      }
-    }
+          LinExpr &Row = M.scratchRow();
+          Row.add(XVar(Op, Cur), 1.0);
+          for (int E : Earlier)
+            Row.add(XVar(E, Prev), -1.0);
+          M.addConstraint(Row, CmpKind::LE, 0.0);
+        });
   }
 
   return M;
@@ -716,43 +547,23 @@ std::vector<double> swp::scheduleToAssignment(
   // stays legal), then set the x one-hots and the implied route
   // indicators.
   if (!Vars.Inst.empty() && S.hasMapping()) {
-    const Topology &Topo = *Machine.topology();
-    std::vector<int> Base(static_cast<size_t>(Machine.numTypes()), 0);
-    for (int R = 1; R < Machine.numTypes(); ++R)
-      Base[static_cast<size_t>(R)] =
-          Base[static_cast<size_t>(R) - 1] + Machine.type(R - 1).Count;
-
+    Recycled<PlacementRules> Rules;
+    Rules->derive(G, Machine, Opts.Mapping);
     std::vector<int> CanonUnit(static_cast<size_t>(N), 0);
-    for (int R = 0; R < Machine.numTypes(); ++R) {
-      const int Count = Machine.type(R).Count;
-      std::vector<int> Ops = G.nodesOfClass(R);
-      std::vector<int> Perm(static_cast<size_t>(Count), -1);
-      for (const std::vector<int> &Class : Topo.interchangeClasses(
-               Base[static_cast<size_t>(R)],
-               Base[static_cast<size_t>(R)] + Count)) {
-        std::vector<bool> InClass(static_cast<size_t>(Count), false);
-        for (int GU : Class)
-          InClass[static_cast<size_t>(GU - Base[static_cast<size_t>(R)])] =
-              true;
-        std::vector<int> Order; // Original units, in first-use order.
-        for (int Op : Ops) {
-          int U = S.Mapping[static_cast<size_t>(Op)];
-          if (InClass[static_cast<size_t>(U)] &&
-              std::find(Order.begin(), Order.end(), U) == Order.end())
-            Order.push_back(U);
-        }
-        for (int GU : Class) { // Unused members keep ascending order.
-          int U = GU - Base[static_cast<size_t>(R)];
-          if (std::find(Order.begin(), Order.end(), U) == Order.end())
-            Order.push_back(U);
-        }
-        for (size_t Ix = 0; Ix < Class.size(); ++Ix)
-          Perm[static_cast<size_t>(Order[Ix])] =
-              Class[Ix] - Base[static_cast<size_t>(R)];
-      }
-      for (int Op : Ops)
+    std::vector<int> Order; // A class's used units, in first-use order.
+    for (const PlacementRules::UnitClass &C : Rules->classes()) {
+      const std::span<const int> Units = Rules->members(C);
+      Order.clear();
+      for (int Op : Rules->ops(C.Type)) {
+        const int U = S.Mapping[static_cast<size_t>(Op)];
+        if (std::find(Units.begin(), Units.end(), U) == Units.end())
+          continue;
+        auto It = std::find(Order.begin(), Order.end(), U);
+        if (It == Order.end())
+          It = Order.insert(It, U);
         CanonUnit[static_cast<size_t>(Op)] =
-            Perm[static_cast<size_t>(S.Mapping[static_cast<size_t>(Op)])];
+            Units[static_cast<size_t>(It - Order.begin())];
+      }
     }
 
     for (int I = 0; I < N; ++I)
@@ -762,12 +573,13 @@ std::vector<double> swp::scheduleToAssignment(
           1.0;
     for (const FormulationVars::RouteVarIds &RV : Vars.Route) {
       const DdgEdge &E = G.edges()[static_cast<size_t>(RV.Edge)];
-      int GU = Base[static_cast<size_t>(G.node(E.Src).OpClass)] +
-               CanonUnit[static_cast<size_t>(E.Src)];
-      int GV = Base[static_cast<size_t>(G.node(E.Dst).OpClass)] +
-               CanonUnit[static_cast<size_t>(E.Dst)];
+      const int GU = Rules->globalUnit(G.node(E.Src).OpClass,
+                                       CanonUnit[static_cast<size_t>(E.Src)]);
+      const int GV = Rules->globalUnit(G.node(E.Dst).OpClass,
+                                       CanonUnit[static_cast<size_t>(E.Dst)]);
       X[static_cast<size_t>(RV.Y)] =
-          GU == RV.Unit && Topo.hops(GU, GV) == RV.Hops ? 1.0 : 0.0;
+          GU == RV.Unit && Rules->topology().hops(GU, GV) == RV.Hops ? 1.0
+                                                                     : 0.0;
     }
   }
 

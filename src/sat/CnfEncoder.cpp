@@ -52,11 +52,8 @@ CnfEncoder::CnfEncoder(const Ddg &Graph, const MachineModel &M,
   OverlapByPair.assign(static_cast<std::size_t>(N) *
                            static_cast<std::size_t>(N),
                        -1);
-  OpsOfType.resize(static_cast<std::size_t>(Machine.numTypes()));
-  for (int R = 0; R < Machine.numTypes(); ++R)
-    OpsOfType[static_cast<std::size_t>(R)] = G.nodesOfClass(R);
-  TopoPath = Kind == MappingKind::Fixed && Machine.topologyConstrains();
-  if (TopoPath)
+  Rules.derive(G, Machine, Kind);
+  if (Rules.topoPath())
     buildInstanceSkeleton();
   else
     buildColoringSkeleton();
@@ -79,7 +76,7 @@ void CnfEncoder::buildColoringSkeleton() {
   if (Mapping != MappingKind::Fixed)
     return;
   for (int R = 0; R < Machine.numTypes(); ++R) {
-    const std::vector<int> &Ops = OpsOfType[static_cast<std::size_t>(R)];
+    const std::span<const int> Ops = Rules.ops(R);
     const int Count = Machine.type(R).Count;
     if (Count < 2 || static_cast<int>(Ops.size()) <= Count)
       continue;
@@ -104,12 +101,6 @@ void CnfEncoder::buildColoringSkeleton() {
 void CnfEncoder::buildInstanceSkeleton() {
   // T-independent instance block: colors cannot express adjacency, so the
   // topology path names units explicitly via x[i][u] one-hots.
-  Topo = Machine.topology();
-  UnitBase.assign(static_cast<std::size_t>(Machine.numTypes()), 0);
-  for (int R = 1; R < Machine.numTypes(); ++R)
-    UnitBase[static_cast<std::size_t>(R)] =
-        UnitBase[static_cast<std::size_t>(R) - 1] + Machine.type(R - 1).Count;
-
   const int N = G.numNodes();
   InstVar.resize(static_cast<std::size_t>(N));
   for (int I = 0; I < N; ++I) {
@@ -127,105 +118,38 @@ void CnfEncoder::buildInstanceSkeleton() {
         S.addClause({mkLit(Xv[static_cast<std::size_t>(U)], true),
                      mkLit(Xv[static_cast<std::size_t>(V)], true)});
   }
+  auto XVar = [this](int Node, int U) {
+    return InstVar[static_cast<std::size_t>(Node)][static_cast<std::size_t>(U)];
+  };
 
   // Interchange-class symmetry breaking (the x-space analogue of the
-  // lexicographic color caps): within a class of swap-invariant units,
-  // members are used in first-use order — op a may sit on member b only
-  // if an earlier op of its type uses member b-1.
-  for (int R = 0; R < Machine.numTypes(); ++R) {
-    const std::vector<int> &Ops = OpsOfType[static_cast<std::size_t>(R)];
-    const int Count = Machine.type(R).Count;
-    if (Ops.empty() || Count < 2)
-      continue;
-    const int Base = UnitBase[static_cast<std::size_t>(R)];
-    for (const std::vector<int> &Class :
-         Topo->interchangeClasses(Base, Base + Count)) {
-      for (std::size_t BIx = 1; BIx < Class.size(); ++BIx) {
-        const int Prev = Class[BIx - 1] - Base;
-        const int Cur = Class[BIx] - Base;
-        for (std::size_t AIx = 0; AIx < Ops.size(); ++AIx) {
-          ClauseBuf.clear();
-          ClauseBuf.push_back(
-              mkLit(InstVar[static_cast<std::size_t>(Ops[AIx])]
-                           [static_cast<std::size_t>(Cur)],
-                    true));
-          for (std::size_t E = 0; E < AIx; ++E)
-            ClauseBuf.push_back(
-                mkLit(InstVar[static_cast<std::size_t>(Ops[E])]
-                             [static_cast<std::size_t>(Prev)]));
-          S.addClause(ClauseBuf);
-        }
-      }
-    }
-  }
+  // lexicographic color caps): ~x[op][cur] | OR of x[earlier][prev].
+  Rules.forEachFirstUse(
+      [&](int Op, int Cur, std::span<const int> Earlier, int Prev) {
+        ClauseBuf.clear();
+        ClauseBuf.push_back(mkLit(XVar(Op, Cur), true));
+        for (int E : Earlier)
+          ClauseBuf.push_back(mkLit(XVar(E, Prev)));
+        S.addClause(ClauseBuf);
+      });
 
   // Forbidden placements: unreachable / over-MaxHops producer-consumer
   // unit pairs per DDG edge.  Unguarded — adjacency is T-independent.
-  for (const DdgEdge &E : G.edges()) {
-    if (E.Src == E.Dst)
-      continue;
-    const int Ri = G.node(E.Src).OpClass, Rj = G.node(E.Dst).OpClass;
-    for (int U = 0; U < Machine.type(Ri).Count; ++U) {
-      const int GU = UnitBase[static_cast<std::size_t>(Ri)] + U;
-      for (int V = 0; V < Machine.type(Rj).Count; ++V) {
-        const int GV = UnitBase[static_cast<std::size_t>(Rj)] + V;
-        if (!Topo->feedAllowed(GU, GV))
-          S.addClause({mkLit(InstVar[static_cast<std::size_t>(E.Src)]
-                                    [static_cast<std::size_t>(U)],
-                             true),
-                       mkLit(InstVar[static_cast<std::size_t>(E.Dst)]
-                                    [static_cast<std::size_t>(V)],
-                             true)});
-      }
-    }
-  }
+  Rules.forEachFeed([&](const DdgEdge &E, int U, int V, int Rho) {
+    if (Rho < 0)
+      S.addClause({mkLit(XVar(E.Src, U), true), mkLit(XVar(E.Dst, V), true)});
+  });
 
-  // Route indicators y[e][u][c] (value of edge e leaves unit u across
-  // exactly c >= 2 hops): forced to 1 by any (x_iu, x_jv) pair at hop
-  // distance c; their ROUTE-cell collisions are forbidden per period in
-  // encodePeriod, over the columns computed here once per route.
-  for (std::size_t EIx = 0; EIx < G.edges().size(); ++EIx) {
-    const DdgEdge &E = G.edges()[EIx];
-    if (E.Src == E.Dst)
-      continue;
-    const int Ri = G.node(E.Src).OpClass, Rj = G.node(E.Dst).OpClass;
-    for (int U = 0; U < Machine.type(Ri).Count; ++U) {
-      const int GU = UnitBase[static_cast<std::size_t>(Ri)] + U;
-      for (int C = 2;; ++C) {
-        std::vector<int> Consumers;
-        bool AnyBeyond = false;
-        for (int V = 0; V < Machine.type(Rj).Count; ++V) {
-          const int GV = UnitBase[static_cast<std::size_t>(Rj)] + V;
-          if (!Topo->feedAllowed(GU, GV))
-            continue;
-          const int H = Topo->hops(GU, GV);
-          if (H == C)
-            Consumers.push_back(V);
-          else if (H > C)
-            AnyBeyond = true;
-        }
-        if (Consumers.empty()) {
-          if (!AnyBeyond)
-            break;
-          continue;
-        }
-        const int Y = S.newVar();
-        const std::vector<int> Cols =
-            Topology::routeColumns(E.Latency, C, Topo->hopLatency());
-        RouteVars.push_back({static_cast<int>(EIx), GU, C, Y,
-                             static_cast<int>(RouteCols.size()),
-                             static_cast<int>(RouteCols.size() + Cols.size())});
-        RouteCols.insert(RouteCols.end(), Cols.begin(), Cols.end());
-        for (int V : Consumers)
-          S.addClause({mkLit(Y),
-                       mkLit(InstVar[static_cast<std::size_t>(E.Src)]
-                                    [static_cast<std::size_t>(U)],
-                             true),
-                       mkLit(InstVar[static_cast<std::size_t>(E.Dst)]
-                                    [static_cast<std::size_t>(V)],
-                             true)});
-      }
-    }
+  // Route indicators, forced to 1 by any (x_iu, x_jv) pair at their hop
+  // distance; their ROUTE-cell collisions are forbidden per period in
+  // encodePeriod.
+  for (const PlacementRules::Route &Rt : Rules.routes()) {
+    const DdgEdge &E = G.edges()[static_cast<std::size_t>(Rt.Edge)];
+    const int Y = S.newVar();
+    RouteVar.push_back(Y);
+    for (int V : Rules.consumers(Rt))
+      S.addClause({mkLit(Y), mkLit(XVar(E.Src, Rt.ProducerUnit), true),
+                   mkLit(XVar(E.Dst, V), true)});
   }
 }
 
@@ -242,11 +166,11 @@ int CnfEncoder::overlapVar(int NodeI, int NodeJ) {
   // overlap indicator is raised.  Unguarded — the implication is
   // period-independent (o_ij is only *forced* per period).
   const std::vector<int> &Ci =
-      TopoPath ? InstVar[static_cast<std::size_t>(NodeI)]
-               : ColorVar[static_cast<std::size_t>(NodeI)];
+      Rules.topoPath() ? InstVar[static_cast<std::size_t>(NodeI)]
+                       : ColorVar[static_cast<std::size_t>(NodeI)];
   const std::vector<int> &Cj =
-      TopoPath ? InstVar[static_cast<std::size_t>(NodeJ)]
-               : ColorVar[static_cast<std::size_t>(NodeJ)];
+      Rules.topoPath() ? InstVar[static_cast<std::size_t>(NodeJ)]
+                       : ColorVar[static_cast<std::size_t>(NodeJ)];
   const std::size_t Shared = std::min(Ci.size(), Cj.size());
   for (std::size_t U = 0; U < Shared; ++U)
     S.addClause({mkLit(O, true), mkLit(Ci[U], true), mkLit(Cj[U], true)});
@@ -319,132 +243,79 @@ void CnfEncoder::encodePeriod(int T, int Sel) {
   }
 
   for (int R = 0; R < Machine.numTypes(); ++R) {
-    const std::vector<int> &Ops = OpsOfType[static_cast<std::size_t>(R)];
-    if (Ops.empty())
-      continue;
+    const std::span<const int> Ops = Rules.ops(R);
     const int Count = Machine.type(R).Count;
 
     // Usage rows (Eq. 5/24-25): per stage and pattern step, at most R_r
     // ops of the type occupy the stage.  Implied by the coloring block for
     // fixed mapping but kept as redundant pruning; load-bearing for
     // run-time mapping.
-    int MaxStages = 0;
-    for (int Op : Ops)
-      MaxStages = std::max(MaxStages,
-                           Machine.tableFor(G.node(Op)).numStages());
-    for (int Stage = 0; Stage < MaxStages; ++Stage) {
+    for (int Stage = 0; Stage < Rules.maxStages(R); ++Stage) {
       for (int Slot = 0; Slot < T; ++Slot) {
-        std::vector<SatLit> &Lits = ClauseBuf;
-        Lits.clear();
-        int ContributingOps = 0;
-        for (int Op : Ops) {
-          const ReservationTable &Tab = Machine.tableFor(G.node(Op));
-          if (Stage >= Tab.numStages())
-            continue;
-          bool Contributes = false;
-          for (int L : Tab.busyColumns(Stage)) {
-            const int Row = ((Slot - L) % T + T) % T;
-            Lits.push_back(mkLit(aVar(Row, Op)));
-            Contributes = true;
-          }
-          if (Contributes)
+        ClauseBuf.clear();
+        int ContributingOps = 0, LastOp = -1;
+        Rules.forEachUsageCell(R, Stage, Slot, T, [&](int Op, int Row) {
+          ClauseBuf.push_back(mkLit(aVar(Row, Op)));
+          if (Op != LastOp) {
             ++ContributingOps;
-        }
+            LastOp = Op;
+          }
+        });
         if (ContributingOps <= Count ||
-            static_cast<int>(Lits.size()) <= Count)
+            static_cast<int>(ClauseBuf.size()) <= Count)
           continue; // Each op contributes at most 1: the row is vacuous.
-        sinzAtMost(S, Lits, Count, NS);
+        sinzAtMost(S, ClauseBuf, Count, NS);
       }
     }
 
     // Unit collisions (the paper's circular-arc coloring condition): two
     // same-type ops whose reservation tables collide at their offset
-    // delta cannot share a unit.  The topology path needs them for every
-    // multi-op type: adjacency may force unit sharing even when distinct
-    // units would fit.
-    if (Mapping != MappingKind::Fixed ||
-        (!TopoPath && static_cast<int>(Ops.size()) <= Count))
+    // delta cannot share a unit — directly on a single-unit type, through
+    // the overlap indicator otherwise.
+    if (!Rules.separatesUnits(R))
       continue;
     for (std::size_t IxI = 0; IxI < Ops.size(); ++IxI) {
       for (std::size_t IxJ = IxI + 1; IxJ < Ops.size(); ++IxJ) {
         const int NodeI = Ops[IxI], NodeJ = Ops[IxJ];
-        const ReservationTable &Ti = Machine.tableFor(G.node(NodeI));
-        const ReservationTable &Tj = Machine.tableFor(G.node(NodeJ));
-        ConflictAt.resize(static_cast<std::size_t>(T));
-        bool Any = false;
-        for (int D = 0; D < T; ++D) {
-          ConflictAt[static_cast<std::size_t>(D)] =
-              tablesConflictAtOffset(Ti, Tj, D, T) ? 1 : 0;
-          Any = Any || ConflictAt[static_cast<std::size_t>(D)];
-        }
-        if (!Any)
-          continue;
-        const int Ov = Count == 1 ? -1 : overlapVar(NodeI, NodeJ);
-        for (int P = 0; P < T; ++P) {
-          for (int Q = 0; Q < T; ++Q) {
-            if (!ConflictAt[static_cast<std::size_t>(((Q - P) % T + T) % T)])
-              continue;
-            const SatLit AtP = mkLit(aVar(P, NodeI), true);
-            const SatLit AtQ = mkLit(aVar(Q, NodeJ), true);
-            if (Ov >= 0)
-              S.addClause({NS, AtP, AtQ, mkLit(Ov)});
-            else
-              S.addClause({NS, AtP, AtQ});
-          }
-        }
+        int Ov = -1;
+        Rules.forEachCollision(
+            NodeI, NodeJ, T, [&](int P, std::span<const int> Qs) {
+              if (Ov < 0 && Count > 1)
+                Ov = overlapVar(NodeI, NodeJ);
+              const SatLit AtP = mkLit(aVar(P, NodeI), true);
+              for (int Q : Qs) {
+                const SatLit AtQ = mkLit(aVar(Q, NodeJ), true);
+                if (Ov >= 0)
+                  S.addClause({NS, AtP, AtQ, mkLit(Ov)});
+                else
+                  S.addClause({NS, AtP, AtQ});
+              }
+            });
       }
     }
   }
 
-  if (!TopoPath)
+  if (!Rules.topoPath())
     return;
 
-  // ROUTE-cell constraints at this period.  A route (e, u, c) occupies
-  // the producer's unit at pattern steps (p + col) mod T for each column
-  // col of routeColumns(L, c, hopLatency), p being the producer's offset.
-  auto cols = [this](const RouteVarIds &RV) {
-    return std::span<const int>(RouteCols.data() + RV.ColBegin,
-                                RouteCols.data() + RV.ColEnd);
-  };
-  for (const RouteVarIds &RV : RouteVars) {
-    const std::span<const int> Cols = cols(RV);
-    // Self-collision: the route's own columns fold onto one pattern step,
-    // so placements activating it are infeasible at this T.
-    for (std::size_t A = 0; A < Cols.size(); ++A)
-      for (std::size_t B = A + 1; B < Cols.size(); ++B)
-        if ((Cols[A] - Cols[B]) % T == 0) {
-          S.addClause({NS, mkLit(RV.Var, true)});
-          A = Cols.size();
-          break;
-        }
-  }
-  for (std::size_t R1 = 0; R1 < RouteVars.size(); ++R1) {
-    for (std::size_t R2 = R1 + 1; R2 < RouteVars.size(); ++R2) {
-      const RouteVarIds &A1 = RouteVars[R1];
-      const RouteVarIds &A2 = RouteVars[R2];
-      if (A1.Unit != A2.Unit || A1.Edge == A2.Edge)
-        continue;
-      const DdgEdge &E1 = G.edges()[static_cast<std::size_t>(A1.Edge)];
-      const DdgEdge &E2 = G.edges()[static_cast<std::size_t>(A2.Edge)];
-      for (int Col1 : cols(A1)) {
-        for (int Col2 : cols(A2)) {
-          for (int P = 0; P < T; ++P) {
-            const int Q = ((P + Col1 - Col2) % T + T) % T;
-            if (E1.Src == E2.Src && Q != P)
-              continue; // One producer, one offset: vacuous.
-            const SatLit AtP = mkLit(aVar(P, E1.Src), true);
-            const SatLit NotY1 = mkLit(A1.Var, true);
-            const SatLit NotY2 = mkLit(A2.Var, true);
-            if (E1.Src != E2.Src)
-              S.addClause(
-                  {NS, AtP, mkLit(aVar(Q, E2.Src), true), NotY1, NotY2});
-            else
-              S.addClause({NS, AtP, NotY1, NotY2});
-          }
-        }
-      }
-    }
-  }
+  // ROUTE-cell constraints at this period.  A route whose own cells fold
+  // onto one pattern step is infeasible at this T; two routes on one unit
+  // may not both hold a cell on one step.
+  const std::vector<PlacementRules::Route> &Routes = Rules.routes();
+  for (std::size_t K = 0; K < Routes.size(); ++K)
+    if (Rules.routeSelfCollides(Routes[K], T))
+      S.addClause({NS, mkLit(RouteVar[K], true)});
+  Rules.forEachRouteCollision(
+      T, [&](std::size_t A, std::size_t B, int P, int Q) {
+        const int IA = Routes[A].Producer, IB = Routes[B].Producer;
+        const SatLit AtP = mkLit(aVar(P, IA), true);
+        const SatLit NotYA = mkLit(RouteVar[A], true);
+        const SatLit NotYB = mkLit(RouteVar[B], true);
+        if (IA != IB)
+          S.addClause({NS, AtP, mkLit(aVar(Q, IB), true), NotYA, NotYB});
+        else
+          S.addClause({NS, AtP, NotYA, NotYB});
+      });
 }
 
 std::vector<int> CnfEncoder::modelOffsets(int T) const {
@@ -477,21 +348,19 @@ bool CnfEncoder::decode(int T, ModuloSchedule &Out,
   // routing penalties rho(h) enter the dependence-edge weights (and
   // blockCycle must then include the instance literals — see there).
   std::vector<int> Units;
-  if (TopoPath) {
+  if (Rules.topoPath()) {
     Units.resize(static_cast<std::size_t>(N));
     for (int I = 0; I < N; ++I)
       Units[static_cast<std::size_t>(I)] = modelUnit(I);
   }
   auto EdgeRho = [&](const DdgEdge &E) {
-    if (!TopoPath)
+    if (!Rules.topoPath())
       return 0;
-    const int GU =
-        UnitBase[static_cast<std::size_t>(G.node(E.Src).OpClass)] +
-        Units[static_cast<std::size_t>(E.Src)];
-    const int GV =
-        UnitBase[static_cast<std::size_t>(G.node(E.Dst).OpClass)] +
-        Units[static_cast<std::size_t>(E.Dst)];
-    return Topo->routePenalty(GU, GV);
+    return Rules.topology().routePenalty(
+        Rules.globalUnit(G.node(E.Src).OpClass,
+                         Units[static_cast<std::size_t>(E.Src)]),
+        Rules.globalUnit(G.node(E.Dst).OpClass,
+                         Units[static_cast<std::size_t>(E.Dst)]));
   };
 
   // K vector over k_j - k_i >= ceil((lat + rho - T*m + off_i - off_j) / T).
@@ -533,12 +402,12 @@ bool CnfEncoder::decode(int T, ModuloSchedule &Out,
     return true;
 
   Out.Mapping.assign(static_cast<std::size_t>(N), 0);
-  if (TopoPath) {
+  if (Rules.topoPath()) {
     Out.Mapping = std::move(Units);
     return true;
   }
   for (int R = 0; R < Machine.numTypes(); ++R) {
-    const std::vector<int> &Ops = OpsOfType[static_cast<std::size_t>(R)];
+    const std::span<const int> Ops = Rules.ops(R);
     const int Count = Machine.type(R).Count;
     if (static_cast<int>(Ops.size()) <= Count) {
       // Fewer ops than units: give each its own unit.
@@ -573,11 +442,10 @@ void CnfEncoder::blockCycle(int T, const std::vector<int> &CycleNodes,
     // penalties, i.e. on where the nodes sit: block only this
     // offsets-and-placement combination (the model is still loaded — the
     // caller invokes this right after a failed decode).
-    if (TopoPath)
+    if (Rules.topoPath())
       C.push_back(mkLit(InstVar[static_cast<std::size_t>(Node)]
                                [static_cast<std::size_t>(modelUnit(Node))],
                         true));
   }
   S.addClause(C);
-  ++NumCycleBlocks;
 }

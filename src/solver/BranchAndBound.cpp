@@ -132,7 +132,6 @@ public:
   }
 
   MilpResult run() {
-    const LpStats Before = Lp.stats();
     if (!Opts.WarmStart.empty() && M.isFeasible(Opts.WarmStart, 1e-6)) {
       Incumbent = Opts.WarmStart;
       IncumbentObj = MilpModel::evaluate(M.objective(), Incumbent);
@@ -147,12 +146,6 @@ public:
       Stop = SearchStop::LpStall;
     MilpResult Res;
     Res.Nodes = Nodes;
-    Res.Seconds = Watch.seconds();
-    const LpStats &After = Lp.stats();
-    Res.LpPivots = After.totalPivots() - Before.totalPivots();
-    Res.LpRefactorizations = After.Refactorizations - Before.Refactorizations;
-    Res.LpSolves = After.Solves - Before.Solves;
-    Res.LpWarmSolves = After.WarmSolves - Before.WarmSolves;
     Res.X = std::move(Incumbent);
     Res.Objective = IncumbentObj;
     Res.StopReason = Stop;

@@ -1030,7 +1030,6 @@ LpResult SparseLp::solve(const std::vector<double> &Lb,
       static_cast<int>(Etas.size()) - BaseEtas > RefactorInterval) {
     if (!factorize()) {
       Res.Status = LpStatus::IterLimit;
-      Res.Iterations = Iterations;
       NeedRefactor = true;
       return Res;
     }
@@ -1039,7 +1038,6 @@ LpResult SparseLp::solve(const std::vector<double> &Lb,
 
   auto Abort = [&](LpStatus Why) {
     Res.Status = Why;
-    Res.Iterations = Iterations;
     return Res;
   };
 
@@ -1094,7 +1092,6 @@ LpResult SparseLp::solve(const std::vector<double> &Lb,
       Res.X[sz(Basis[sz(R)])] = XB[sz(R)];
   Res.Objective = MilpModel::evaluate(Model->objective(), Res.X);
   Res.Status = LpStatus::Optimal;
-  Res.Iterations = Iterations;
   return Res;
 }
 

@@ -1,14 +1,21 @@
 //===- test_topology.cpp - Placement topology, text format, verifier ------===//
 
+#include "swp/core/CircularArcs.h"
+#include "swp/core/PlacementRules.h"
 #include "swp/core/Verifier.h"
 #include "swp/machine/Catalog.h"
 #include "swp/machine/MachineModel.h"
 #include "swp/machine/Topology.h"
 #include "swp/service/Fingerprint.h"
 #include "swp/sim/DynamicSimulator.h"
+#include "swp/support/Rng.h"
 #include "swp/textio/Parser.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
+#include <tuple>
 
 using namespace swp;
 
@@ -400,4 +407,206 @@ TEST(FingerprintTopology, TopologyChangesFingerprint) {
   // a width-2 torus wrap reaches the same neighbor as the mesh link.)
   EXPECT_NE(fingerprintMachine(cgraGrid(3, 3, false)),
             fingerprintMachine(cgraGrid(3, 3, true)));
+}
+
+//===----------------------------------------------------------------------===//
+// PlacementRules against brute force
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A random reservation table: 1-3 stages, 1-4 columns, every stage busy
+/// somewhere.
+ReservationTable randomTable(Rng &R) {
+  const int Stages = R.intIn(1, 3), Cols = R.intIn(1, 4);
+  std::vector<std::vector<std::uint8_t>> Rows(
+      static_cast<size_t>(Stages), std::vector<std::uint8_t>(Cols, 0));
+  for (std::vector<std::uint8_t> &Row : Rows) {
+    for (std::uint8_t &Cell : Row)
+      Cell = R.chance(0.4) ? 1 : 0;
+    Row[static_cast<size_t>(R.intIn(0, Cols - 1))] = 1;
+  }
+  return ReservationTable(std::move(Rows));
+}
+
+/// A random machine of one or two types (two table variants each) over a
+/// random directed topology, most of which constrain placement, with a
+/// random loop.
+struct RandomInstance {
+  MachineModel M;
+  Ddg G;
+};
+
+RandomInstance randomInstance(std::uint64_t Seed) {
+  Rng R(Seed);
+  RandomInstance I{MachineModel("random"), Ddg("random")};
+  const int Types = R.intIn(1, 2);
+  for (int Ty = 0; Ty < Types; ++Ty) {
+    I.M.addFuType("T" + std::to_string(Ty), R.intIn(1, 4), randomTable(R));
+    I.M.addVariant(Ty, randomTable(R));
+  }
+  const int Units = I.M.totalUnits();
+  Topology Topo(Units);
+  for (int U = 0; U < Units; ++U)
+    for (int V = 0; V < Units; ++V)
+      if (U != V && R.chance(0.35))
+        Topo.addEdge(U, V);
+  Topo.setHopLatency(R.intIn(1, 2));
+  Topo.setMaxHops(R.intIn(-1, 3));
+  I.M.setTopology(std::move(Topo));
+
+  const int N = R.intIn(2, 6);
+  for (int Node = 0; Node < N; ++Node)
+    I.G.addNodeVariant("n" + std::to_string(Node), R.intIn(0, Types - 1),
+                       R.intIn(0, 1), R.intIn(1, 4));
+  for (int Node = 1; Node < N; ++Node)
+    I.G.addEdge(R.intIn(0, Node - 1), Node, 0);
+  I.G.addEdge(R.intIn(0, N - 1), R.intIn(0, N - 1), R.intIn(1, 2));
+  return I;
+}
+
+} // namespace
+
+TEST(PlacementRules, RoutesAndFeedsMatchBruteForce) {
+  int Checked = 0;
+  for (std::uint64_t Seed = 1; Seed <= 300; ++Seed) {
+    const RandomInstance I = randomInstance(Seed);
+    const Topology &Topo = *I.M.topology();
+    PlacementRules Rules;
+    Rules.derive(I.G, I.M, MappingKind::RunTime);
+    EXPECT_FALSE(Rules.topoPath()) << "run-time mapping ignores topology";
+    Rules.derive(I.G, I.M, MappingKind::Fixed);
+    ASSERT_EQ(Rules.topoPath(), I.M.topologyConstrains()) << Seed;
+    if (!Rules.topoPath())
+      continue;
+    ++Checked;
+
+    // Every (edge, producer unit, consumer unit) over every unit pair:
+    // the feed visitor's rho, and which route a multi-hop pair activates.
+    using RouteKey = std::tuple<int, int, int>; // Edge, producer unit, hops.
+    std::set<std::tuple<int, int, int, int>> Expected, Routed;
+    std::vector<std::tuple<int, int, int, int>> Feeds;
+    for (std::size_t EIx = 0; EIx < I.G.edges().size(); ++EIx) {
+      const DdgEdge &E = I.G.edges()[EIx];
+      if (E.Src == E.Dst)
+        continue;
+      const int Ri = I.G.node(E.Src).OpClass, Rj = I.G.node(E.Dst).OpClass;
+      for (int U = 0; U < I.M.type(Ri).Count; ++U)
+        for (int V = 0; V < I.M.type(Rj).Count; ++V) {
+          const int GU = I.M.globalUnitIndex(Ri, U);
+          const int GV = I.M.globalUnitIndex(Rj, V);
+          const bool Allowed = Topo.feedAllowed(GU, GV);
+          Feeds.emplace_back(static_cast<int>(EIx), U, V,
+                             Allowed ? Topo.routePenalty(GU, GV) : -1);
+          if (Allowed && Topo.hops(GU, GV) >= 2)
+            Expected.emplace(static_cast<int>(EIx), U, Topo.hops(GU, GV), V);
+        }
+    }
+    std::vector<std::tuple<int, int, int, int>> Visited;
+    Rules.forEachFeed([&](const DdgEdge &E, int U, int V, int Rho) {
+      Visited.emplace_back(static_cast<int>(&E - I.G.edges().data()), U, V,
+                           Rho);
+    });
+    EXPECT_EQ(Visited, Feeds) << Seed;
+
+    std::set<RouteKey> Keys;
+    for (const PlacementRules::Route &Rt : Rules.routes()) {
+      const DdgEdge &E = I.G.edges()[static_cast<size_t>(Rt.Edge)];
+      EXPECT_TRUE(Keys.emplace(Rt.Edge, Rt.ProducerUnit, Rt.Hops).second)
+          << "one route per (edge, unit, hops); seed " << Seed;
+      EXPECT_EQ(Rt.Producer, E.Src);
+      EXPECT_EQ(Rt.Unit,
+                I.M.globalUnitIndex(I.G.node(E.Src).OpClass, Rt.ProducerUnit));
+      EXPECT_FALSE(Rules.consumers(Rt).empty());
+      for (int V : Rules.consumers(Rt))
+        Routed.emplace(Rt.Edge, Rt.ProducerUnit, Rt.Hops, V);
+      const std::vector<int> Cols =
+          Topology::routeColumns(E.Latency, Rt.Hops, Topo.hopLatency());
+      EXPECT_TRUE(std::equal(Cols.begin(), Cols.end(),
+                             Rules.columns(Rt).begin(),
+                             Rules.columns(Rt).end()));
+      for (int T = 1; T <= 6; ++T) {
+        bool Folds = false;
+        for (size_t A = 0; A < Cols.size(); ++A)
+          for (size_t B = A + 1; B < Cols.size(); ++B)
+            Folds = Folds || (Cols[A] - Cols[B]) % T == 0;
+        EXPECT_EQ(Rules.routeSelfCollides(Rt, T), Folds);
+      }
+    }
+    EXPECT_EQ(Routed, Expected) << Seed;
+  }
+  EXPECT_GT(Checked, 100);
+}
+
+TEST(PlacementRules, CollisionsMatchArcOverlap) {
+  for (std::uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    const RandomInstance I = randomInstance(Seed);
+    PlacementRules Rules;
+    Rules.derive(I.G, I.M, MappingKind::Fixed);
+    for (int T = 1; T <= 7; ++T) {
+      for (int R = 0; R < I.M.numTypes(); ++R) {
+        const std::span<const int> Ops = Rules.ops(R);
+        for (size_t A = 0; A < Ops.size(); ++A)
+          for (size_t B = A + 1; B < Ops.size(); ++B) {
+            const ReservationTable &TI = I.M.tableFor(I.G.node(Ops[A]));
+            const ReservationTable &TJ = I.M.tableFor(I.G.node(Ops[B]));
+            // Brute force over every offset pair: the arcs overlap, and
+            // some shared stage holds both ops on one pattern step.
+            std::vector<std::vector<int>> Want(static_cast<size_t>(T));
+            for (int P = 0; P < T; ++P)
+              for (int Q = 0; Q < T; ++Q) {
+                bool Shared = false;
+                for (int S = 0; S < std::min(TI.numStages(), TJ.numStages());
+                     ++S)
+                  for (int LI : TI.busyColumns(S))
+                    for (int LJ : TJ.busyColumns(S))
+                      Shared = Shared || (P + LI - Q - LJ) % T == 0;
+                ASSERT_EQ(arcsOverlap(TI, TJ, T, P, Q), Shared);
+                if (Shared)
+                  Want[static_cast<size_t>(P)].push_back(Q);
+              }
+            const bool Any = std::any_of(
+                Want.begin(), Want.end(),
+                [](const std::vector<int> &Qs) { return !Qs.empty(); });
+            std::vector<std::vector<int>> Got(static_cast<size_t>(T));
+            int Calls = 0;
+            Rules.forEachCollision(
+                Ops[A], Ops[B], T, [&](int P, std::span<const int> Qs) {
+                  ++Calls;
+                  Got[static_cast<size_t>(P)].assign(Qs.begin(), Qs.end());
+                });
+            EXPECT_EQ(Got, Want) << "seed " << Seed << " T " << T;
+            EXPECT_EQ(Calls, Any ? T : 0) << "seed " << Seed << " T " << T;
+          }
+      }
+    }
+  }
+}
+
+TEST(PlacementRules, UsageCellsMatchBusyColumns) {
+  for (std::uint64_t Seed = 1; Seed <= 100; ++Seed) {
+    const RandomInstance I = randomInstance(Seed);
+    PlacementRules Rules;
+    Rules.derive(I.G, I.M, MappingKind::RunTime);
+    for (int T = 1; T <= 5; ++T)
+      for (int R = 0; R < I.M.numTypes(); ++R)
+        for (int Stage = 0; Stage < Rules.maxStages(R); ++Stage)
+          for (int Slot = 0; Slot < T; ++Slot) {
+            // An op initiating at Row holds Stage at Row + l for each busy
+            // column l, so it covers Slot from every Row = Slot - l.
+            std::multiset<std::pair<int, int>> Want, Got;
+            for (int Op : Rules.ops(R)) {
+              const ReservationTable &Tab = I.M.tableFor(I.G.node(Op));
+              for (int Row = 0; Row < T; ++Row)
+                for (int L = 0; Stage < Tab.numStages() && L < Tab.execTime();
+                     ++L)
+                  if (Tab.busy(Stage, L) && (Row + L - Slot) % T == 0)
+                    Want.emplace(Op, Row);
+            }
+            Rules.forEachUsageCell(
+                R, Stage, Slot, T,
+                [&](int Op, int Row) { Got.emplace(Op, Row); });
+            EXPECT_EQ(Got, Want) << "seed " << Seed;
+          }
+  }
 }
