@@ -53,6 +53,13 @@ std::vector<int>
 firstFitUnitColoring(const std::vector<const ReservationTable *> &Tables,
                      int T, const std::vector<int> &Offsets);
 
+/// The multi-function variant into caller storage: the colors land in
+/// \p Colors and \p Order is the coloring order's scratch, so a caller that
+/// keeps both across calls allocates nothing once they have grown.
+void firstFitUnitColoring(const std::vector<const ReservationTable *> &Tables,
+                          int T, const std::vector<int> &Offsets,
+                          std::vector<int> &Colors, std::vector<int> &Order);
+
 /// Renders a Figure 4 style picture: one line per instruction of type
 /// \p OpClass showing the pattern slots its unit occupation covers
 /// ('#' busy, '.' free), plus the assigned color when \p Mapping is

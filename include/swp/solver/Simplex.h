@@ -106,6 +106,8 @@ struct SparseLpStore {
   std::vector<double> Rhs;
   std::vector<CmpKind> RowCmp;
   std::vector<double> Cost; // Objective coefficient per column.
+  /// The model row of each kept row, for reading a row's terms.
+  std::vector<int> RowOf;
 
   // Basis state, persisted across solve() calls.
   std::vector<LpBasisStatus> St; // Per column.
@@ -119,6 +121,12 @@ struct SparseLpStore {
   // Per-solve state and scratch.
   std::vector<double> EffLb, EffUb; // Per column.
   std::vector<double> WorkY, WorkPi, WorkD, WorkPrice;
+  /// The dual ratio test's pivot row alpha = rho A, per column: zero, and
+  /// AlphaMark clear, everywhere but the columns AlphaCols lists while one
+  /// row is being priced.
+  std::vector<double> RowAlpha;
+  std::vector<char> AlphaMark;
+  std::vector<int> AlphaCols;
   /// The model's own bounds, for solve() without bound arguments.
   std::vector<double> ModelLb, ModelUb;
   /// Next free slot per CSC column (construction) or per row candidate
@@ -210,7 +218,17 @@ private:
   void sanitizeStatuses();
   bool priceReducedCosts(std::vector<double> &D);
   double infeasibilityOf(int Row) const;
-  double totalInfeasibility() const;
+  /// One pass over the basics: the infeasibility sum and the dual
+  /// simplex's two leaving choices.
+  struct InfeasScan {
+    double Sum = 0.0;
+    /// The most violated row (the first of equals), or -1.
+    int Worst = -1;
+    /// Bland's choice: the violated row with the smallest basic column.
+    int Bland = -1;
+  };
+  InfeasScan scanInfeasibility() const;
+  void pivotRow();
 
   enum class LoopExit { Done, Infeasible, Unbounded, Trouble, Abort };
   LoopExit dualReoptimize();

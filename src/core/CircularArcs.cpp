@@ -25,12 +25,21 @@ bool swp::arcsOverlap(const ReservationTable &TableI,
 std::vector<int> swp::firstFitUnitColoring(
     const std::vector<const ReservationTable *> &Tables, int T,
     const std::vector<int> &Offsets) {
+  std::vector<int> Colors, Order;
+  firstFitUnitColoring(Tables, T, Offsets, Colors, Order);
+  return Colors;
+}
+
+void swp::firstFitUnitColoring(
+    const std::vector<const ReservationTable *> &Tables, int T,
+    const std::vector<int> &Offsets, std::vector<int> &Colors,
+    std::vector<int> &Order) {
   assert(Tables.size() == Offsets.size() && "tables must match offsets");
   const int N = static_cast<int>(Offsets.size());
-  std::vector<int> Colors(static_cast<size_t>(N), -1);
+  Colors.assign(static_cast<size_t>(N), -1);
   // Color in offset order (classic interval-graph heuristic adapted to the
   // circle): ties broken by index.
-  std::vector<int> Order(static_cast<size_t>(N));
+  Order.resize(static_cast<size_t>(N));
   for (int I = 0; I < N; ++I)
     Order[static_cast<size_t>(I)] = I;
   std::sort(Order.begin(), Order.end(), [&Offsets](int A, int B) {
@@ -59,7 +68,6 @@ std::vector<int> swp::firstFitUnitColoring(
     }
     Colors[static_cast<size_t>(I)] = Color;
   }
-  return Colors;
 }
 
 std::vector<int> swp::firstFitUnitColoring(const ReservationTable &Table,

@@ -21,19 +21,21 @@ enum class ProbeOutcome { Found, NotFound, LpInfeasible };
 /// ilpStepAtT's vectors, recycled across steps on a thread
 /// (swp/support/ThreadSpare.h): the formulation handles, the basis hints
 /// mapped from the previous T, and the rounding probe's offsets, stage
-/// indices, per-type coloring inputs, candidate and dive bounds.  reset()
-/// leaves Vars alone: buildScheduleModel rebuilds it in place.
+/// indices, per-type coloring inputs and outputs, candidate and dive
+/// bounds.  reset() leaves Vars alone: buildScheduleModel rebuilds it in
+/// place.
 struct StepStore {
   FormulationVars Vars;
   std::vector<LpBasisStatus> Hints;
-  std::vector<int> Offsets, K, Ops, TypeOffsets;
+  std::vector<int> Offsets, K, Ops, TypeOffsets, Colors, Order;
   std::vector<const ReservationTable *> Tables;
   ModuloSchedule Candidate;
   std::vector<double> DiveLb, DiveUb;
   std::vector<char> FixedOp;
 
   void reset() {
-    for (std::vector<int> *V : {&Offsets, &K, &Ops, &TypeOffsets})
+    for (std::vector<int> *V : {&Offsets, &K, &Ops, &TypeOffsets, &Colors,
+                                &Order})
       V->clear();
     Hints.clear();
     Tables.clear();
@@ -56,7 +58,8 @@ struct StepStore {
       Sum += heapBytes(Row);
     for (const std::vector<VarId> &Row : Vars.Inst)
       Sum += heapBytes(Row);
-    for (const std::vector<int> *V : {&Offsets, &K, &Ops, &TypeOffsets})
+    for (const std::vector<int> *V :
+         {&Offsets, &K, &Ops, &TypeOffsets, &Colors, &Order})
       Sum += heapBytes(*V);
     return Sum;
   }
@@ -92,6 +95,7 @@ bool completeSchedule(const Ddg &G, const MachineModel &Machine, int T,
   std::vector<int> &Ops = S.Ops;
   std::vector<int> &TypeOffsets = S.TypeOffsets;
   std::vector<const ReservationTable *> &Tables = S.Tables;
+  std::vector<int> &Colors = S.Colors;
   for (int R = 0; R < Machine.numTypes(); ++R) {
     G.nodesOfClass(R, Ops);
     TypeOffsets.clear();
@@ -102,7 +106,7 @@ bool completeSchedule(const Ddg &G, const MachineModel &Machine, int T,
       TypeOffsets.push_back(Offsets[static_cast<size_t>(Op)]);
       Tables.push_back(&Machine.tableFor(G.node(Op)));
     }
-    std::vector<int> Colors = firstFitUnitColoring(Tables, T, TypeOffsets);
+    firstFitUnitColoring(Tables, T, TypeOffsets, Colors, S.Order);
     for (size_t Ix = 0; Ix < Ops.size(); ++Ix) {
       if (Colors[Ix] >= Machine.type(R).Count)
         return false; // First-fit needed more units than exist.

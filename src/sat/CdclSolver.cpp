@@ -69,6 +69,9 @@ struct CdclSolver::Impl {
   /// capacity a recycled store brought along.
   std::vector<std::vector<ClauseRef>> Watches;
   std::size_t NumWatches = 0;
+  /// Heap bytes of the idle lists Watches[NumWatches, size()), kept as a
+  /// running sum so that capacityBytes() walks only the lists in use.
+  std::size_t IdleWatchBytes = 0;
 
   /// Assignment trail and per-level boundaries.
   std::vector<SatLit> Trail;
@@ -98,9 +101,9 @@ struct CdclSolver::Impl {
         heapBytes(Activity) + heapBytes(Watches) + heapBytes(Trail) +
         heapBytes(TrailLim) + heapBytes(Heap) + heapBytes(HeapPos) +
         heapBytes(Seen) + heapBytes(AddBuf) + heapBytes(LearntBuf) +
-        heapBytes(Model);
-    for (const std::vector<ClauseRef> &W : Watches)
-      Sum += heapBytes(W);
+        heapBytes(Model) + IdleWatchBytes;
+    for (std::size_t L = 0; L < NumWatches; ++L)
+      Sum += heapBytes(Watches[L]);
     return Sum;
   }
 
@@ -115,8 +118,10 @@ struct CdclSolver::Impl {
     Phase.clear();
     Activity.clear();
     VarInc = 1.0;
-    for (std::size_t L = 0; L < NumWatches; ++L)
+    for (std::size_t L = 0; L < NumWatches; ++L) {
       Watches[L].clear();
+      IdleWatchBytes += heapBytes(Watches[L]);
+    }
     NumWatches = 0;
     Trail.clear();
     TrailLim.clear();
@@ -372,9 +377,12 @@ int CdclSolver::newVars(int Count) {
   P->Activity.resize(N, 0.0);
   // Lists past NumWatches are empty already; growing Watches only when
   // it is short keeps their capacities.
+  const std::size_t InUse = P->NumWatches;
   P->NumWatches = 2 * N;
   if (P->Watches.size() < P->NumWatches)
     P->Watches.resize(P->NumWatches);
+  for (std::size_t L = InUse; L < P->NumWatches; ++L)
+    P->IdleWatchBytes -= heapBytes(P->Watches[L]);
   P->HeapPos.resize(N, -1);
   P->Seen.resize(N, 0);
   P->Model.resize(N, -1);

@@ -60,6 +60,12 @@ struct SearchStore {
   std::vector<PropSeg> PropSegs;
   std::vector<LinTerm> PropTerms;
   std::vector<int> PropAbsent;
+  /// The prop rows that read each variable's bounds (its terms and the
+  /// absent members of its segments): VarRows[VarRowStart[V],
+  /// VarRowStart[V + 1]).
+  std::vector<int> VarRowStart, VarRows;
+  /// Per prop row: a variable it reads changed bounds since it last ran.
+  std::vector<char> RowDirty;
   /// addPropRow scratch: group -> segment index within the row, and the
   /// row's present members.
   std::vector<int> SegIx;
@@ -80,12 +86,13 @@ struct SearchStore {
     for (std::vector<double> *V : {&Lb, &Ub, &SavedStack, &Snapped})
       V->clear();
     for (std::vector<int> *V :
-         {&GroupStart, &GroupMembers, &GroupOf, &PropAbsent, &SegIx,
-          &OpenStack})
+         {&GroupStart, &GroupMembers, &GroupOf, &PropAbsent, &VarRowStart,
+          &VarRows, &SegIx, &OpenStack})
       V->clear();
     PropRows.clear();
     PropSegs.clear();
     PropTerms.clear();
+    RowDirty.clear();
     InRow.clear();
     SegMin.clear();
     Trail.clear();
@@ -93,14 +100,14 @@ struct SearchStore {
   }
   std::size_t capacityBytes() const {
     std::size_t Sum = heapBytes(PropRows) + heapBytes(PropSegs) +
-                      heapBytes(PropTerms) + heapBytes(InRow) +
-                      heapBytes(SegMin) + heapBytes(Trail) +
+                      heapBytes(PropTerms) + heapBytes(RowDirty) +
+                      heapBytes(InRow) + heapBytes(SegMin) + heapBytes(Trail) +
                       heapBytes(BasisStack);
     for (const std::vector<double> *V : {&Lb, &Ub, &SavedStack, &Snapped})
       Sum += heapBytes(*V);
     for (const std::vector<int> *V :
-         {&GroupStart, &GroupMembers, &GroupOf, &PropAbsent, &SegIx,
-          &OpenStack})
+         {&GroupStart, &GroupMembers, &GroupOf, &PropAbsent, &VarRowStart,
+          &VarRows, &SegIx, &OpenStack})
       Sum += heapBytes(*V);
     return Sum;
   }
@@ -335,6 +342,37 @@ private:
       if (C.Cmp != CmpKind::LE)
         addPropRow(C.Expr, -1.0, -C.Rhs);
     }
+    // The variable -> rows index: VarRowStart[V] counts V's rows, then
+    // holds the end of its range, and each fill steps it back to the start.
+    VarRowStart.assign(static_cast<size_t>(M.numVars()) + 1, 0);
+    forEachRowVar([&](int, int V) { ++VarRowStart[static_cast<size_t>(V)]; });
+    for (int V = 0; V < M.numVars(); ++V)
+      VarRowStart[static_cast<size_t>(V) + 1] +=
+          VarRowStart[static_cast<size_t>(V)];
+    VarRows.resize(static_cast<size_t>(VarRowStart.back()));
+    forEachRowVar([&](int RIx, int V) {
+      VarRows[static_cast<size_t>(--VarRowStart[static_cast<size_t>(V)])] =
+          RIx;
+    });
+    RowDirty.assign(PropRows.size(), 0);
+  }
+
+  /// Calls \p F(row index, variable) for each variable whose bounds each
+  /// prop row reads.
+  template <typename Fn> void forEachRowVar(Fn &&F) const {
+    for (size_t RIx = 0; RIx < PropRows.size(); ++RIx) {
+      const PropRow &R = PropRows[RIx];
+      const int Ix = static_cast<int>(RIx);
+      for (int T = R.UngroupedBegin; T < R.UngroupedEnd; ++T)
+        F(Ix, PropTerms[static_cast<size_t>(T)].Var);
+      for (int SIx = R.SegBegin; SIx < R.SegEnd; ++SIx) {
+        const PropSeg &Seg = PropSegs[static_cast<size_t>(SIx)];
+        for (int T = Seg.PresentBegin; T < Seg.PresentEnd; ++T)
+          F(Ix, PropTerms[static_cast<size_t>(T)].Var);
+        for (int A = Seg.AbsentBegin; A < Seg.AbsentEnd; ++A)
+          F(Ix, PropAbsent[static_cast<size_t>(A)]);
+      }
+    }
   }
 
   /// Propagates one prepared row.  \returns false when the row proves the
@@ -462,12 +500,29 @@ private:
   /// Every change lands on Trail for the caller to undo.  \returns false
   /// when some row proves the node has no integer point — the node is then
   /// pruned without an LP solve.
+  ///
+  /// The first pass runs every row; later passes run only the rows a new
+  /// Trail entry has dirtied since they last started.  A clean row would
+  /// read the bounds its last run read, which changed nothing and returned
+  /// true (a change it made dirties it), so skipping it leaves every pass
+  /// and the trail as running all rows would.
   bool propagateBounds() {
+    size_t Seen = Trail.size();
     for (int Pass = 0; Pass < 16; ++Pass) {
       bool Changed = false;
-      for (const PropRow &R : PropRows)
-        if (!propagateRow(R, Changed))
+      for (size_t RIx = 0; RIx < PropRows.size(); ++RIx) {
+        if (Pass > 0 && !RowDirty[RIx])
+          continue;
+        RowDirty[RIx] = 0;
+        if (!propagateRow(PropRows[RIx], Changed))
           return false;
+        for (; Seen < Trail.size(); ++Seen) {
+          const size_t V = static_cast<size_t>(Trail[Seen].Var);
+          for (int I = VarRowStart[V]; I < VarRowStart[V + 1]; ++I)
+            RowDirty[static_cast<size_t>(VarRows[static_cast<size_t>(I)])] =
+                1;
+        }
+      }
       if (!Changed)
         break;
     }

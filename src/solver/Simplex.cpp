@@ -56,12 +56,12 @@ void SparseLpStore::reset() {
   Pre.DropRow.clear();
   Pre.NewlyFixed = Pre.DroppedRows = Pre.Sweeps = 0;
   for (std::vector<double> *V : {&Rhs, &Cost, &XB, &EffLb, &EffUb, &WorkY,
-                                 &WorkPi, &WorkD, &WorkPrice, &ModelLb,
-                                 &ModelUb})
+                                 &WorkPi, &WorkD, &WorkPrice, &RowAlpha,
+                                 &ModelLb, &ModelUb})
     V->clear();
-  for (std::vector<int> *V : {&ColStart, &Basis, &Fill, &NewBasis, &Cands,
-                              &RowCount, &ColCount, &RowCandStart,
-                              &RowCandList, &RowStack, &ColStack})
+  for (std::vector<int> *V : {&ColStart, &RowOf, &Basis, &Fill, &NewBasis,
+                              &Cands, &RowCount, &ColCount, &RowCandStart,
+                              &RowCandList, &RowStack, &ColStack, &AlphaCols})
     V->clear();
   ColEntries.clear();
   EtaPool.clear();
@@ -70,6 +70,7 @@ void SparseLpStore::reset() {
   Etas.clear();
   RowDone.clear();
   Used.clear();
+  AlphaMark.clear();
   Back.clear();
 }
 
@@ -78,14 +79,16 @@ std::size_t SparseLpStore::capacityBytes() const {
                     heapBytes(Pre.DropRow) + Pre.Reason.capacity() +
                     heapBytes(ColEntries) + heapBytes(EtaPool) +
                     heapBytes(RowCmp) + heapBytes(St) + heapBytes(Etas) +
-                    heapBytes(RowDone) + heapBytes(Used) + heapBytes(Back);
+                    heapBytes(RowDone) + heapBytes(Used) +
+                    heapBytes(AlphaMark) + heapBytes(Back);
   for (const std::vector<double> *V :
        {&Rhs, &Cost, &XB, &EffLb, &EffUb, &WorkY, &WorkPi, &WorkD, &WorkPrice,
-        &ModelLb, &ModelUb})
+        &RowAlpha, &ModelLb, &ModelUb})
     Sum += heapBytes(*V);
   for (const std::vector<int> *V :
-       {&ColStart, &Basis, &Fill, &NewBasis, &Cands, &RowCount, &ColCount,
-        &RowCandStart, &RowCandList, &RowStack, &ColStack})
+       {&ColStart, &RowOf, &Basis, &Fill, &NewBasis, &Cands, &RowCount,
+        &ColCount, &RowCandStart, &RowCandList, &RowStack, &ColStack,
+        &AlphaCols})
     Sum += heapBytes(*V);
   return Sum;
 }
@@ -116,11 +119,13 @@ SparseLp::SparseLp(const MilpModel &M) : Model(&M) {
   Fill.assign(ColStart.begin(), ColStart.end() - 1);
   Rhs.assign(sz(NumRows), 0.0);
   RowCmp.assign(sz(NumRows), CmpKind::LE);
+  RowOf.resize(sz(NumRows));
   int K = 0;
   for (int R = 0; R < M.numConstraints(); ++R) {
     if (Pre.DropRow[sz(R)])
       continue;
     const ModelConstraint C = M.row(R);
+    RowOf[sz(K)] = R;
     Rhs[sz(K)] = C.Rhs;
     RowCmp[sz(K)] = C.Cmp;
     for (const LinTerm &T : C.Expr.terms())
@@ -138,6 +143,8 @@ SparseLp::SparseLp(const MilpModel &M) : Model(&M) {
   XB.assign(sz(NumRows), 0.0);
   WorkY.assign(sz(NumRows), 0.0);
   WorkPi.assign(sz(NumRows), 0.0);
+  RowAlpha.assign(sz(numCols()), 0.0);
+  AlphaMark.assign(sz(numCols()), 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -180,6 +187,32 @@ double SparseLp::colDot(int C, const std::vector<double> &RowVec) const {
   for (const auto &[R, A] : column(C))
     S += A * RowVec[sz(R)];
   return S;
+}
+
+/// Builds the pivot row alpha = rho A of rho = WorkPi into RowAlpha, row by
+/// row: each row where rho is nonzero, in ascending order, adds its model
+/// terms and its logical's unit entry to the columns it touches, which
+/// AlphaCols lists.  Each column's alpha is then the sum colDot forms, with
+/// the same products added in the same (ascending row) order: the terms
+/// colDot adds beyond these multiply a zero of rho, and adding a zero
+/// leaves its sum, which never is -0.0, unchanged.
+void SparseLp::pivotRow() {
+  AlphaCols.clear();
+  auto Add = [this](int C, double V) {
+    if (!AlphaMark[sz(C)]) {
+      AlphaMark[sz(C)] = 1;
+      AlphaCols.push_back(C);
+    }
+    RowAlpha[sz(C)] += V;
+  };
+  for (int K = 0; K < NumRows; ++K) {
+    const double Rho = WorkPi[sz(K)];
+    if (Rho == 0.0)
+      continue;
+    for (const LinTerm &T : Model->row(RowOf[sz(K)]).Expr.terms())
+      Add(T.Var, T.Coef * Rho);
+    Add(NumStruct + K, Rho); // The logical's unit entry.
+  }
 }
 
 void SparseLp::clearEtas() {
@@ -508,11 +541,22 @@ double SparseLp::infeasibilityOf(int Row) const {
   return 0.0;
 }
 
-double SparseLp::totalInfeasibility() const {
-  double F = 0.0;
-  for (int R = 0; R < NumRows; ++R)
-    F += infeasibilityOf(R);
-  return F;
+SparseLp::InfeasScan SparseLp::scanInfeasibility() const {
+  InfeasScan S;
+  double WorstViol = PrimTol;
+  for (int R = 0; R < NumRows; ++R) {
+    const double V = infeasibilityOf(R);
+    S.Sum += V;
+    if (V <= PrimTol)
+      continue;
+    if (V > WorstViol) {
+      WorstViol = V;
+      S.Worst = R;
+    }
+    if (S.Bland < 0 || Basis[sz(R)] < Basis[sz(S.Bland)])
+      S.Bland = R;
+  }
+  return S;
 }
 
 bool SparseLp::iterBookkeeping() {
@@ -543,15 +587,23 @@ bool SparseLp::iterBookkeeping() {
 bool SparseLp::applyPivot(int Row, int EnterCol, double T, double EnterBase,
                          LpBasisStatus LeaveStatus,
                          const std::vector<double> &Y) {
-  for (int R = 0; R < NumRows; ++R)
-    if (Y[sz(R)] != 0.0)
-      XB[sz(R)] -= Y[sz(R)] * T;
+  // One pass moves the basics and collects the eta's off-pivot entries
+  // (those pushDenseEta would take).
+  const int Begin = static_cast<int>(EtaPool.size());
+  for (int R = 0; R < NumRows; ++R) {
+    const double V = Y[sz(R)];
+    if (V == 0.0)
+      continue;
+    XB[sz(R)] -= V * T;
+    if (R != Row && std::abs(V) > 1e-12)
+      EtaPool.push_back({R, V});
+  }
+  Etas.push_back({Row, Y[sz(Row)], Begin, static_cast<int>(EtaPool.size())});
   int Leaving = Basis[sz(Row)];
   St[sz(Leaving)] = LeaveStatus;
   St[sz(EnterCol)] = LpBasisStatus::Basic;
   Basis[sz(Row)] = EnterCol;
   XB[sz(Row)] = EnterBase + T;
-  pushDenseEta(Row, Y);
 
   if (static_cast<int>(Etas.size()) - BaseEtas >= RefactorInterval) {
     if (!factorize()) {
@@ -573,7 +625,10 @@ bool SparseLp::applyPivot(int Row, int EnterCol, double T, double EnterBase,
 /// With an empty objective (the driver's feasibility models) every basis
 /// qualifies, so this is also the cold main loop there.
 SparseLp::LoopExit SparseLp::dualReoptimize() {
-  double FPrev = totalInfeasibility();
+  // Each scan of the basics serves the stall test and the next leaving
+  // choice; only a refactorization, which rewrites XB, forces another.
+  InfeasScan Scan = scanInfeasibility();
+  double FPrev = Scan.Sum;
   while (true) {
     if (FPrev <= PrimTol * static_cast<double>(NumRows + 1))
       return LoopExit::Done;
@@ -584,20 +639,7 @@ SparseLp::LoopExit SparseLp::dualReoptimize() {
       return LoopExit::Trouble; // Cycling despite Bland: let phase 1 try.
 
     // Leaving: the most violated basic variable (Bland: smallest column).
-    int Row = -1;
-    double BestViol = PrimTol;
-    for (int R = 0; R < NumRows; ++R) {
-      double V = infeasibilityOf(R);
-      if (V <= BestViol)
-        continue;
-      if (Bland) {
-        if (Row < 0 || Basis[sz(R)] < Basis[sz(Row)])
-          Row = R;
-        continue;
-      }
-      BestViol = V;
-      Row = R;
-    }
+    const int Row = Bland ? Scan.Bland : Scan.Worst;
     if (Row < 0)
       return LoopExit::Done;
     int Leaving = Basis[sz(Row)];
@@ -610,19 +652,27 @@ SparseLp::LoopExit SparseLp::dualReoptimize() {
     if (NeedD)
       priceReducedCosts(WorkD);
 
-    // Dual ratio test along row Row: alpha_j = (B^-1 a_j)[Row] = rho.a_j.
+    // Dual ratio test along row Row: alpha_j = (B^-1 a_j)[Row] = rho.a_j,
+    // nonzero only on the columns pivotRow touches.  The rule is sequential
+    // in ascending column order.  With an empty objective every ratio is
+    // zero and it reduces to the largest |alpha|, ties to the lower column,
+    // which any visiting order finds; otherwise, and under Bland, the
+    // touched columns are sorted first.
     std::fill(WorkPi.begin(), WorkPi.end(), 0.0);
     WorkPi[sz(Row)] = 1.0;
     btran(WorkPi);
+    pivotRow();
+    if (NeedD || Bland)
+      std::sort(AlphaCols.begin(), AlphaCols.end());
     int Enter = -1;
     double EnterAlpha = 0.0;
     double BestRatio = Inf;
-    for (int C = 0; C < numCols(); ++C) {
+    for (int C : AlphaCols) {
       if (St[sz(C)] == LpBasisStatus::Basic)
         continue;
       if (EffUb[sz(C)] - EffLb[sz(C)] <= FixEps)
         continue;
-      double Alpha = colDot(C, WorkPi);
+      double Alpha = RowAlpha[sz(C)];
       if (std::abs(Alpha) <= PivotEps)
         continue;
       bool AtLower = St[sz(C)] == LpBasisStatus::AtLower;
@@ -635,7 +685,15 @@ SparseLp::LoopExit SparseLp::dualReoptimize() {
         EnterAlpha = Alpha;
         break;
       }
-      double Ratio = NeedD ? std::abs(WorkD[sz(C)]) / std::abs(Alpha) : 0.0;
+      if (!NeedD) {
+        if (std::abs(Alpha) > std::abs(EnterAlpha) ||
+            (std::abs(Alpha) == std::abs(EnterAlpha) && C < Enter)) {
+          Enter = C;
+          EnterAlpha = Alpha;
+        }
+        continue;
+      }
+      double Ratio = std::abs(WorkD[sz(C)]) / std::abs(Alpha);
       if (Ratio < BestRatio - TieEps ||
           (Ratio < BestRatio + TieEps &&
            std::abs(Alpha) > std::abs(EnterAlpha))) {
@@ -643,6 +701,10 @@ SparseLp::LoopExit SparseLp::dualReoptimize() {
         Enter = C;
         EnterAlpha = Alpha;
       }
+    }
+    for (int C : AlphaCols) {
+      RowAlpha[sz(C)] = 0.0;
+      AlphaMark[sz(C)] = 0;
     }
     if (Enter < 0) {
       // No movable nonbasic can push the violated basic toward its bound:
@@ -661,6 +723,7 @@ SparseLp::LoopExit SparseLp::dualReoptimize() {
         return LoopExit::Abort;
       }
       computeXB();
+      Scan = scanInfeasibility(); // The stall test keeps FPrev.
       continue;
     }
     double Bound = Below ? EffLb[sz(Leaving)] : EffUb[sz(Leaving)];
@@ -671,12 +734,12 @@ SparseLp::LoopExit SparseLp::dualReoptimize() {
       return LoopExit::Abort;
     ++Stats.DualPivots;
 
-    double F = totalInfeasibility();
-    if (F < FPrev - 1e-9)
+    Scan = scanInfeasibility();
+    if (Scan.Sum < FPrev - 1e-9)
       Stalled = 0;
     else
       ++Stalled;
-    FPrev = F;
+    FPrev = Scan.Sum;
   }
 }
 
@@ -685,7 +748,7 @@ SparseLp::LoopExit SparseLp::dualReoptimize() {
 //===----------------------------------------------------------------------===//
 
 SparseLp::LoopExit SparseLp::primalPhase1() {
-  double FPrev = totalInfeasibility();
+  double FPrev = scanInfeasibility().Sum;
   while (true) {
     if (FPrev <= PrimTol * static_cast<double>(NumRows + 1))
       return LoopExit::Done;
@@ -809,7 +872,7 @@ SparseLp::LoopExit SparseLp::primalPhase1() {
       ++Stats.Pivots;
     }
 
-    double F = totalInfeasibility();
+    double F = scanInfeasibility().Sum;
     if (F < FPrev - 1e-9)
       Stalled = 0;
     else
@@ -1044,7 +1107,7 @@ LpResult SparseLp::solve(const std::vector<double> &Lb,
   // Dual reoptimization whenever the basis is dual feasible (always, for
   // the empty objectives of feasibility scheduling); composite phase 1 is
   // the general fallback; primal phase 2 is the final arbiter either way.
-  if (totalInfeasibility() > PrimTol * static_cast<double>(NumRows + 1) &&
+  if (scanInfeasibility().Sum > PrimTol * static_cast<double>(NumRows + 1) &&
       priceReducedCosts(WorkD)) {
     switch (dualReoptimize()) {
     case LoopExit::Infeasible:
@@ -1058,7 +1121,7 @@ LpResult SparseLp::solve(const std::vector<double> &Lb,
     }
     Stalled = 0;
   }
-  if (totalInfeasibility() > PrimTol * static_cast<double>(NumRows + 1)) {
+  if (scanInfeasibility().Sum > PrimTol * static_cast<double>(NumRows + 1)) {
     switch (primalPhase1()) {
     case LoopExit::Infeasible:
       return Abort(LpStatus::Infeasible);

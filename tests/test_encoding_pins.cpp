@@ -23,11 +23,12 @@
 #include "swp/sat/SatScheduler.h"
 #include "swp/workload/Corpus.h"
 
+#include "PinDigest.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,21 +36,6 @@
 using namespace swp;
 
 namespace {
-
-/// 64-bit FNV-1a over the bytes of each value fed to it.
-struct Fnv1a {
-  std::uint64_t H = 14695981039346656037ull;
-
-  void bytes(const void *P, std::size_t N) {
-    const unsigned char *B = static_cast<const unsigned char *>(P);
-    for (std::size_t I = 0; I < N; ++I) {
-      H ^= B[I];
-      H *= 1099511628211ull;
-    }
-  }
-  void num(std::int64_t V) { bytes(&V, sizeof V); }
-  void real(double V) { bytes(&V, sizeof V); }
-};
 
 /// The machines and loops every pin runs on.
 struct Slice {
@@ -243,12 +229,6 @@ SatPin satPin(const Slice &S) {
   }
   P.SizeDigest = H.H;
   return P;
-}
-
-std::string hex(std::uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof Buf, "%016llx", static_cast<unsigned long long>(V));
-  return Buf;
 }
 
 } // namespace

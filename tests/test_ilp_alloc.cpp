@@ -69,8 +69,10 @@ SchedulerOptions corpusIlpOptions() {
 TEST(IlpAlloc, SecondPassStaysUnderTheBudget) {
   // 64 loops of the ppc604 corpus.  The budget counts every allocation of
   // a scheduleLoop call, the returned result's attempts and schedule
-  // included; with the stores rebuilt per T a loop made over 1,100.
-  constexpr double BudgetPerLoop = 60.0;
+  // included; with the stores rebuilt per T a loop made over 1,100, and
+  // with a fresh coloring per FU type and rounding attempt 41.95.  A
+  // second pass now makes 31.95 per loop.
+  constexpr double BudgetPerLoop = 35.0;
   const MachineModel M = ppc604Like();
   CorpusOptions CO;
   CO.NumLoops = 64;

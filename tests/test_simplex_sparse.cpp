@@ -198,6 +198,55 @@ TEST(SparseSimplex, RefactorizationPreservesAnswers) {
 }
 
 //===----------------------------------------------------------------------===//
+// Dual ratio test tie-breaks
+//===----------------------------------------------------------------------===//
+
+// Two rows, x0 pivots in first at row 0; the second dual pivot, along row 1,
+// finds rho = (-0.5, 1), so x1 (from row 1) and x2 (from row 0) both reach
+// |alpha| = 1.  With an empty objective the largest |alpha| enters and a
+// tie goes to the lower column: x1, giving (2, 1, 0); x2 would give
+// (3, 0, 1).  Row 0's terms are met first when alpha is built row by row,
+// so the tie must not fall to the first column touched.
+TEST(SparseSimplex, DualRatioTieEntersTheLowerColumn) {
+  MilpModel M;
+  VarId X0 = M.addVar(0, 10, VarKind::Continuous);
+  VarId X1 = M.addVar(0, 10, VarKind::Continuous);
+  VarId X2 = M.addVar(0, 10, VarKind::Continuous);
+  M.addConstraint(LinExpr().add(X0, 2).add(X2, -2), CmpKind::GE, 4);
+  M.addConstraint(LinExpr().add(X0, 1).add(X1, 1), CmpKind::GE, 3);
+
+  SparseLp Lp(M);
+  LpResult R = Lp.solve();
+  ASSERT_EQ(R.Status, LpStatus::Optimal);
+  EXPECT_EQ(R.X, (std::vector<double>{2.0, 1.0, 0.0}));
+  EXPECT_EQ(Lp.stats().DualPivots, 2);
+  EXPECT_EQ(Lp.stats().Pivots, 0);
+}
+
+// The same two pivots under an objective: row 0 is an equality, so its
+// fixed logical cannot enter, and x1's ratio |d|/|alpha| = 1 + 5e-13 lies
+// within the tie window of x2's 1.  The sequential rule keeps the
+// ascending column order: x1 is met first and x2, with an equal |alpha|,
+// does not displace it, although its ratio is smaller.  Both vertices cost
+// 1, so the choice shows only in X.
+TEST(SparseSimplex, DualRatioTieWithObjectiveKeepsTheWindowOrder) {
+  MilpModel M;
+  VarId X0 = M.addVar(0, 10, VarKind::Continuous);
+  VarId X1 = M.addVar(0, 10, VarKind::Continuous);
+  VarId X2 = M.addVar(0, 10, VarKind::Continuous);
+  M.setObjective(LinExpr().add(X1, 1.0 + 5e-13).add(X2, 1.0));
+  M.addConstraint(LinExpr().add(X0, 2).add(X2, -2), CmpKind::EQ, 4);
+  M.addConstraint(LinExpr().add(X0, 1).add(X1, 1), CmpKind::GE, 3);
+
+  SparseLp Lp(M);
+  LpResult R = Lp.solve();
+  ASSERT_EQ(R.Status, LpStatus::Optimal);
+  EXPECT_EQ(R.X, (std::vector<double>{2.0, 1.0, 0.0}));
+  EXPECT_EQ(Lp.stats().DualPivots, 2);
+  EXPECT_EQ(Lp.stats().Pivots, 0);
+}
+
+//===----------------------------------------------------------------------===//
 // Cancellation and warm-start resumption
 //===----------------------------------------------------------------------===//
 
