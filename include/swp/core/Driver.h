@@ -55,8 +55,6 @@ struct SchedulerOptions {
   /// buffers (the Section 7 extension via [18]); implies solving to
   /// optimality instead of first feasibility.
   bool MinimizeBuffers = false;
-  /// Run the independent verifier on every schedule found (cheap).
-  bool VerifySchedules = true;
   /// Try an LP-rounding primal probe before branch and bound: round the LP
   /// relaxation's A matrix to offsets, complete the mapping by first-fit
   /// circular-arc coloring and the K vector by longestPaths.  This is the
@@ -216,7 +214,7 @@ using TStep = std::function<TStepResult(int T)>;
 /// T is asked of \p Steps in order, each answer recorded as an attempt.
 /// The sweep moves to T+1 as soon as one step refutes T (or every step
 /// has answered without a schedule), and ends at the first found
-/// schedule, which is verified (when Opts.VerifySchedules) and is
+/// schedule, which the independent verifier checks and which is
 /// ProvenRateOptimal when refutesBelow(T).  The first typed error is
 /// kept; an InvalidInput error stops the sweep, any other error censors
 /// that step's answer and the next step is asked.  A fired Opts.Cancel,

@@ -81,8 +81,6 @@ struct MilpOptions {
   std::int64_t NodeLimit = INT64_MAX;
   /// Return as soon as any integer-feasible point is found.
   bool StopAtFirstIncumbent = false;
-  /// Tolerance for considering an LP value integral.
-  double IntTol = 1e-6;
   /// Optional warm-start assignment: when it is feasible for the model it
   /// becomes the initial incumbent, so a censored search can never return
   /// anything worse.  Ignored when infeasible or empty.

@@ -18,9 +18,17 @@
 ///   - a SparseLp workspace persists the basis across solve() calls under
 ///     changed bounds: a branch-and-bound child re-solves from its parent's
 ///     optimal basis by dual-simplex reoptimization (any basis is dual
-///     feasible for the feasibility models the driver mostly builds), with
-///     a composite phase-1 primal (sum of infeasibilities) as the general
-///     fallback and Bland's rule against cycling;
+///     feasible for the feasibility models the driver mostly builds);
+///   - one composite primal loop follows the dual and is the final
+///     arbiter: phase 1 minimizes the basics' sum of bound violations
+///     while it exceeds tolerance, phase 2 the objective from then on.
+///     Both phases share one entering scan, ratio test and pivot, and one
+///     pricing routine (btran of the basics' costs, then c - colDot) that
+///     also prices the dual's ratio test.  The ratio test is phase 1's (a
+///     basic outside a bound blocks only where it reaches it), which is
+///     phase 2's own rule whenever no basic lies outside its bounds, as
+///     on every pinned solve (DESIGN.md section 12).  Bland's rule guards
+///     both loops against cycling;
 ///   - an LP-exact presolve (swp/solver/Presolve.h) runs at construction:
 ///     fixed columns fold away and singleton rows become bounds before the
 ///     solver ever prices them.
@@ -216,7 +224,7 @@ private:
   bool factorize();
   void computeXB();
   void sanitizeStatuses();
-  bool priceReducedCosts(std::vector<double> &D);
+  bool priceReducedCosts(bool Phase1, std::vector<double> &D);
   double infeasibilityOf(int Row) const;
   /// One pass over the basics: the infeasibility sum and the dual
   /// simplex's two leaving choices.
@@ -232,8 +240,7 @@ private:
 
   enum class LoopExit { Done, Infeasible, Unbounded, Trouble, Abort };
   LoopExit dualReoptimize();
-  LoopExit primalPhase1();
-  LoopExit primalPhase2();
+  LoopExit primal();
   bool iterBookkeeping();
   bool applyPivot(int Row, int EnterCol, double T, double EnterBase,
                   LpBasisStatus LeaveStatus, const std::vector<double> &Y);

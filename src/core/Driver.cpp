@@ -565,8 +565,7 @@ SchedulerResult swp::searchRateOptimal(const Ddg &G,
       if (Attempt.Status == MilpStatus::Optimal ||
           Attempt.Status == MilpStatus::Feasible) {
         Done = true;
-        if (Opts.VerifySchedules &&
-            !verifySchedule(G, Machine, Answer.Schedule).Ok) {
+        if (!verifySchedule(G, Machine, Answer.Schedule).Ok) {
           Result.VerifyFailed = true;
           break;
         }

@@ -79,7 +79,7 @@ Fingerprint swp::fingerprintOptions(const SchedulerOptions &Opts) {
   B.add(Opts.MaxTSlack);
   B.add(Opts.ColoringObjective ? 1 : 0);
   B.add(Opts.MinimizeBuffers ? 1 : 0);
-  B.add(Opts.VerifySchedules ? 1 : 0);
+  B.add(1); // Every sweep verifies; the constant keeps stored keys valid.
   B.add(Opts.LpRoundingProbe ? 1 : 0);
   // Warm starts never change feasibility answers, but a degenerate LP can
   // surface a different (equally valid) vertex, so the flag is part of the

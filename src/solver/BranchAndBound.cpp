@@ -14,6 +14,9 @@ using namespace swp;
 
 namespace {
 
+/// An LP value this close to an integer counts as integral.
+constexpr double IntTol = 1e-6;
+
 /// One saved bound pair on the propagation trail.
 struct PropEntry {
   int Var;
@@ -240,7 +243,7 @@ private:
         continue;
       double V = X[static_cast<size_t>(I)];
       double Frac = std::abs(V - std::round(V));
-      if (Frac <= Opts.IntTol)
+      if (Frac <= IntTol)
         continue;
       if (Best < 0 || MV.BranchPriority < BestPriority ||
           (MV.BranchPriority == BestPriority && Frac > BestFrac)) {
@@ -605,7 +608,7 @@ private:
       return;
 
     double V = X[static_cast<size_t>(BranchVar)];
-    double Floor = std::floor(V + Opts.IntTol);
+    double Floor = std::floor(V + IntTol);
     double SavedLb = Lb[static_cast<size_t>(BranchVar)];
     double SavedUb = Ub[static_cast<size_t>(BranchVar)];
 

@@ -4,8 +4,8 @@
 // inverse.  See the header for the architecture; the invariants that keep
 // every answer sound regardless of numerical luck:
 //
-//   - Optimal is only reported by the primal phase-2 loop finding no
-//     eligible entering column over a primal-feasible basis;
+//   - Optimal is only reported by the composite primal loop, in phase 2,
+//     finding no eligible entering column;
 //   - Infeasible is only reported by an exact presolve proof, contradictory
 //     bounds, a dual-simplex row with no admissible entering column (a
 //     Farkas certificate), or phase 1 bottoming out above tolerance;
@@ -505,20 +505,30 @@ void SparseLp::sanitizeStatuses() {
 
 /// Computes reduced costs for every column into \p D and reports whether
 /// the current basis is dual feasible (movable nonbasics priced the right
-/// way for minimization).
-bool SparseLp::priceReducedCosts(std::vector<double> &D) {
+/// way for minimization).  \p Phase1 prices the sum of the basics' bound
+/// violations (cost -1 on a basic below its lower bound, +1 above its
+/// upper, 0 elsewhere) instead of the model's objective, which prices
+/// nothing when empty.
+bool SparseLp::priceReducedCosts(bool Phase1, std::vector<double> &D) {
   D.assign(sz(numCols()), 0.0);
-  if (CostEmpty)
+  if (!Phase1 && CostEmpty)
     return true; // All reduced costs zero: every basis is dual feasible.
   std::vector<double> &Pi = WorkPrice;
   Pi.assign(sz(NumRows), 0.0);
-  for (int R = 0; R < NumRows; ++R)
-    Pi[sz(R)] = Cost[sz(Basis[sz(R)])];
+  for (int R = 0; R < NumRows; ++R) {
+    const int B = Basis[sz(R)];
+    if (!Phase1)
+      Pi[sz(R)] = Cost[sz(B)];
+    else if (XB[sz(R)] < EffLb[sz(B)] - PrimTol)
+      Pi[sz(R)] = -1.0;
+    else if (XB[sz(R)] > EffUb[sz(B)] + PrimTol)
+      Pi[sz(R)] = 1.0;
+  }
   // Pi currently holds c_B; btran turns it into c_B * B^-1.
   btran(Pi);
   bool DualFeasible = true;
   for (int C = 0; C < numCols(); ++C) {
-    D[sz(C)] = Cost[sz(C)] - colDot(C, Pi);
+    D[sz(C)] = (Phase1 ? 0.0 : Cost[sz(C)]) - colDot(C, Pi);
     if (St[sz(C)] == LpBasisStatus::Basic)
       continue;
     if (EffUb[sz(C)] - EffLb[sz(C)] <= FixEps)
@@ -650,7 +660,7 @@ SparseLp::LoopExit SparseLp::dualReoptimize() {
     // feasibility).
     bool NeedD = !CostEmpty;
     if (NeedD)
-      priceReducedCosts(WorkD);
+      priceReducedCosts(false, WorkD);
 
     // Dual ratio test along row Row: alpha_j = (B^-1 a_j)[Row] = rho.a_j,
     // nonzero only on the columns pivotRow touches.  The rule is sequential
@@ -744,67 +754,68 @@ SparseLp::LoopExit SparseLp::dualReoptimize() {
 }
 
 //===----------------------------------------------------------------------===//
-// Primal phase 1: minimize the sum of infeasibilities
+// Composite primal simplex
 //===----------------------------------------------------------------------===//
 
-SparseLp::LoopExit SparseLp::primalPhase1() {
+/// The primal simplex over both costs: while the basics' bound violations
+/// sum above tolerance it minimizes that sum (phase 1), from then on the
+/// model's objective (phase 2).  One entering scan, ratio test and pivot
+/// serve both; the phase decides only the cost priced, what an empty scan
+/// and an unblocked ray mean, and the stall test that arms Bland's rule.
+SparseLp::LoopExit SparseLp::primal() {
+  const double FeasTol = PrimTol * static_cast<double>(NumRows + 1);
   double FPrev = scanInfeasibility().Sum;
+  bool Phase1 = FPrev > FeasTol;
   while (true) {
-    if (FPrev <= PrimTol * static_cast<double>(NumRows + 1))
-      return LoopExit::Done;
+    if (Phase1 && FPrev <= FeasTol) {
+      Phase1 = false;
+      Stalled = 0;
+    }
     if (!iterBookkeeping())
       return LoopExit::Abort;
+    if (!Phase1 && CostEmpty)
+      return LoopExit::Done; // Nothing to price: every basis is optimal.
     bool Bland = Stalled > BlandThreshold;
 
-    // Gradient of f = sum of bound violations over basics, via one btran
-    // of the violation-sign vector.
-    std::fill(WorkPi.begin(), WorkPi.end(), 0.0);
-    bool Any = false;
-    for (int R = 0; R < NumRows; ++R) {
-      int B = Basis[sz(R)];
-      if (XB[sz(R)] < EffLb[sz(B)] - PrimTol) {
-        WorkPi[sz(R)] = -1.0;
-        Any = true;
-      } else if (XB[sz(R)] > EffUb[sz(B)] + PrimTol) {
-        WorkPi[sz(R)] = 1.0;
-        Any = true;
-      }
-    }
-    if (!Any)
-      return LoopExit::Done;
-    btran(WorkPi);
-
+    priceReducedCosts(Phase1, WorkD);
     int Enter = -1;
-    double BestG = 0.0;
+    double BestD = 0.0;
     for (int C = 0; C < numCols(); ++C) {
       if (St[sz(C)] == LpBasisStatus::Basic)
         continue;
       if (EffUb[sz(C)] - EffLb[sz(C)] <= FixEps)
         continue;
-      double G = -colDot(C, WorkPi); // df/dx_C.
-      bool Eligible = St[sz(C)] == LpBasisStatus::AtLower ? G < -CostEps
-                                                          : G > CostEps;
+      double D = WorkD[sz(C)];
+      bool Eligible = St[sz(C)] == LpBasisStatus::AtLower ? D < -CostEps
+                                                          : D > CostEps;
       if (!Eligible)
         continue;
       if (Bland) {
         Enter = C;
         break;
       }
-      if (std::abs(G) > std::abs(BestG)) {
-        BestG = G;
+      if (std::abs(D) > std::abs(BestD)) {
+        BestD = D;
         Enter = C;
       }
     }
-    if (Enter < 0)
-      return FPrev > InfeasProofTol ? LoopExit::Infeasible : LoopExit::Done;
+    if (Enter < 0) {
+      if (!Phase1)
+        return LoopExit::Done; // Optimal.
+      if (FPrev > InfeasProofTol)
+        return LoopExit::Infeasible;
+      Phase1 = false; // Float dust, not a proof: price the objective.
+      Stalled = 0;
+      continue;
+    }
 
     loadColumn(Enter, WorkY);
     ftran(WorkY);
     double Sigma = St[sz(Enter)] == LpBasisStatus::AtLower ? 1.0 : -1.0;
 
-    // Phase-1 ratio test: feasible basics block at their bounds as usual;
-    // an infeasible basic blocks where it *reaches* its violated bound
-    // (the objective gradient changes there — stop and pivot it out).
+    // Ratio test: feasible basics block at their bounds as usual; an
+    // infeasible basic blocks where it *reaches* its violated bound (the
+    // phase-1 gradient changes there — stop and pivot it out).
     double BestT = EffUb[sz(Enter)] - EffLb[sz(Enter)]; // Bound flip.
     int BlockRow = -1;
     double BlockAbsY = 0.0;
@@ -854,8 +865,8 @@ SparseLp::LoopExit SparseLp::primalPhase1() {
         BlockTo = To;
       }
     }
-    if (BlockRow < 0 && BestT == Inf)
-      return LoopExit::Trouble; // f is bounded below; cannot happen.
+    if (BlockRow < 0 && BestT == Inf) // Phase 1's sum is bounded below.
+      return Phase1 ? LoopExit::Trouble : LoopExit::Unbounded;
 
     if (BlockRow < 0) {
       // Bound flip: the entering column crosses to its other bound.
@@ -872,118 +883,15 @@ SparseLp::LoopExit SparseLp::primalPhase1() {
       ++Stats.Pivots;
     }
 
-    double F = scanInfeasibility().Sum;
-    if (F < FPrev - 1e-9)
-      Stalled = 0;
-    else
-      ++Stalled;
-    FPrev = F;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Primal phase 2: minimize the real objective
-//===----------------------------------------------------------------------===//
-
-SparseLp::LoopExit SparseLp::primalPhase2() {
-  while (true) {
-    if (!iterBookkeeping())
-      return LoopExit::Abort;
-    bool Bland = Stalled > BlandThreshold;
-
-    int Enter = -1;
-    double BestD = 0.0;
-    if (!CostEmpty) {
-      for (int R = 0; R < NumRows; ++R)
-        WorkPi[sz(R)] = Cost[sz(Basis[sz(R)])];
-      btran(WorkPi);
-      for (int C = 0; C < numCols(); ++C) {
-        if (St[sz(C)] == LpBasisStatus::Basic)
-          continue;
-        if (EffUb[sz(C)] - EffLb[sz(C)] <= FixEps)
-          continue;
-        double D = Cost[sz(C)] - colDot(C, WorkPi);
-        bool Eligible = St[sz(C)] == LpBasisStatus::AtLower ? D < -CostEps
-                                                            : D > CostEps;
-        if (!Eligible)
-          continue;
-        if (Bland) {
-          Enter = C;
-          break;
-        }
-        if (std::abs(D) > std::abs(BestD)) {
-          BestD = D;
-          Enter = C;
-        }
-      }
-    }
-    if (Enter < 0)
-      return LoopExit::Done; // Optimal (trivially so when CostEmpty).
-
-    loadColumn(Enter, WorkY);
-    ftran(WorkY);
-    double Sigma = St[sz(Enter)] == LpBasisStatus::AtLower ? 1.0 : -1.0;
-
-    double BestT = EffUb[sz(Enter)] - EffLb[sz(Enter)];
-    int BlockRow = -1;
-    double BlockAbsY = 0.0;
-    LpBasisStatus BlockTo = LpBasisStatus::AtLower;
-    for (int R = 0; R < NumRows; ++R) {
-      double Rate = -Sigma * WorkY[sz(R)];
-      if (std::abs(Rate) <= PivotEps)
-        continue;
-      int B = Basis[sz(R)];
-      double X = XB[sz(R)], L = EffLb[sz(B)], U = EffUb[sz(B)];
-      double T = Inf;
-      LpBasisStatus To = LpBasisStatus::AtLower;
-      if (Rate > 0) {
-        if (U < Inf) {
-          T = (U - X) / Rate;
-          To = LpBasisStatus::AtUpper;
-        }
-      } else if (L > -Inf) {
-        T = (X - L) / -Rate;
-        To = LpBasisStatus::AtLower;
-      }
-      if (T == Inf)
-        continue;
-      T = std::max(T, 0.0);
-      bool Better;
-      if (Bland)
-        Better = T < BestT - TieEps ||
-                 (T < BestT + TieEps &&
-                  (BlockRow < 0 || B < Basis[sz(BlockRow)]));
-      else
-        Better = T < BestT - TieEps ||
-                 (T < BestT + TieEps && std::abs(WorkY[sz(R)]) > BlockAbsY);
-      if (Better) {
-        BestT = T;
-        BlockRow = R;
-        BlockAbsY = std::abs(WorkY[sz(R)]);
-        BlockTo = To;
-      }
-    }
-    if (BlockRow < 0 && BestT == Inf)
-      return LoopExit::Unbounded;
-
-    if (BlockRow < 0) {
-      for (int R = 0; R < NumRows; ++R)
-        XB[sz(R)] -= Sigma * BestT * WorkY[sz(R)];
-      St[sz(Enter)] = St[sz(Enter)] == LpBasisStatus::AtLower
-                          ? LpBasisStatus::AtUpper
-                          : LpBasisStatus::AtLower;
-      ++Stats.BoundFlips;
+    // Stalling: no decrease of the sum (phase 1), a degenerate step
+    // (phase 2).
+    if (Phase1) {
+      double F = scanInfeasibility().Sum;
+      Stalled = F < FPrev - 1e-9 ? 0 : Stalled + 1;
+      FPrev = F;
     } else {
-      if (!applyPivot(BlockRow, Enter, Sigma * BestT, nonbasicValue(Enter),
-                      BlockTo, WorkY))
-        return LoopExit::Abort;
-      ++Stats.Pivots;
+      Stalled = BestT > TieEps ? 0 : Stalled + 1;
     }
-
-    if (BestT > TieEps)
-      Stalled = 0;
-    else
-      ++Stalled;
   }
 }
 
@@ -1105,46 +1013,28 @@ LpResult SparseLp::solve(const std::vector<double> &Lb,
   };
 
   // Dual reoptimization whenever the basis is dual feasible (always, for
-  // the empty objectives of feasibility scheduling); composite phase 1 is
-  // the general fallback; primal phase 2 is the final arbiter either way.
+  // the empty objectives of feasibility scheduling); the composite primal
+  // loop restores feasibility where the dual gave up and is the final
+  // arbiter either way.
+  LoopExit Exit = LoopExit::Done;
   if (scanInfeasibility().Sum > PrimTol * static_cast<double>(NumRows + 1) &&
-      priceReducedCosts(WorkD)) {
-    switch (dualReoptimize()) {
-    case LoopExit::Infeasible:
-      return Abort(LpStatus::Infeasible);
-    case LoopExit::Abort:
-      return Abort(AbortWhy);
-    case LoopExit::Done:
-    case LoopExit::Trouble:
-    case LoopExit::Unbounded:
-      break; // Phase 1 / phase 2 take it from here.
-    }
+      priceReducedCosts(false, WorkD)) {
+    Exit = dualReoptimize();
     Stalled = 0;
   }
-  if (scanInfeasibility().Sum > PrimTol * static_cast<double>(NumRows + 1)) {
-    switch (primalPhase1()) {
-    case LoopExit::Infeasible:
-      return Abort(LpStatus::Infeasible);
-    case LoopExit::Abort:
-      return Abort(AbortWhy);
-    case LoopExit::Trouble:
-      return Abort(LpStatus::IterLimit);
-    case LoopExit::Done:
-    case LoopExit::Unbounded:
-      break;
-    }
-    Stalled = 0;
-  }
-  switch (primalPhase2()) {
-  case LoopExit::Unbounded:
-    return Abort(LpStatus::Unbounded);
-  case LoopExit::Abort:
-    return Abort(AbortWhy);
-  case LoopExit::Infeasible:
-  case LoopExit::Trouble:
-    return Abort(LpStatus::IterLimit);
+  if (Exit != LoopExit::Infeasible && Exit != LoopExit::Abort)
+    Exit = primal();
+  switch (Exit) {
   case LoopExit::Done:
     break;
+  case LoopExit::Infeasible:
+    return Abort(LpStatus::Infeasible);
+  case LoopExit::Unbounded:
+    return Abort(LpStatus::Unbounded);
+  case LoopExit::Trouble:
+    return Abort(LpStatus::IterLimit);
+  case LoopExit::Abort:
+    return Abort(AbortWhy);
   }
 
   Res.X.assign(sz(NumStruct), 0.0);

@@ -6,7 +6,12 @@
 //   - rate-optimal ILP (scheduleLoop), with and without the LP-rounding
 //     probe (two independent routes to the same proofs),
 //   - iterative-modulo and slack-modulo heuristics,
-//   - the portfolio (heuristic incumbent, then the ILP below it).
+//   - the portfolio (heuristic incumbent, then the ILP below it),
+//   - on every fourth instance, the buffer-minimizing ILP: the only fuzzed
+//     model with an objective, hence the only one whose LPs reach the
+//     primal simplex.  It must agree with the proven rate-optimal T, and an
+//     uncensored minimum at the feasibility run's T may not need more
+//     buffers than that run's schedule.
 //
 // Every schedule any path produces is checked by the static verifier AND
 // replayed on the cycle-accurate dynamic simulator, and every result whose
@@ -68,6 +73,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "swp/core/Driver.h"
+#include "swp/core/Registers.h"
 #include "swp/core/Verifier.h"
 #include "swp/ddg/Ddg.h"
 #include "swp/heuristics/IterativeModulo.h"
@@ -253,6 +259,9 @@ void checkResult(Findings &F, std::uint64_t Seed, const MachineModel &M,
     checkSchedule(F, Seed, M, G, R.Schedule, Path);
 }
 
+/// The buffer-minimizing ILP runs on the instances whose seed this divides.
+constexpr std::uint64_t BufferEvery = 4;
+
 /// True when \p R is a clean full-window infeasibility proof: every T in
 /// [T_lb, T_lb + MaxTSlack] proven infeasible with nothing censored.
 bool cleanFullProof(const SchedulerResult &R, int MaxTSlack) {
@@ -320,6 +329,13 @@ void fuzzOne(const FuzzOptions &Opts, std::uint64_t InstanceSeed,
   SlackOpts.MaxTSlack = Opts.MaxTSlack;
   SchedulerResult Slack = slackModuloSchedule(G, Machine, SlackOpts);
   SchedulerResult Portfolio = portfolioSchedule(G, Machine, Ilp);
+  const bool Buffers = InstanceSeed % BufferEvery == 0;
+  SchedulerResult MinBuf;
+  if (Buffers) {
+    SchedulerOptions BufOpts = Ilp;
+    BufOpts.MinimizeBuffers = true;
+    MinBuf = scheduleLoop(G, Machine, BufOpts);
+  }
 
   // Faulted runs must end in a typed state, never a silent empty result:
   // found schedule, explicit error, or an unfound result whose stop chain
@@ -337,6 +353,8 @@ void fuzzOne(const FuzzOptions &Opts, std::uint64_t InstanceSeed,
   checkResult(F, InstanceSeed, Machine, G, Ims, "ims");
   checkResult(F, InstanceSeed, Machine, G, Slack, "slack");
   checkResult(F, InstanceSeed, Machine, G, Portfolio, "portfolio");
+  if (Buffers)
+    checkResult(F, InstanceSeed, Machine, G, MinBuf, "ilp buffers");
 
   // Cross-path consistency.  Proofs from faulted runs were already
   // downgraded by the driver, so every claim below must hold even when
@@ -366,6 +384,12 @@ void fuzzOne(const FuzzOptions &Opts, std::uint64_t InstanceSeed,
     CheckNotBetter(Ims.Schedule.T, "ims");
     CheckNotBetter(Slack.Schedule.T, "slack");
     CheckNotBetter(Portfolio.Schedule.T, "portfolio");
+    CheckNotBetter(MinBuf.Schedule.T, "ilp buffers");
+    if (MinBuf.ProvenRateOptimal && MinBuf.Schedule.T != TStar)
+      F.report(InstanceSeed, Machine, G,
+               "ilp buffers proved another rate-optimal T: " +
+                   std::to_string(MinBuf.Schedule.T) + " vs " +
+                   std::to_string(TStar));
   }
   if (Portfolio.found() && Ims.found() &&
       Portfolio.Schedule.T > Ims.Schedule.T)
@@ -386,6 +410,21 @@ void fuzzOne(const FuzzOptions &Opts, std::uint64_t InstanceSeed,
     CheckUnfound(Ims.Schedule.T, "ims");
     CheckUnfound(Slack.Schedule.T, "slack");
     CheckUnfound(Portfolio.Schedule.T, "portfolio");
+    CheckUnfound(MinBuf.Schedule.T, "ilp buffers");
+  }
+  // A buffer minimum proven at the feasibility run's T needs no more
+  // buffers than the feasibility schedule there.
+  if (MinBuf.found() && !MinBuf.FaultsSeen && WithProbe.found() &&
+      MinBuf.Schedule.T == WithProbe.Schedule.T &&
+      MinBuf.Attempts.back().Status == MilpStatus::Optimal &&
+      MinBuf.Attempts.back().StopReason == SearchStop::None) {
+    const int Min = totalBuffers(G, MinBuf.Schedule);
+    const int Feas = totalBuffers(G, WithProbe.Schedule);
+    if (Min > Feas)
+      F.report(InstanceSeed, Machine, G,
+               "ilp buffers needs more buffers than the feasibility schedule "
+               "at T=" + std::to_string(WithProbe.Schedule.T) + ": " +
+                   std::to_string(Min) + " > " + std::to_string(Feas));
   }
 
   // Service path (pool + cache + watchdog + ladder): resubmitting the same

@@ -33,6 +33,9 @@
 //
 // Batch mode feeds the loops through the SchedulerService thread pool
 // (service statistics go to stderr so a json stdout stream stays clean).
+// A single --loop with an exact scheduler goes through a one-worker
+// service too, so --deadline, the watchdog and the fallback ladder act on
+// it as on a batch; ims, slack and enum run their sweeps directly.
 // --save-cache/--load-cache persist the service's result cache around a
 // batch run, pre-baking warm capacity for the daemon.
 //
@@ -523,27 +526,22 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  SchedulerOptions SchedOpts;
-  SchedOpts.TimeLimitPerT = TimeLimit;
-  SchedOpts.Mapping = Mapping == "fixed" ? MappingKind::Fixed
-                                         : MappingKind::RunTime;
-  SchedOpts.MinimizeBuffers = MinBuffers;
-
-  ExactEngine Engine = ExactEngine::Ilp;
-  bool Portfolio = false;
-  const bool Exact = parseSchedulerName(Scheduler, Engine, Portfolio);
+  // The exact engines answer through the service for one loop too.
+  ServiceOptions SvcOpts;
+  SvcOpts.Jobs = BatchDir.empty() ? 1 : Jobs;
+  SvcOpts.Sched.TimeLimitPerT = TimeLimit;
+  SvcOpts.Sched.Mapping = Mapping == "fixed" ? MappingKind::Fixed
+                                             : MappingKind::RunTime;
+  SvcOpts.Sched.MinimizeBuffers = MinBuffers;
+  SvcOpts.DeadlinePerLoop = Deadline;
+  const bool Exact =
+      parseSchedulerName(Scheduler, SvcOpts.Engine, SvcOpts.Portfolio);
   if (!BatchDir.empty()) {
     if (!Exact) {
       std::fprintf(stderr, "error: --batch supports --scheduler "
                            "ilp|sat|race|portfolio[-sat|-race]\n");
       return 2;
     }
-    ServiceOptions SvcOpts;
-    SvcOpts.Jobs = Jobs;
-    SvcOpts.Sched = SchedOpts;
-    SvcOpts.Portfolio = Portfolio;
-    SvcOpts.Engine = Engine;
-    SvcOpts.DeadlinePerLoop = Deadline;
     return runBatch(BatchDir, Machine, SvcOpts, Format, LoadCacheDir,
                     SaveCacheDir);
   }
@@ -560,14 +558,6 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  // Batch mode hands the deadline to the service per loop; here the one
-  // loop gets it directly via the scheduler's cancellation token.
-  CancellationSource DeadlineSource;
-  if (Deadline > 0) {
-    DeadlineSource.setDeadlineAfter(Deadline);
-    SchedOpts.Cancel = DeadlineSource.token();
-  }
-
   if (wantArtifact(Prints, "machine"))
     std::printf("%s\n", printMachine(Machine).c_str());
   if (wantArtifact(Prints, "loop"))
@@ -578,10 +568,8 @@ int main(int Argc, char **Argv) {
   // Every scheduler is a step of the shared sweep and answers as one
   // SchedulerResult.
   SchedulerResult R;
-  if (Exact && Portfolio) {
-    R = portfolioSchedule(Loop, Machine, SchedOpts, nullptr, Engine);
-  } else if (Exact) {
-    R = exactSchedule(Loop, Machine, SchedOpts, Engine);
+  if (Exact) {
+    R = SchedulerService(Machine, SvcOpts).schedule(Loop);
   } else if (Scheduler == "ims") {
     R = iterativeModuloSchedule(Loop, Machine);
   } else if (Scheduler == "slack") {
