@@ -174,8 +174,8 @@ void BM_ServiceBatch(benchmark::State &State) {
   SvcOpts.Sched.MaxTSlack = 12;
   SvcOpts.UseCache = false;
   for (auto _ : State) {
-    SchedulerService Svc(M, SvcOpts);
-    std::vector<SchedulerResult> Results = Svc.scheduleAll(Corpus);
+    SchedulerService Svc(SvcOpts);
+    std::vector<SchedulerResult> Results = Svc.scheduleAll(M, Corpus);
     benchmark::DoNotOptimize(Results.size());
   }
   State.counters["loops"] = static_cast<double>(Corpus.size());

@@ -131,9 +131,9 @@ int main() {
     // hits and the reported speedup would conflate memoization with
     // thread-pool parallelism.
     SvcOpts.UseCache = false;
-    SchedulerService Svc(Machine, SvcOpts);
+    SchedulerService Svc(SvcOpts);
     Stopwatch ParWall;
-    std::vector<SchedulerResult> Par = Svc.scheduleAll(Corpus);
+    std::vector<SchedulerResult> Par = Svc.scheduleAll(Machine, Corpus);
     double ParSeconds = ParWall.seconds();
 
     int Mismatches = 0;

@@ -12,27 +12,29 @@
 ///
 /// Requests flow
 ///
-///     frame -> machine -> parse loop (textio) -> admission -> keyed service
-///           -> response
+///     frame -> machine table -> parse loop (textio) -> admission
+///           -> the service -> response
 ///
-/// where the machine step matches the request's machine bytes against the
-/// live services' canonical machine texts and parses (and canonicalizes)
-/// the text only when none matches; the keyed service answers a cache hit
-/// on the connection thread and sends only a miss to its worker pool.
+/// The machine table holds parsed machines keyed by their canonical
+/// printMachine text, MRU first: request bytes that match a key reuse its
+/// model without a parse, and any other text is parsed (and entered under
+/// its canonical text once a solve needs it).  The daemon's one
+/// SchedulerService answers every (machine, loop, job) request: a cache
+/// hit on the connection thread, a miss on its --jobs workers, whatever
+/// the mix of machines and engines.
 ///
-/// with the AdmissionController degrading under load (reduced exact
-/// effort, then heuristic-ladder-only, then shed) and per-tenant deadline
+/// The AdmissionController degrades under load (reduced exact effort,
+/// then heuristic-ladder-only, then shed) and keeps per-tenant deadline
 /// budgets.  Every request gets a well-formed ScheduleResponse carrying
 /// its outcome, degradation level, and — for solved/unsolved — the full
 /// SchedulerResult with its stop chain; corrupt frames get an
 /// ErrorResponse and a torn-down connection (a byte stream cannot resync).
 ///
-/// Services are keyed by (canonical machine text, engine, portfolio) in a
-/// small LRU, all sharing one ResultCache; the cache persists to
-/// SnapshotDir via swp/service/CachePersist at stop and, once SnapshotEvery
-/// completions have accumulated, from the accept thread (never on a
-/// response path), and loads (tolerating corrupt shards) at start — so a
-/// restarted daemon serves warm hits identical to its pre-restart solves.
+/// The service's ResultCache persists to SnapshotDir via
+/// swp/service/CachePersist at stop and, once SnapshotEvery completions
+/// have accumulated, from the accept thread (never on a response path),
+/// and loads (tolerating corrupt shards) at start — so a restarted daemon
+/// serves warm hits identical to its pre-restart solves.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,13 +54,14 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 
 namespace swp::net {
 
 struct DaemonOptions {
   std::string SocketPath;
-  /// Base options for every keyed service (engine/portfolio come from each
-  /// request's scheduler name instead).
+  /// The service's options (each request's scheduler name picks its
+  /// engine).
   ServiceOptions Service;
   AdmissionOptions Admission;
   /// Cache snapshot directory; empty disables persistence.
@@ -69,8 +72,8 @@ struct DaemonOptions {
   std::uint64_t SnapshotEvery = 0;
   /// Per-connection frame read/write timeout in seconds.
   double IoTimeoutSeconds = 5.0;
-  /// Distinct (machine, engine) services kept live; LRU beyond that.
-  std::size_t MaxServices = 8;
+  /// Parsed machines kept in the table; LRU beyond that.
+  std::size_t MaxMachines = 8;
   std::size_t CacheShards = 16;
   std::size_t CachePerShardCapacity = ResultCache::DefaultPerShardCapacity;
 };
@@ -85,14 +88,13 @@ struct DaemonStats {
   std::uint64_t SnapshotSaves = 0;
   std::uint64_t SnapshotEntriesLoaded = 0;
   std::uint64_t SnapshotCorruptShards = 0;
-  /// Requests whose machine text matched no live service's canonical text,
-  /// so the daemon parsed it.
+  /// Requests whose machine text matched no key of the machine table, so
+  /// the daemon parsed it.
   std::uint64_t MachineTextsParsed = 0;
   /// Connection threads not yet joined: the live connections plus any
   /// finished ones the accept loop has not reaped yet.
   std::uint64_t HeldConnectionThreads = 0;
   AdmissionStats Admission;
-  /// Aggregated over all keyed services, live and retired.
   ServiceStats Service;
 };
 
@@ -131,14 +133,12 @@ private:
   /// connection loop; also the unit the daemon tests drive in-process).
   ScheduleResponseMsg handleSchedule(const ScheduleRequestMsg &Req);
 
-  /// The live service whose canonical machine text is \p MachineText byte
-  /// for byte.  When there is none, a new service takes over *\p MakeFrom
-  /// (whose printMachine text \p MachineText must be), or with \p MakeFrom
-  /// null the result is null.
-  std::shared_ptr<SchedulerService> serviceFor(const std::string &MachineText,
-                                               ExactEngine Engine,
-                                               bool Portfolio,
-                                               MachineModel *MakeFrom);
+  /// The table's machine whose canonical text is \p MachineText byte for
+  /// byte.  When there is none, a new entry takes over *\p MakeFrom (whose
+  /// printMachine text \p MachineText must be), or with \p MakeFrom null
+  /// the result is null.
+  std::shared_ptr<const MachineModel>
+  machineFor(const std::string &MachineText, MachineModel *MakeFrom);
   void acceptLoop();
   /// Runs a periodic snapshot save once SnapshotEvery completions have
   /// accumulated since the last one.
@@ -151,6 +151,7 @@ private:
 
   DaemonOptions Opts;
   std::shared_ptr<ResultCache> Cache;
+  SchedulerService Service;
   AdmissionController Admission;
   ListenSocket Listener;
 
@@ -166,19 +167,13 @@ private:
   mutable std::mutex ConnMutex;
   std::list<ConnThread> ConnThreads;
 
-  /// Keyed services, MRU first.
-  struct ServiceEntry {
-    ExactEngine Engine;
-    bool Portfolio;
-    /// printMachine of the service's model.  The text is a parse fixed
-    /// point, so a request carrying these bytes parses to this key too.
-    std::string MachineText;
-    std::shared_ptr<SchedulerService> Svc;
-  };
-  mutable std::mutex ServicesMutex;
-  std::list<ServiceEntry> Services;
-  /// Counters of services the LRU retired (their shared cache lives on).
-  ServiceStats RetiredStats;
+  /// Parsed machines keyed by printMachine text, MRU first.  The text is
+  /// a parse fixed point, so a request carrying these bytes parses to this
+  /// model too.  A request holds its machine's pointer, so eviction never
+  /// frees a machine in use.
+  std::mutex MachinesMutex;
+  std::list<std::pair<std::string, std::shared_ptr<const MachineModel>>>
+      Machines;
 
   mutable std::mutex StatsMutex;
   DaemonStats Counters;

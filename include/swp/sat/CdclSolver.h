@@ -58,9 +58,6 @@ enum class SatStatus {
   Unknown,
 };
 
-/// Short lowercase name of \p S ("sat", "unsat", "unknown").
-const char *satStatusName(SatStatus S);
-
 /// Why a solve() returned Unknown (SatStop::None after Sat/Unsat).
 enum class SatStop {
   None,
@@ -142,9 +139,6 @@ public:
 
   /// What stopped the last solve() (SatStop::None unless it was Unknown).
   SatStop lastStop() const { return LastStop; }
-
-  /// Suggests the first decision polarity of \p Var (phase saving seed).
-  void setPolarity(int Var, bool Value);
 
   const SatStats &stats() const { return Stats; }
 

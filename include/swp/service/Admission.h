@@ -104,8 +104,8 @@ struct AdmissionStats {
   int InFlightHighWater = 0;
 };
 
-/// Thread-safe admission controller; one per daemon, in front of every
-/// keyed SchedulerService.
+/// Thread-safe admission controller; one per daemon, in front of its
+/// SchedulerService.
 class AdmissionController {
 public:
   explicit AdmissionController(AdmissionOptions Opts = {});

@@ -16,10 +16,9 @@
 /// recency), so a long-lived daemon's cache cannot grow without bound.
 /// Evictions are counted for ServiceStats.
 ///
-/// The cache can be shared across SchedulerService instances (the swpd
-/// daemon keys services by machine but pools their memoization), and its
-/// contents can be snapshotted to disk and restored by swp/service's
-/// CachePersist layer — restore() is the loader's entry point, bypassing
+/// The cache is shared by pointer between a SchedulerService and its owner
+/// (swpd snapshots the cache its one service fills), and its contents can
+/// be snapshotted to disk and restored by swp/service's CachePersist layer — restore() is the loader's entry point, bypassing
 /// the fault-injection gating that guards live inserts.
 ///
 //===----------------------------------------------------------------------===//

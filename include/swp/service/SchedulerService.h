@@ -5,10 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The batch scheduling service: many loops, one machine, a fixed-size
-/// worker pool.  Each submitted DDG flows through
+/// The scheduling service: a fixed-size worker pool that answers
+/// (machine, loop, job) requests.  The machine travels with each call and
+/// the job names its engine, so one service serves any number of machines
+/// and engines; swpd runs exactly one.  Each DDG flows through
 ///
-///     queue -> [result cache] -> portfolio/ILP solve -> stats
+///     queue -> [result cache] -> portfolio/exact solve -> stats
 ///
 /// schedule() probes the cache on the caller's thread first, so a hit
 /// never queues; only a miss reaches the pool.
@@ -116,10 +118,6 @@ struct ServiceOptions {
   int Jobs = 0;
   /// Per-loop scheduler knobs (the exact leg in portfolio mode).
   SchedulerOptions Sched;
-  /// Which exact engine answers jobs (and anchors the portfolio).
-  ExactEngine Engine = ExactEngine::Ilp;
-  /// Race the heuristics against the exact engine per loop.
-  bool Portfolio = false;
   /// Memoize results by canonical fingerprint.
   bool UseCache = true;
   /// Per-loop wall-clock deadline in seconds (0 = none); expiring cancels
@@ -133,12 +131,17 @@ struct ServiceOptions {
   double RetryBackoff = 0.001;
 };
 
-/// Per-request overrides of the service-wide solve effort.  The admission
-/// controller uses these to degrade saturated requests (shorter per-T time
-/// slices, narrower T windows, tighter deadlines) without reconfiguring
-/// the whole service; they fold into the job's fingerprint, so a degraded
-/// solve never aliases a full-effort cache entry.
+/// One job's engine and its overrides of the service-wide solve effort.
+/// The admission controller uses the overrides to degrade saturated
+/// requests (shorter per-T time slices, narrower T windows, tighter
+/// deadlines) without reconfiguring the whole service.  All of them fold
+/// into the job's fingerprint, so a degraded solve never aliases a
+/// full-effort cache entry, nor one engine's answer another's.
 struct JobOptions {
+  /// Which exact engine answers the job (and anchors the portfolio).
+  ExactEngine Engine = ExactEngine::Ilp;
+  /// Race the heuristics against the exact engine.
+  bool Portfolio = false;
   /// Per-loop wall-clock deadline in seconds; negative keeps the service
   /// default, 0 disables the deadline for this job.
   double DeadlineSeconds = -1.0;
@@ -156,34 +159,37 @@ struct JobOptions {
 SchedulerResult runHeuristicLadder(const Ddg &G, const MachineModel &Machine,
                                    int MaxTSlack);
 
-/// Schedules many loops concurrently on one machine model.
+/// Schedules many loops concurrently, each on the machine its call names.
 class SchedulerService {
 public:
-  explicit SchedulerService(MachineModel Machine, ServiceOptions Opts = {});
-
-  /// Shares \p Cache with other services (the swpd daemon keys services by
-  /// machine but pools one cache across them, so snapshots and stats see a
-  /// single memoization domain).  \p Cache must not be null.
-  SchedulerService(MachineModel Machine, ServiceOptions Opts,
-                   std::shared_ptr<ResultCache> Cache);
+  /// \p Cache may be shared with other owners (swpd snapshots it);
+  /// it must not be null.
+  explicit SchedulerService(
+      ServiceOptions Opts = {},
+      std::shared_ptr<ResultCache> Cache = std::make_shared<ResultCache>());
   ~SchedulerService();
 
   SchedulerService(const SchedulerService &) = delete;
   SchedulerService &operator=(const SchedulerService &) = delete;
 
-  /// Enqueues one loop; the future resolves with its SchedulerResult.  Its
-  /// latency, and its queue wait, count from this call.
-  std::future<SchedulerResult> submit(Ddg G);
+  /// Enqueues one loop on \p Machine, which must outlive the returned
+  /// future; the future resolves with its SchedulerResult.  Its latency,
+  /// and its queue wait, count from this call.
+  std::future<SchedulerResult> submit(const MachineModel &Machine, Ddg G,
+                                      JobOptions Job = {});
 
-  /// Schedules one loop with per-job effort overrides and waits for it.  A
-  /// cached loop is answered on the caller's thread; a miss runs on the
-  /// pool, whose worker probes the cache once more under the same key (an
-  /// identical job may have finished meanwhile) before it solves.
-  SchedulerResult schedule(Ddg G, JobOptions Job = {});
+  /// Schedules one loop on \p Machine and waits for it.  A cached loop is
+  /// answered on the caller's thread; a miss runs on the pool, whose worker
+  /// probes the cache once more under the same key (an identical job may
+  /// have finished meanwhile) before it solves.
+  SchedulerResult schedule(const MachineModel &Machine, Ddg G,
+                           JobOptions Job = {});
 
-  /// Schedules every loop of \p Loops; results are returned in input
-  /// order (the whole batch runs through the pool concurrently).
-  std::vector<SchedulerResult> scheduleAll(std::span<const Ddg> Loops);
+  /// Schedules every loop of \p Loops on \p Machine; results are returned
+  /// in input order (the whole batch runs through the pool concurrently).
+  std::vector<SchedulerResult> scheduleAll(const MachineModel &Machine,
+                                           std::span<const Ddg> Loops,
+                                           JobOptions Job = {});
 
   /// Cooperatively cancels every queued and running job.  Already-running
   /// solves unwind at their next token poll and report Cancelled.
@@ -192,12 +198,11 @@ public:
   /// Snapshot of the observability counters.
   ServiceStats stats() const;
 
-  const MachineModel &machine() const { return Machine; }
-  const ServiceOptions &options() const { return Opts; }
-
 private:
-  /// One job's effective solve options and cache key.
+  /// One job's engine, effective solve options and cache key.
   struct PreparedJob {
+    ExactEngine Engine = ExactEngine::Ilp;
+    bool Portfolio = false;
     SchedulerOptions Sched;
     double Deadline = 0.0;
     /// Unset when the service runs without a cache.
@@ -206,7 +211,8 @@ private:
 
   /// Folds \p Job's overrides into the service options, then fingerprints
   /// the result, so a degraded solve never aliases a full-effort entry.
-  PreparedJob prepareJob(const Ddg &G, const JobOptions &Job) const;
+  PreparedJob prepareJob(const MachineModel &Machine, const Ddg &G,
+                         const JobOptions &Job) const;
   /// Probes the cache for \p Job; on a hit fills \p R and counts the
   /// completed job, which waited \p QueueWait seconds for a worker.
   bool answerFromCache(const PreparedJob &Job, SchedulerResult &R,
@@ -214,10 +220,10 @@ private:
   /// The pool worker's body: probe the cache, else solve, insert, count.
   /// \p Latency started when the job was submitted; the worker took it
   /// \p QueueWait seconds later.
-  SchedulerResult scheduleOne(const Ddg &G, const PreparedJob &Job,
-                              const Stopwatch &Latency, double QueueWait);
+  SchedulerResult scheduleOne(const MachineModel &Machine, const Ddg &G,
+                              const PreparedJob &Job, const Stopwatch &Latency,
+                              double QueueWait);
 
-  MachineModel Machine;
   ServiceOptions Opts;
   std::shared_ptr<ResultCache> Cache;
   CancellationSource GlobalCancel;

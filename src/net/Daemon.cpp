@@ -34,7 +34,7 @@ Daemon::Daemon(DaemonOptions O)
     : Opts(std::move(O)),
       Cache(std::make_shared<ResultCache>(Opts.CacheShards,
                                           Opts.CachePerShardCapacity)),
-      Admission(Opts.Admission) {}
+      Service(Opts.Service, Cache), Admission(Opts.Admission) {}
 
 Daemon::~Daemon() { stop(); }
 
@@ -109,14 +109,7 @@ DaemonStats Daemon::stats() const {
     std::lock_guard<std::mutex> Lock(ConnMutex);
     S.HeldConnectionThreads = ConnThreads.size();
   }
-  {
-    std::lock_guard<std::mutex> Lock(ServicesMutex);
-    S.Service = RetiredStats;
-    for (const ServiceEntry &E : Services)
-      S.Service.merge(E.Svc->stats());
-  }
-  S.Service.CacheSize = Cache->size();
-  S.Service.CacheEvictions = Cache->evictions();
+  S.Service = Service.stats();
   return S;
 }
 
@@ -149,52 +142,40 @@ std::string Daemon::statsText() const {
   return D.render() + "\n" + A.render() + "\n" + S.Service.render();
 }
 
-std::shared_ptr<SchedulerService>
-Daemon::serviceFor(const std::string &MachineText, ExactEngine Engine,
-                   bool Portfolio, MachineModel *MakeFrom) {
-  std::lock_guard<std::mutex> Lock(ServicesMutex);
-  for (auto It = Services.begin(); It != Services.end(); ++It) {
-    if (It->Engine == Engine && It->Portfolio == Portfolio &&
-        It->MachineText == MachineText) {
-      Services.splice(Services.begin(), Services, It);
-      return Services.front().Svc;
+std::shared_ptr<const MachineModel>
+Daemon::machineFor(const std::string &MachineText, MachineModel *MakeFrom) {
+  std::lock_guard<std::mutex> Lock(MachinesMutex);
+  for (auto It = Machines.begin(); It != Machines.end(); ++It) {
+    if (It->first == MachineText) {
+      Machines.splice(Machines.begin(), Machines, It);
+      return It->second;
     }
   }
   if (!MakeFrom)
     return nullptr;
-  ServiceOptions SO = Opts.Service;
-  SO.Engine = Engine;
-  SO.Portfolio = Portfolio;
-  auto Svc = std::make_shared<SchedulerService>(std::move(*MakeFrom), SO,
-                                                Cache);
-  Services.push_front(ServiceEntry{Engine, Portfolio, MachineText, Svc});
-  if (Services.size() > std::max<std::size_t>(Opts.MaxServices, 1)) {
-    // Retire the LRU service; its counters fold into the aggregate and
-    // in-flight jobs keep it alive through their shared_ptr.
-    RetiredStats.merge(Services.back().Svc->stats());
-    Services.pop_back();
-  }
-  return Svc;
+  auto Model = std::make_shared<const MachineModel>(std::move(*MakeFrom));
+  Machines.emplace_front(MachineText, Model);
+  if (Machines.size() > std::max<std::size_t>(Opts.MaxMachines, 1))
+    Machines.pop_back(); // A request using it still holds its pointer.
+  return Model;
 }
 
 ScheduleResponseMsg Daemon::handleSchedule(const ScheduleRequestMsg &Req) {
   bumpCounter(&DaemonStats::Requests);
   ScheduleResponseMsg Resp;
 
-  ExactEngine Engine;
-  bool Portfolio;
-  if (!parseSchedulerName(Req.Scheduler, Engine, Portfolio)) {
+  JobOptions Job;
+  if (!parseSchedulerName(Req.Scheduler, Job.Engine, Job.Portfolio)) {
     Resp.Outcome = ResponseOutcome::Error;
     Resp.Reason = "unknown scheduler '" + Req.Scheduler + "'";
     return Resp;
   }
-  // Machine bytes equal to a live service's canonical text route straight
-  // to that service and its model; any other text is parsed here and
-  // canonicalized only if a new service has to be made for it.
-  std::shared_ptr<SchedulerService> Svc =
-      serviceFor(Req.MachineText, Engine, Portfolio, nullptr);
+  // Machine bytes equal to a table key reuse its model; any other text is
+  // parsed here and canonicalized only if a solve has to keep it.
+  std::shared_ptr<const MachineModel> Kept =
+      machineFor(Req.MachineText, nullptr);
   std::optional<MachineModel> Parsed;
-  if (!Svc) {
+  if (!Kept) {
     bumpCounter(&DaemonStats::MachineTextsParsed);
     Expected<MachineModel> Machine = parseMachineText(Req.MachineText);
     if (!Machine.ok()) {
@@ -204,7 +185,7 @@ ScheduleResponseMsg Daemon::handleSchedule(const ScheduleRequestMsg &Req) {
     }
     Parsed.emplace(std::move(*Machine));
   }
-  const MachineModel &Machine = Svc ? Svc->machine() : *Parsed;
+  const MachineModel &Machine = Kept ? *Kept : *Parsed;
   Expected<Ddg> Loop = parseLoopText(Req.LoopText, Machine);
   if (!Loop.ok()) {
     Resp.Outcome = ResponseOutcome::Error;
@@ -230,16 +211,15 @@ ScheduleResponseMsg Daemon::handleSchedule(const ScheduleRequestMsg &Req) {
     // full-effort answer.
     R = runHeuristicLadder(*Loop, Machine, Opts.Service.Sched.MaxTSlack);
   } else {
-    JobOptions Job;
     if (Req.DeadlineSeconds > 0)
       Job.DeadlineSeconds = Req.DeadlineSeconds;
     Job = Admission.degrade(Job, D.Level);
-    // Canonical machine text keys the service: two requests whose machine
-    // sections parse to the same model share one service however they were
+    // Canonical machine text keys the table: two requests whose machine
+    // sections parse to the same model share one entry however they were
     // formatted.
-    if (!Svc)
-      Svc = serviceFor(printMachine(*Parsed), Engine, Portfolio, &*Parsed);
-    R = Svc->schedule(std::move(*Loop), Job);
+    if (!Kept)
+      Kept = machineFor(printMachine(*Parsed), &*Parsed);
+    R = Service.schedule(*Kept, std::move(*Loop), Job);
   }
 
   Resp.HasResult = true;

@@ -56,7 +56,7 @@ struct CdclSolver::Impl {
   std::vector<int> Level;
   /// Antecedent clause of each propagated variable (NoClause for decisions).
   std::vector<ClauseRef> Reason;
-  /// Saved phase per variable (phase saving; seeded by setPolarity).
+  /// Saved phase per variable (phase saving).
   std::vector<std::int8_t> Phase;
   /// VSIDS activity per variable.
   std::vector<double> Activity;
@@ -350,18 +350,6 @@ struct CdclSolver::Impl {
   }
 };
 
-const char *swp::satStatusName(SatStatus S) {
-  switch (S) {
-  case SatStatus::Sat:
-    return "sat";
-  case SatStatus::Unsat:
-    return "unsat";
-  case SatStatus::Unknown:
-    return "unknown";
-  }
-  return "?";
-}
-
 CdclSolver::CdclSolver() : P(ThreadSpare<Impl>::acquire()) {}
 
 CdclSolver::~CdclSolver() { ThreadSpare<Impl>::release(P); }
@@ -389,10 +377,6 @@ int CdclSolver::newVars(int Count) {
   for (int V = First; V < NumVars; ++V)
     P->heapInsert(V);
   return First;
-}
-
-void CdclSolver::setPolarity(int Var, bool Value) {
-  P->Phase[static_cast<std::size_t>(Var)] = Value ? 1 : -1;
 }
 
 bool CdclSolver::modelValue(int Var) const {

@@ -198,53 +198,55 @@ SchedulerResult swp::runHeuristicLadder(const Ddg &G,
   return R;
 }
 
-SchedulerService::SchedulerService(MachineModel M, ServiceOptions O)
-    : SchedulerService(std::move(M), O, std::make_shared<ResultCache>()) {}
-
-SchedulerService::SchedulerService(MachineModel M, ServiceOptions O,
+SchedulerService::SchedulerService(ServiceOptions O,
                                    std::shared_ptr<ResultCache> C)
-    : Machine(std::move(M)), Opts(O), Cache(std::move(C)), Pool(O.Jobs) {
+    : Opts(O), Cache(std::move(C)), Pool(O.Jobs) {
   Counters.Jobs = Pool.threadCount();
 }
 
 SchedulerService::~SchedulerService() = default;
 
-std::future<SchedulerResult> SchedulerService::submit(Ddg G) {
+std::future<SchedulerResult>
+SchedulerService::submit(const MachineModel &Machine, Ddg G, JobOptions Job) {
   {
     std::lock_guard<std::mutex> Lock(StatsMutex);
     ++Counters.Submitted;
   }
-  return Pool.submit([this, Loop = std::move(G), Latency = Stopwatch()] {
-    const double QueueWait = Latency.seconds();
-    return scheduleOne(Loop, prepareJob(Loop, JobOptions()), Latency,
-                       QueueWait);
-  });
+  return Pool.submit(
+      [this, &Machine, Loop = std::move(G), Job, Latency = Stopwatch()] {
+        const double QueueWait = Latency.seconds();
+        return scheduleOne(Machine, Loop, prepareJob(Machine, Loop, Job),
+                           Latency, QueueWait);
+      });
 }
 
-SchedulerResult SchedulerService::schedule(Ddg G, JobOptions Job) {
+SchedulerResult SchedulerService::schedule(const MachineModel &Machine, Ddg G,
+                                           JobOptions Job) {
   Stopwatch Latency;
   {
     std::lock_guard<std::mutex> Lock(StatsMutex);
     ++Counters.Submitted;
   }
-  PreparedJob Prepared = prepareJob(G, Job);
+  PreparedJob Prepared = prepareJob(Machine, G, Job);
   SchedulerResult R;
   if (answerFromCache(Prepared, R, Latency, 0.0))
     return R;
   return Pool
-      .submit([this, Loop = std::move(G), Prepared = std::move(Prepared),
-               Latency] {
-        return scheduleOne(Loop, Prepared, Latency, Latency.seconds());
+      .submit([this, &Machine, Loop = std::move(G),
+               Prepared = std::move(Prepared), Latency] {
+        return scheduleOne(Machine, Loop, Prepared, Latency,
+                           Latency.seconds());
       })
       .get();
 }
 
 std::vector<SchedulerResult>
-SchedulerService::scheduleAll(std::span<const Ddg> Loops) {
+SchedulerService::scheduleAll(const MachineModel &Machine,
+                              std::span<const Ddg> Loops, JobOptions Job) {
   std::vector<std::future<SchedulerResult>> Futures;
   Futures.reserve(Loops.size());
   for (const Ddg &G : Loops)
-    Futures.push_back(submit(G));
+    Futures.push_back(submit(Machine, G, Job));
   std::vector<SchedulerResult> Results;
   Results.reserve(Loops.size());
   for (auto &F : Futures)
@@ -265,8 +267,11 @@ ServiceStats SchedulerService::stats() const {
 }
 
 SchedulerService::PreparedJob
-SchedulerService::prepareJob(const Ddg &G, const JobOptions &Job) const {
+SchedulerService::prepareJob(const MachineModel &Machine, const Ddg &G,
+                             const JobOptions &Job) const {
   PreparedJob P;
+  P.Engine = Job.Engine;
+  P.Portfolio = Job.Portfolio;
   P.Sched = Opts.Sched;
   if (Job.TimeLimitPerT > 0)
     P.Sched.TimeLimitPerT = Job.TimeLimitPerT;
@@ -275,8 +280,8 @@ SchedulerService::prepareJob(const Ddg &G, const JobOptions &Job) const {
   P.Deadline =
       Job.DeadlineSeconds >= 0 ? Job.DeadlineSeconds : Opts.DeadlinePerLoop;
   if (Opts.UseCache)
-    P.Key = fingerprintJob(G, Machine, P.Sched, Opts.Portfolio, P.Deadline,
-                           static_cast<int>(Opts.Engine));
+    P.Key = fingerprintJob(G, Machine, P.Sched, P.Portfolio, P.Deadline,
+                           static_cast<int>(P.Engine));
   return P;
 }
 
@@ -302,7 +307,8 @@ bool SchedulerService::answerFromCache(const PreparedJob &Job,
   return true;
 }
 
-SchedulerResult SchedulerService::scheduleOne(const Ddg &G,
+SchedulerResult SchedulerService::scheduleOne(const MachineModel &Machine,
+                                              const Ddg &G,
                                               const PreparedJob &Job,
                                               const Stopwatch &Latency,
                                               double QueueWait) {
@@ -330,10 +336,10 @@ SchedulerResult SchedulerService::scheduleOne(const Ddg &G,
       JobCancel.cancel();
     SchedulerOptions SOpts = Job.Sched;
     SOpts.Cancel = JobCancel.token();
-    if (Opts.Portfolio)
-      R = portfolioSchedule(G, Machine, SOpts, &Outcome, Opts.Engine);
+    if (Job.Portfolio)
+      R = portfolioSchedule(G, Machine, SOpts, &Outcome, Job.Engine);
     else
-      R = exactSchedule(G, Machine, SOpts, Opts.Engine);
+      R = exactSchedule(G, Machine, SOpts, Job.Engine);
     R.Retries = Attempt;
     SawFaults = SawFaults || R.FaultsSeen;
     if (R.found() || Attempt >= Opts.WatchdogRetries)
@@ -417,7 +423,7 @@ SchedulerResult SchedulerService::scheduleOne(const Ddg &G,
       ++Counters.FallbackSlackWins;
     else if (R.Fallback == FallbackRung::IterativeModulo)
       ++Counters.FallbackImsWins;
-    if (Opts.Portfolio) {
+    if (Job.Portfolio) {
       switch (Outcome) {
       case PortfolioOutcome::HeuristicWon:
         ++Counters.PortfolioHeuristicWins;

@@ -31,38 +31,6 @@ std::string LatencyHistogram::bucketLabel(int B) {
   return strFormat("%.1fs", Us / 1e6);
 }
 
-void ServiceStats::merge(const ServiceStats &B) {
-  Jobs = std::max(Jobs, B.Jobs);
-  QueueHighWater = std::max(QueueHighWater, B.QueueHighWater);
-  Submitted += B.Submitted;
-  Completed += B.Completed;
-  CacheHits += B.CacheHits;
-  CacheMisses += B.CacheMisses;
-  Cancellations += B.Cancellations;
-  CensoredProofs += B.CensoredProofs;
-  PortfolioHeuristicWins += B.PortfolioHeuristicWins;
-  PortfolioIlpWins += B.PortfolioIlpWins;
-  PortfolioFallbacks += B.PortfolioFallbacks;
-  SearchNodes += B.SearchNodes;
-  FaultedJobs += B.FaultedJobs;
-  TypedErrors += B.TypedErrors;
-  WatchdogRetries += B.WatchdogRetries;
-  FallbackSlackWins += B.FallbackSlackWins;
-  FallbackImsWins += B.FallbackImsWins;
-  DispatchFaults += B.DispatchFaults;
-  LpPivots += B.LpPivots;
-  LpRefactorizations += B.LpRefactorizations;
-  LpSolves += B.LpSolves;
-  LpWarmSolves += B.LpWarmSolves;
-  QueueWaitSeconds += B.QueueWaitSeconds;
-  for (int I = 0; I < LatencyHistogram::NumBuckets; ++I)
-    Latency.Buckets[static_cast<std::size_t>(I)] +=
-        B.Latency.Buckets[static_cast<std::size_t>(I)];
-  Latency.Count += B.Latency.Count;
-  Latency.TotalSeconds += B.Latency.TotalSeconds;
-  Latency.MaxSeconds = std::max(Latency.MaxSeconds, B.Latency.MaxSeconds);
-}
-
 std::string ServiceStats::render() const {
   TextTable Counters;
   Counters.setHeader({"Metric", "Value"});

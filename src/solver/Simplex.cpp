@@ -528,9 +528,10 @@ bool SparseLp::priceReducedCosts(bool Phase1, std::vector<double> &D) {
   btran(Pi);
   bool DualFeasible = true;
   for (int C = 0; C < numCols(); ++C) {
-    D[sz(C)] = (Phase1 ? 0.0 : Cost[sz(C)]) - colDot(C, Pi);
+    // No caller reads a basic column's reduced cost; it stays 0.0.
     if (St[sz(C)] == LpBasisStatus::Basic)
       continue;
+    D[sz(C)] = (Phase1 ? 0.0 : Cost[sz(C)]) - colDot(C, Pi);
     if (EffUb[sz(C)] - EffLb[sz(C)] <= FixEps)
       continue; // Fixed columns cannot move; their sign is irrelevant.
     if (St[sz(C)] == LpBasisStatus::AtLower && D[sz(C)] < -CostEps)

@@ -7,8 +7,9 @@
 // frames that tear it down, injected socket faults, the shutdown
 // handshake, a saturated admission window under concurrent clients, the
 // joining of finished connection threads, the two fast paths (cache hits
-// answered on the connection thread, machine texts matched to a live
-// service without a parse), and periodic snapshot saves.  Every daemon
+// answered on the connection thread, machine texts matched to a kept
+// machine without a parse), the one service whose workers are the only
+// solver threads whatever the keys, and periodic snapshot saves.  Every daemon
 // runs on its own socket path and the solves are node-limited, so the
 // suite is deterministic and fast.
 //
@@ -20,6 +21,7 @@
 #include "swp/service/ResultCodec.h"
 #include "swp/support/FaultInjector.h"
 #include "swp/textio/Parser.h"
+#include "swp/workload/Corpus.h"
 
 #include <gtest/gtest.h>
 
@@ -27,6 +29,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -127,8 +130,8 @@ TEST_F(DaemonTest, SolvesMatchALocalService) {
   ASSERT_TRUE(Resp->HasResult);
   EXPECT_FALSE(Resp->Result.CacheHit);
 
-  SchedulerService Local(M, fastService());
-  SchedulerResult Want = Local.schedule(G);
+  SchedulerService Local(fastService());
+  SchedulerResult Want = Local.schedule(M, G);
   ASSERT_TRUE(Want.found());
   EXPECT_EQ(Resp->Result.Schedule.T, Want.Schedule.T);
   EXPECT_EQ(Resp->Result.Schedule.StartTime, Want.Schedule.StartTime);
@@ -217,8 +220,8 @@ TEST_F(DaemonTest, CanonicalMachineTextSkipsTheMachineParse) {
   MachineModel M = ppc604Like();
   Ddg G = smallLoop();
   DaemonOptions O = daemonOptions("machinetext");
-  // One live service: a request keyed any other way would retire it.
-  O.MaxServices = 1;
+  // One machine in the table: a request keyed any other way would evict it.
+  O.MaxMachines = 1;
   Daemon D(O);
   ASSERT_TRUE(D.start().isOk());
   Expected<DaemonClient> C = DaemonClient::connect(O.SocketPath, 10.0);
@@ -260,6 +263,56 @@ TEST_F(DaemonTest, CanonicalMachineTextSkipsTheMachineParse) {
   EXPECT_NE(R->Reason.find("machine"), std::string::npos);
   EXPECT_EQ(D.stats().MachineTextsParsed, 7u);
   EXPECT_NE(D.statsText().find("machine texts parsed"), std::string::npos);
+  D.stop();
+}
+
+TEST_F(DaemonTest, OneServiceHoldsItsWorkersWhateverTheKeys) {
+  // Nine (machine, scheduler) keys, one more than the machine table holds,
+  // all answered by the daemon's one service: its --jobs workers are all
+  // the threads the requests add, from the first response to the last.
+  if (!fs::is_directory("/proc/self/task"))
+    GTEST_SKIP() << "no /proc/self/task to count threads";
+  auto Threads = [] {
+    return std::distance(fs::directory_iterator("/proc/self/task"),
+                         fs::directory_iterator());
+  };
+  MachineModel Mesh2, Mesh3;
+  ASSERT_TRUE(buildCatalogMachine("cgra-mesh-2x2", Mesh2));
+  ASSERT_TRUE(buildCatalogMachine("cgra-mesh-3x3", Mesh3));
+  const MachineModel Ppc = ppc604Like();
+  CgraCorpusOptions Small;
+  Small.MaxNodes = 4;
+  Small.MeanExtraNodes = 1.0;
+  const struct {
+    const MachineModel *Machine;
+    Ddg Loop;
+  } Cases[] = {{&Ppc, smallLoop()},
+               {&Mesh2, generateRandomCgraLoop(Mesh2, 11, Small)},
+               {&Mesh3, generateRandomCgraLoop(Mesh3, 12, Small)}};
+  DaemonOptions O = daemonOptions("onepool");
+  O.Service.Sched.NodeLimitPerT = 50;
+  Daemon D(O);
+  ASSERT_TRUE(D.start().isOk());
+  Expected<DaemonClient> C = DaemonClient::connect(O.SocketPath, 10.0);
+  ASSERT_TRUE(C.ok());
+
+  std::ptrdiff_t First = -1, Last = -1;
+  for (const char *Scheduler : {"ilp", "sat", "portfolio"})
+    for (const auto &Case : Cases) {
+      ScheduleRequestMsg Req = requestFor(*Case.Machine, Case.Loop);
+      Req.Scheduler = Scheduler;
+      Expected<ScheduleResponseMsg> R = C->schedule(Req);
+      ASSERT_TRUE(R.ok()) << R.status().str();
+      EXPECT_TRUE(R->HasResult) << Scheduler << " " << R->Reason;
+      Last = Threads();
+      if (First < 0)
+        First = Last;
+    }
+  EXPECT_EQ(Last, First);
+  DaemonStats S = D.stats();
+  EXPECT_EQ(S.Service.Jobs, 2);
+  EXPECT_EQ(S.Service.Submitted, 9u);
+  EXPECT_NE(D.statsText().find("worker threads"), std::string::npos);
   D.stop();
 }
 

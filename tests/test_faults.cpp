@@ -513,8 +513,8 @@ TEST(ServiceFaults, WatchdogRetriesTransientAllocFailure) {
   SvcOpts.Sched = fastOptions();
   SvcOpts.WatchdogRetries = 2;
   SvcOpts.RetryBackoff = 1e-4;
-  SchedulerService Svc(M, SvcOpts);
-  SchedulerResult R = Svc.submit(G).get();
+  SchedulerService Svc(SvcOpts);
+  SchedulerResult R = Svc.submit(M, G).get();
   FaultInjector::instance().reset();
   ASSERT_TRUE(R.found()) << R.Error.str() << "; " << R.stopChain();
   EXPECT_TRUE(verifySchedule(G, M, R.Schedule).Ok);
@@ -535,8 +535,8 @@ TEST(ServiceFaults, SpuriousDeadlineIsRetriedNotReported) {
   SvcOpts.Jobs = 1;
   SvcOpts.Sched = fastOptions();
   SvcOpts.RetryBackoff = 1e-4;
-  SchedulerService Svc(M, SvcOpts);
-  SchedulerResult R = Svc.submit(G).get();
+  SchedulerService Svc(SvcOpts);
+  SchedulerResult R = Svc.submit(M, G).get();
   FaultInjector::instance().reset();
   ASSERT_TRUE(R.found()) << R.Error.str() << "; " << R.stopChain();
   EXPECT_FALSE(R.Cancelled) << "the injected expiry must not leak out";
@@ -555,8 +555,8 @@ TEST(ServiceFaults, FallbackLadderAnswersWhenIlpIsDead) {
   SvcOpts.Jobs = 1;
   SvcOpts.Sched = fastOptions();
   SvcOpts.WatchdogRetries = 0;
-  SchedulerService Svc(M, SvcOpts);
-  SchedulerResult R = Svc.submit(G).get();
+  SchedulerService Svc(SvcOpts);
+  SchedulerResult R = Svc.submit(M, G).get();
   FaultInjector::instance().reset();
   ASSERT_TRUE(R.found()) << "ladder must answer: " << R.stopChain();
   EXPECT_NE(R.Fallback, FallbackRung::None);
@@ -589,8 +589,8 @@ TEST(ServiceFaults, EveryJobGetsAnExplicitAnswerUnderHeavyFaults) {
   SvcOpts.Jobs = 4;
   SvcOpts.Sched = fastOptions();
   SvcOpts.RetryBackoff = 1e-4;
-  SchedulerService Svc(M, SvcOpts);
-  std::vector<SchedulerResult> Results = Svc.scheduleAll(Corpus);
+  SchedulerService Svc(SvcOpts);
+  std::vector<SchedulerResult> Results = Svc.scheduleAll(M, Corpus);
   FaultInjector::instance().reset();
   ASSERT_EQ(Results.size(), Corpus.size());
   for (size_t I = 0; I < Results.size(); ++I) {
@@ -628,19 +628,19 @@ TEST(ServiceFaults, FaultedSolvesAreNotServedFromCache) {
   SvcOpts.Jobs = 1;
   SvcOpts.Sched = fastOptions();
   SvcOpts.WatchdogRetries = 0;
-  SchedulerService Svc(M, SvcOpts);
+  SchedulerService Svc(SvcOpts);
 
   // First submission solves under injected stalls -> ladder answer, not
   // cacheable.
   ASSERT_TRUE(
       FaultInjector::instance().configure("lp-stall:p1.0", 7, nullptr));
-  SchedulerResult Faulted = Svc.submit(G).get();
+  SchedulerResult Faulted = Svc.submit(M, G).get();
   FaultInjector::instance().reset();
   EXPECT_TRUE(Faulted.FaultsSeen);
 
   // Second submission must re-solve cleanly (no cache hit) and improve on
   // the degraded answer's provenance.
-  SchedulerResult Clean = Svc.submit(G).get();
+  SchedulerResult Clean = Svc.submit(M, G).get();
   EXPECT_EQ(Svc.stats().CacheHits, 0u)
       << "a faulted result must not satisfy later lookups";
   EXPECT_EQ(Clean.Fallback, FallbackRung::None);

@@ -967,9 +967,10 @@ TEST(SatService, ServiceBatchWithSatEngineCountsConflicts) {
                                        CorpusOptions{}));
   ServiceOptions SvcOpts;
   SvcOpts.Jobs = 2;
-  SvcOpts.Engine = ExactEngine::Sat;
-  SchedulerService Svc(M, SvcOpts);
-  std::vector<SchedulerResult> Results = Svc.scheduleAll(Loops);
+  JobOptions Sat;
+  Sat.Engine = ExactEngine::Sat;
+  SchedulerService Svc(SvcOpts);
+  std::vector<SchedulerResult> Results = Svc.scheduleAll(M, Loops, Sat);
   std::uint64_t FreshConflicts = 0;
   for (size_t I = 0; I < Results.size(); ++I) {
     ASSERT_TRUE(Results[I].found()) << Loops[I].name();
@@ -994,16 +995,17 @@ TEST(SatService, RaceBatchIsDeterministicAcrossJobs) {
     Loops.push_back(generateRandomLoop(M, sliceSeed(I + 800),
                                        CorpusOptions{}));
   ServiceOptions SvcOpts;
-  SvcOpts.Engine = ExactEngine::Race;
   SvcOpts.UseCache = false;
   SvcOpts.Sched = nodeBudgetOptions();
   SvcOpts.Sched.NodeLimitPerT = 1;
   SvcOpts.Sched.LpRoundingProbe = false;
   auto batch = [&](int Jobs) {
     SvcOpts.Jobs = Jobs;
-    SchedulerService Svc(M, SvcOpts);
+    SchedulerService Svc(SvcOpts);
+    JobOptions Race;
+    Race.Engine = ExactEngine::Race;
     std::vector<std::vector<std::uint8_t>> Bytes;
-    for (const SchedulerResult &R : Svc.scheduleAll(Loops))
+    for (const SchedulerResult &R : Svc.scheduleAll(M, Loops, Race))
       Bytes.push_back(timelessBytes(R));
     return std::make_pair(Bytes, Svc.stats().SearchNodes);
   };

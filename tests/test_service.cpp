@@ -3,7 +3,8 @@
 // Unit and integration tests of the swp/service subsystem: cancellation
 // tokens, the thread pool, job fingerprints, the result cache, and the
 // SchedulerService itself — including the determinism contract (a parallel
-// batch run is bit-identical to the serial baseline) and the portfolio
+// batch run is bit-identical to the serial baseline), one service serving
+// several machines and engines as dedicated services do, and the portfolio
 // race's agreement with the plain rate-optimal driver.
 //
 //===----------------------------------------------------------------------===//
@@ -31,6 +32,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <thread>
 
 using namespace swp;
@@ -408,9 +411,9 @@ TEST(SchedulerService, SubmitAfterCancelAllResolvesCancelled) {
   ServiceOptions SvcOpts;
   SvcOpts.Jobs = 1;
   SvcOpts.UseCache = false;
-  SchedulerService Svc(M, SvcOpts);
+  SchedulerService Svc(SvcOpts);
   Svc.cancelAll();
-  SchedulerResult R = Svc.submit(G).get();
+  SchedulerResult R = Svc.submit(M, G).get();
   EXPECT_FALSE(R.found());
   EXPECT_TRUE(R.Cancelled);
   EXPECT_EQ(R.Fallback, FallbackRung::None)
@@ -433,8 +436,8 @@ TEST(SchedulerService, ParallelBatchMatchesSerialBitForBit) {
   ServiceOptions SvcOpts;
   SvcOpts.Jobs = 8;
   SvcOpts.Sched = SOpts;
-  SchedulerService Svc(M, SvcOpts);
-  std::vector<SchedulerResult> Parallel = Svc.scheduleAll(Corpus);
+  SchedulerService Svc(SvcOpts);
+  std::vector<SchedulerResult> Parallel = Svc.scheduleAll(M, Corpus);
 
   ASSERT_EQ(Parallel.size(), Serial.size());
   for (size_t I = 0; I < Serial.size(); ++I) {
@@ -456,7 +459,7 @@ TEST(SchedulerService, ParallelBatchMatchesSerialBitForBit) {
 
   // Re-scheduling the same corpus must be answered from the cache with
   // results equal to the cold solves.
-  std::vector<SchedulerResult> Cached = Svc.scheduleAll(Corpus);
+  std::vector<SchedulerResult> Cached = Svc.scheduleAll(M, Corpus);
   ServiceStats Stats = Svc.stats();
   EXPECT_EQ(Stats.Submitted, 2 * Corpus.size());
   EXPECT_EQ(Stats.Completed, 2 * Corpus.size());
@@ -474,8 +477,8 @@ TEST(SchedulerService, SubmitResolvesSingleLoop) {
   Ddg G = generateRandomLoop(M, 7, {});
   ServiceOptions SvcOpts;
   SvcOpts.Jobs = 2;
-  SchedulerService Svc(M, SvcOpts);
-  SchedulerResult R = Svc.submit(G).get();
+  SchedulerService Svc(SvcOpts);
+  SchedulerResult R = Svc.submit(M, G).get();
   SchedulerResult Ref = scheduleLoop(G, M, SvcOpts.Sched);
   EXPECT_EQ(R.Schedule.T, Ref.Schedule.T);
   EXPECT_EQ(R.ProvenRateOptimal, Ref.ProvenRateOptimal);
@@ -492,9 +495,10 @@ TEST(SchedulerService, PortfolioAgreesWithSerialIlp) {
   ServiceOptions SvcOpts;
   SvcOpts.Jobs = 4;
   SvcOpts.Sched = SOpts;
-  SvcOpts.Portfolio = true;
-  SchedulerService Svc(M, SvcOpts);
-  std::vector<SchedulerResult> Portfolio = Svc.scheduleAll(Corpus);
+  JobOptions Job;
+  Job.Portfolio = true;
+  SchedulerService Svc(SvcOpts);
+  std::vector<SchedulerResult> Portfolio = Svc.scheduleAll(M, Corpus, Job);
 
   for (size_t I = 0; I < Corpus.size(); ++I) {
     const Ddg &G = Corpus[I];
@@ -561,9 +565,10 @@ TEST(SchedulerService, PortfolioFallbackKeepsExactLegLpEffort) {
   ServiceOptions SvcOpts;
   SvcOpts.Jobs = 1;
   SvcOpts.Sched = SOpts;
-  SvcOpts.Portfolio = true;
-  SchedulerService Svc(M, SvcOpts);
-  EXPECT_EQ(Svc.submit(G).get().Schedule.T, 6);
+  JobOptions Job;
+  Job.Portfolio = true;
+  SchedulerService Svc(SvcOpts);
+  EXPECT_EQ(Svc.submit(M, G, Job).get().Schedule.T, 6);
   EXPECT_EQ(Svc.stats().LpPivots,
             static_cast<std::uint64_t>(Exact.TotalLp.Pivots));
 }
@@ -574,10 +579,10 @@ TEST(SchedulerService, CancelAllResolvesEverything) {
   ServiceOptions SvcOpts;
   SvcOpts.Jobs = 2;
   SvcOpts.UseCache = false;
-  SchedulerService Svc(M, SvcOpts);
+  SchedulerService Svc(SvcOpts);
   std::vector<std::future<SchedulerResult>> Futures;
   for (const Ddg &G : Corpus)
-    Futures.push_back(Svc.submit(G));
+    Futures.push_back(Svc.submit(M, G));
   Svc.cancelAll();
   for (auto &F : Futures)
     F.get(); // Every future must resolve — no deadlock, no abandonment.
@@ -598,8 +603,8 @@ TEST(SchedulerService, DeadlineCancelsHardLoop) {
   SvcOpts.Jobs = 1;
   SvcOpts.DeadlinePerLoop = 1e-6;
   SvcOpts.Sched.LpRoundingProbe = false;
-  SchedulerService Svc(M, SvcOpts);
-  SchedulerResult R = Svc.submit(G).get();
+  SchedulerService Svc(SvcOpts);
+  SchedulerResult R = Svc.submit(M, G).get();
   EXPECT_TRUE(R.Cancelled);
   EXPECT_EQ(Svc.stats().Cancellations, 1u);
 }
@@ -618,15 +623,15 @@ TEST(SchedulerService, QueueWaitCountsTheTimeAJobWaitsForAWorker) {
   ServiceOptions SvcOpts;
   SvcOpts.Jobs = 1;
   SvcOpts.Sched = deterministicOptions();
-  SchedulerService Svc(M, SvcOpts);
-  std::future<SchedulerResult> First = Svc.submit(Hard);
-  std::future<SchedulerResult> Second = Svc.submit(Small[0]);
+  SchedulerService Svc(SvcOpts);
+  std::future<SchedulerResult> First = Svc.submit(M, Hard);
+  std::future<SchedulerResult> Second = Svc.submit(M, Small[0]);
   const SchedulerResult A = First.get();
   Second.get();
   const double Waited = Svc.stats().QueueWaitSeconds;
   EXPECT_GT(Waited, 0.0);
   EXPECT_GE(Waited, 0.5 * A.TotalSeconds);
-  EXPECT_TRUE(Svc.schedule(Small[0]).CacheHit);
+  EXPECT_TRUE(Svc.schedule(M, Small[0]).CacheHit);
   EXPECT_EQ(Svc.stats().QueueWaitSeconds, Waited);
 }
 
@@ -648,14 +653,14 @@ TEST(SchedulerService, ScheduleMatchesSubmitColdAndWarm) {
   ServiceOptions SvcOpts;
   SvcOpts.Jobs = 2;
   SvcOpts.Sched = deterministicOptions();
-  SchedulerService BySchedule(M, SvcOpts);
-  SchedulerService BySubmit(M, SvcOpts);
+  SchedulerService BySchedule(SvcOpts);
+  SchedulerService BySubmit(SvcOpts);
   for (const bool Warm : {false, true}) {
     const ServiceStats ScheduleBefore = BySchedule.stats();
     const ServiceStats SubmitBefore = BySubmit.stats();
     for (const Ddg &G : Corpus) {
-      SchedulerResult A = BySchedule.schedule(G);
-      SchedulerResult B = BySubmit.submit(G).get();
+      SchedulerResult A = BySchedule.schedule(M, G);
+      SchedulerResult B = BySubmit.submit(M, G).get();
       EXPECT_EQ(A.CacheHit, Warm) << G.name();
       EXPECT_EQ(timelessBytes(A), timelessBytes(B)) << G.name();
     }
@@ -672,15 +677,75 @@ TEST(SchedulerService, ScheduleMatchesSubmitColdAndWarm) {
   Narrow.MaxTSlack = 0;
   ServiceOptions NarrowOpts = SvcOpts;
   NarrowOpts.Sched.MaxTSlack = Narrow.MaxTSlack;
-  SchedulerService Reference(M, NarrowOpts);
+  SchedulerService Reference(NarrowOpts);
   for (const Ddg &G : Corpus) {
-    SchedulerResult D = BySchedule.schedule(G, Narrow);
+    SchedulerResult D = BySchedule.schedule(M, G, Narrow);
     EXPECT_FALSE(D.CacheHit)
         << G.name() << ": a degraded job aliased the full-effort entry";
-    EXPECT_EQ(timelessBytes(D), timelessBytes(Reference.submit(G).get()))
+    EXPECT_EQ(timelessBytes(D), timelessBytes(Reference.submit(M, G).get()))
         << G.name();
-    EXPECT_TRUE(BySchedule.schedule(G, Narrow).CacheHit) << G.name();
+    EXPECT_TRUE(BySchedule.schedule(M, G, Narrow).CacheHit) << G.name();
   }
+}
+
+TEST(SchedulerService, OneServiceAnswersEveryMachineAndEngine) {
+  // The service takes the machine per call and the engine per job, so one
+  // service serving two machines under four schedulers must answer each
+  // job, cold and warm, as a service dedicated to that (machine, engine,
+  // portfolio) does, and count what those services count together.
+  const MachineModel Ppc = ppc604Like();
+  MachineModel Mesh;
+  ASSERT_TRUE(buildCatalogMachine("cgra-mesh-2x2", Mesh));
+  CgraCorpusOptions CgraOpts;
+  CgraOpts.NumLoops = 4;
+  CgraOpts.MaxNodes = 6;
+  CgraOpts.MeanExtraNodes = 2.0;
+  const struct {
+    const MachineModel *Machine;
+    std::vector<Ddg> Loops;
+  } Slices[] = {{&Ppc, corpusSlice(6)},
+                {&Mesh, generateCgraCorpus(Mesh, CgraOpts)}};
+  std::vector<JobOptions> Jobs;
+  for (const char *Name : {"ilp", "sat", "race", "portfolio"}) {
+    JobOptions J;
+    ASSERT_TRUE(parseSchedulerName(Name, J.Engine, J.Portfolio)) << Name;
+    Jobs.push_back(J);
+  }
+  ServiceOptions SvcOpts;
+  SvcOpts.Jobs = 2;
+  SvcOpts.Sched = deterministicOptions();
+  SvcOpts.Sched.NodeLimitPerT = 50;
+  SchedulerService Shared(SvcOpts);
+  std::vector<std::unique_ptr<SchedulerService>> Dedicated;
+  for (std::size_t I = 0; I < std::size(Slices) * Jobs.size(); ++I)
+    Dedicated.push_back(std::make_unique<SchedulerService>(SvcOpts));
+
+  for (const bool Warm : {false, true}) {
+    std::size_t K = 0;
+    for (const auto &Slice : Slices)
+      for (const JobOptions &J : Jobs) {
+        SchedulerService &Own = *Dedicated[K++];
+        for (const Ddg &G : Slice.Loops) {
+          const SchedulerResult A = Shared.schedule(*Slice.Machine, G, J);
+          const SchedulerResult B = Own.schedule(*Slice.Machine, G, J);
+          EXPECT_EQ(A.CacheHit, B.CacheHit) << G.name();
+          if (Warm) {
+            EXPECT_TRUE(A.CacheHit) << G.name();
+          }
+          EXPECT_EQ(timelessBytes(A), timelessBytes(B))
+              << G.name() << " on " << Slice.Machine->name()
+              << (Warm ? " (warm)" : " (cold)");
+        }
+      }
+  }
+  std::vector<std::uint64_t> Sum(jobCounters(Shared.stats()).size(), 0);
+  for (const auto &Own : Dedicated) {
+    const std::vector<std::uint64_t> C = jobCounters(Own->stats());
+    for (std::size_t I = 0; I < Sum.size(); ++I)
+      Sum[I] += C[I];
+  }
+  EXPECT_EQ(jobCounters(Shared.stats()), Sum);
+  EXPECT_EQ(Shared.stats().Jobs, 2);
 }
 
 TEST(ServiceStats, RendersCountersAndHistogram) {

@@ -434,10 +434,12 @@ void fuzzOne(const FuzzOptions &Opts, std::uint64_t InstanceSeed,
     ServiceOptions SvcOpts;
     SvcOpts.Jobs = 2;
     SvcOpts.Sched = Ilp;
-    SvcOpts.Portfolio = true;
-    SchedulerService Service(Machine, SvcOpts);
+    JobOptions Portfolio;
+    Portfolio.Portfolio = true;
+    SchedulerService Service(SvcOpts);
     std::vector<Ddg> Batch{G, G, G};
-    std::vector<SchedulerResult> Results = Service.scheduleAll(Batch);
+    std::vector<SchedulerResult> Results =
+        Service.scheduleAll(Machine, Batch, Portfolio);
     for (const SchedulerResult &SR : Results) {
       checkResult(F, InstanceSeed, Machine, G, SR, "service");
       if (SR.Schedule.T != Results.front().Schedule.T)

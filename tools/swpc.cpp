@@ -18,7 +18,7 @@
 //                                    portfolio anchors on the ILP, SAT or
 //                                    the race
 //   --mapping fixed|runtime          mapping discipline (default fixed)
-//   --min-buffers                    buffer-minimal schedule (ilp only)
+//   --min-buffers                    buffer-minimal schedule (ILP legs)
 //   --time-limit SECONDS             per-T MILP/search limit (default 10)
 //   --deadline SECONDS               per-loop wall-clock deadline
 //   --batch DIR                      schedule every *.loop file in DIR
@@ -30,6 +30,11 @@
 //   --iterations N                   iterations in kernel listings (4)
 //   --print WHAT[,WHAT...]           tka, kernel, usage, arcs, lifetimes,
 //                                    dot, loop, machine (default summary)
+//
+// A solve flag the run would ignore is a usage error (exit 2): ims, slack
+// and enum take no --deadline, --mapping or --min-buffers (ims and slack
+// no --time-limit either), sat and portfolio-sat no --min-buffers, and
+// --connect sends only the scheduler name and --deadline.
 //
 // Batch mode feeds the loops through the SchedulerService thread pool
 // (service statistics go to stderr so a json stdout stream stays clean).
@@ -156,6 +161,26 @@ bool readMachineSpec(const std::string &Spec, std::string &Out) {
     return false;
   Out = printMachine(M);
   return true;
+}
+
+/// Why this run would ignore one of the solve flags \p Given (the first
+/// such flag), or empty when it uses them all.  ims, slack and enum take no
+/// deadline, mapping or buffer objective, and ims and slack no time limit;
+/// the SAT engine minimizes no buffers; and a wire request carries only
+/// the scheduler name and the deadline.
+std::string ignoredFlag(const std::vector<std::string> &Given,
+                        const std::string &Scheduler, bool Connect) {
+  const bool Sweep = Scheduler == "ims" || Scheduler == "slack";
+  const bool Heuristic = Sweep || Scheduler == "enum";
+  const bool Sat = Scheduler == "sat" || Scheduler == "portfolio-sat";
+  for (const std::string &F : Given) {
+    if (Connect && F != "--deadline")
+      return F + " does not reach the daemon with --connect";
+    if ((Heuristic && F != "--time-limit") || Sweep ||
+        (Sat && F == "--min-buffers"))
+      return F + " has no effect with --scheduler " + Scheduler;
+  }
+  return "";
 }
 
 bool wantArtifact(const std::string &Prints, const char *What) {
@@ -327,7 +352,8 @@ bool listLoopFiles(const std::string &Dir,
 }
 
 int runBatch(const std::string &BatchDir, const MachineModel &Machine,
-             const ServiceOptions &SvcOpts, const std::string &Format,
+             const ServiceOptions &SvcOpts, const JobOptions &Job,
+             const std::string &Format,
              const std::string &LoadCacheDir,
              const std::string &SaveCacheDir) {
   std::vector<std::filesystem::path> Files;
@@ -365,9 +391,9 @@ int runBatch(const std::string &BatchDir, const MachineModel &Machine,
                          "discarded)\n",
                  Loaded->Entries, Loaded->CorruptShards);
   }
-  SchedulerService Svc(Machine, SvcOpts, Cache);
+  SchedulerService Svc(SvcOpts, Cache);
   Stopwatch Wall;
-  std::vector<SchedulerResult> Results = Svc.scheduleAll(Loops);
+  std::vector<SchedulerResult> Results = Svc.scheduleAll(Machine, Loops, Job);
   double WallSeconds = Wall.seconds();
 
   if (!SaveCacheDir.empty()) {
@@ -407,9 +433,13 @@ int main(int Argc, char **Argv) {
   bool MinBuffers = false, DaemonStats = false, Shutdown = false;
   double TimeLimit = 10.0, Deadline = 0.0;
   int Iterations = 4, Jobs = 0;
+  std::vector<std::string> SolveFlags;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    if (Arg == "--deadline" || Arg == "--time-limit" || Arg == "--mapping" ||
+        Arg == "--min-buffers")
+      SolveFlags.push_back(Arg);
     auto Next = [&](std::string &Out) {
       if (I + 1 >= Argc)
         return false;
@@ -457,6 +487,12 @@ int main(int Argc, char **Argv) {
       return listMachines();
     else
       return usage(Argv[0]);
+  }
+  if (const std::string Why =
+          ignoredFlag(SolveFlags, Scheduler, !ConnectPath.empty());
+      !Why.empty()) {
+    std::fprintf(stderr, "error: %s\n", Why.c_str());
+    return usage(Argv[0]);
   }
   if (!ConnectPath.empty()) {
     // Client mode: loops are optional when only stats/shutdown is wanted.
@@ -534,15 +570,15 @@ int main(int Argc, char **Argv) {
                                              : MappingKind::RunTime;
   SvcOpts.Sched.MinimizeBuffers = MinBuffers;
   SvcOpts.DeadlinePerLoop = Deadline;
-  const bool Exact =
-      parseSchedulerName(Scheduler, SvcOpts.Engine, SvcOpts.Portfolio);
+  JobOptions Job;
+  const bool Exact = parseSchedulerName(Scheduler, Job.Engine, Job.Portfolio);
   if (!BatchDir.empty()) {
     if (!Exact) {
       std::fprintf(stderr, "error: --batch supports --scheduler "
                            "ilp|sat|race|portfolio[-sat|-race]\n");
       return 2;
     }
-    return runBatch(BatchDir, Machine, SvcOpts, Format, LoadCacheDir,
+    return runBatch(BatchDir, Machine, SvcOpts, Job, Format, LoadCacheDir,
                     SaveCacheDir);
   }
 
@@ -569,7 +605,7 @@ int main(int Argc, char **Argv) {
   // SchedulerResult.
   SchedulerResult R;
   if (Exact) {
-    R = SchedulerService(Machine, SvcOpts).schedule(Loop);
+    R = SchedulerService(SvcOpts).schedule(Machine, Loop, Job);
   } else if (Scheduler == "ims") {
     R = iterativeModuloSchedule(Loop, Machine);
   } else if (Scheduler == "slack") {

@@ -6,7 +6,7 @@
 //
 // Options:
 //   --socket PATH          AF_UNIX socket path (required)
-//   --jobs N               worker threads per keyed service (default:
+//   --jobs N               worker threads of the daemon (default:
 //                          hardware concurrency)
 //   --time-limit S         per-T exact-engine limit (default 10)
 //   --snapshot-dir DIR     persist the result cache under DIR (loaded at
